@@ -190,59 +190,53 @@ def cut(tree: MergeTree, k: int) -> np.ndarray:
     return labels
 
 
+def _each_row(store: MapStore, memory_budget: int):
+    """(index, row) over the whole store, read in budget-sized blocks."""
+    bs = _row_blocks(store.m, store.pixel_count, memory_budget)
+    for a0 in range(0, store.m, bs):
+        yield from enumerate(store.rows(a0, min(a0 + bs, store.m)), start=a0)
+
+
 def _cluster_means(store: MapStore, labels: np.ndarray, memory_budget: int) -> tuple[np.ndarray, np.ndarray]:
     k = int(labels.max())
     sums = np.zeros((k, store.pixel_count))
     counts = np.bincount(labels - 1, minlength=k).astype(np.int64)
     if (counts == 0).any():
         raise EmptyCluster(f"cluster {int(np.argmax(counts == 0)) + 1} has no members")
-    bs = _row_blocks(store.m, store.pixel_count, memory_budget)
-    for a0 in range(0, store.m, bs):
-        a1 = min(a0 + bs, store.m)
-        np.add.at(sums, labels[a0:a1] - 1, store.rows(a0, a1))
+    for i, row in _each_row(store, memory_budget):
+        sums[labels[i] - 1] += row
     return sums / counts[:, None], counts
 
 
 def within_variance(store: MapStore, labels: np.ndarray, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
-    """Sum over maps of the squared distance to their cluster mean."""
+    """Sum over maps of the squared distance to their cluster mean.
+
+    The direct route, off the run path: tests check the variance curve
+    against it.
+    """
     means, _ = _cluster_means(store, labels, memory_budget)
-    total = 0.0
-    bs = _row_blocks(store.m, store.pixel_count, memory_budget)
-    for a0 in range(0, store.m, bs):
-        a1 = min(a0 + bs, store.m)
-        diff = store.rows(a0, a1) - means[labels[a0:a1] - 1]
-        total += float(np.einsum("ij,ij->", diff, diff))
-    return total
+    return sum(
+        float(np.square(row - means[labels[i] - 1]).sum()) for i, row in _each_row(store, memory_budget)
+    )
 
 
-def within_variance_via_between(
-    store: MapStore, labels: np.ndarray, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> float:
-    """Same quantity computed as total variance minus between-group variance."""
-    means, counts = _cluster_means(store, labels, memory_budget)
-    ones = np.ones(store.m, dtype=np.int64)
-    total = within_variance(store, ones, memory_budget)
-    gmean, _ = _cluster_means(store, ones, memory_budget)
-    diff = means - gmean[0]
-    between = float(counts @ np.einsum("ij,ij->i", diff, diff))
-    return total - between
+def variance_ratio_curve(tree: MergeTree, k_max: int) -> list[tuple[int, float]]:
+    """Within-group over total variance for k = 1..k_max cuts of one tree.
 
-
-def variance_ratio_curve(
-    store: MapStore,
-    tree: MergeTree,
-    k_max: int,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> list[tuple[int, float]]:
-    """Within-group over total variance for k = 1..k_max cuts of one tree."""
-    if not (1 <= k_max <= tree.m):
-        raise BadK(f"k_max must be in [1, {tree.m}], got {k_max}")
-    total = within_variance(store, np.ones(tree.m, dtype=np.int64), memory_budget)
-    curve = []
-    for k in range(1, k_max + 1):
-        w = within_variance(store, cut(tree, k), memory_budget)
-        curve.append((k, w / total if total > 0.0 else (1.0 if k == 1 else 0.0)))
-    return curve
+    A Ward merge at height h adds h^2/2 to the within-cluster sum of
+    squares, so the cut into k clusters holds W(k) = sum of h^2/2 over the
+    first m-k merges and the ratio is W(k) / W(1). Identical maps (W(1) = 0)
+    give 1 at k = 1 and 0 beyond.
+    """
+    m = tree.m
+    if not (1 <= k_max <= m):
+        raise BadK(f"k_max must be in [1, {m}], got {k_max}")
+    w = np.concatenate(([0.0], np.cumsum([0.5 * h * h for _, _, h, _ in tree.merges])))
+    total = w[m - 1]
+    return [
+        (k, float(w[m - k] / total) if total > 0.0 else (1.0 if k == 1 else 0.0))
+        for k in range(1, k_max + 1)
+    ]
 
 
 def suggest_k(curve: list[tuple[int, float]]) -> int:
@@ -274,12 +268,9 @@ def cluster_summaries(
     means, counts = _cluster_means(store, labels, memory_budget)
     k = means.shape[0]
     sq = np.zeros_like(means)
-    bs = _row_blocks(store.m, store.pixel_count, memory_budget)
-    for a0 in range(0, store.m, bs):
-        block = store.rows(a0, min(a0 + bs, store.m))
-        for i in range(block.shape[0]):
-            c = labels[a0 + i] - 1
-            sq[c] += np.square(block[i] - means[c])
+    for i, row in _each_row(store, memory_budget):
+        c = labels[i] - 1
+        sq[c] += np.square(row - means[c])
     stds = np.sqrt(sq / counts[:, None])
 
     infos = []

@@ -133,12 +133,14 @@ def load_stack_manifest(path: str | Path):
     """Read the stack manifest: one `name path weight` row per criterion.
 
     The weight column accepts either a number or a votes/total fraction
-    like `7/13`. Paths are relative to the manifest file.
+    like `7/13`. Paths are relative to the manifest file. Returns the
+    (name, raster) layers, their weights and the resolved grid paths.
     """
     path = Path(path)
     base = path.parent
     layers = []
     weights = []
+    grid_paths = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -154,12 +156,13 @@ def load_stack_manifest(path: str | Path):
             weight = float(num) / float(den)
         else:
             weight = float(weight_s)
-        raster = parse_ascii_grid((base / grid_path).read_text())
-        layers.append((name, raster))
+        grid_file = (base / grid_path).resolve()
+        layers.append((name, parse_ascii_grid(grid_file.read_text())))
         weights.append(weight)
+        grid_paths.append(grid_file)
     if not layers:
         raise DataError(f"{path}: empty stack manifest")
-    return layers, weights
+    return layers, weights, grid_paths
 
 
 def file_digest(path: Path) -> str:
@@ -339,21 +342,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
     try:
         t0 = clock("load")
-        layers, weights = load_stack_manifest(config.stack_manifest)
+        layers, weights, grid_paths = load_stack_manifest(config.stack_manifest)
         if config.criteria is not None and len(layers) != config.criteria:
             raise ConfigError(
                 f"config says {config.criteria} criteria, manifest has {len(layers)}"
             )
         stack = build_stack(layers, weights)
-        inputs = {str(config.stack_manifest): file_digest(config.stack_manifest)}
-        base = config.stack_manifest.parent
-        for line in config.stack_manifest.read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line or line.startswith("name,"):
-                continue
-            parts = line.split(",") if "," in line else line.split()
-            grid_path = (base / parts[1].strip()).resolve()
-            inputs[str(grid_path)] = file_digest(grid_path)
+        inputs = {str(p): file_digest(p) for p in [config.stack_manifest, *grid_paths]}
         durations["load"] = time.perf_counter() - t0
 
         t0 = clock("sample")
@@ -392,7 +387,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         t0 = clock("cluster")
         tree = ward_linkage(dm)
         _write_merge_tree_csv(tree, out_dir / "merge_tree.csv")
-        curve = variance_ratio_curve(store, tree, min(config.k_max, config.m), config.memory_budget)
+        curve = variance_ratio_curve(tree, min(config.k_max, config.m))
         _write_curve_csv(curve, out_dir / "variance_curve.csv")
         (out_dir / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
         durations["cluster"] = time.perf_counter() - t0
@@ -563,7 +558,7 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None,
     dm = pairwise_euclidean(store, memory_budget=memory_budget, workers=workers)
     tree = ward_linkage(dm)
     _write_merge_tree_csv(tree, out / "merge_tree.csv")
-    curve = variance_ratio_curve(store, tree, min(k_max or 15, store.m), memory_budget)
+    curve = variance_ratio_curve(tree, min(k_max or 15, store.m))
     _write_curve_csv(curve, out / "variance_curve.csv")
     (out / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
     _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, out, memory_budget)

@@ -15,6 +15,7 @@ is discretized into n bins to yield the weight vector.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,11 @@ def _gl_moments(mu: float, sigma: float) -> tuple[float, float]:
 
 
 def _closed_moments(mu: float, sigma: float) -> tuple[float, float] | None:
-    """Standard phi/Phi closed forms; None when the truncation mass underflows."""
+    """Standard phi/Phi closed forms; None when the truncation mass underflows.
+
+    A subnormal mass counts as underflow: its few significant bits make the
+    mean jump about, and the tail expansion is exact there.
+    """
     a = (0.0 - mu) / sigma
     b = (1.0 - mu) / sigma
     if a > 0.0:
@@ -166,7 +171,7 @@ def _closed_moments(mu: float, sigma: float) -> tuple[float, float] | None:
         z = 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
     else:
         z = _ndtr(b) - _ndtr(a)
-    if z <= 0.0:
+    if z < sys.float_info.min:
         return None
     pa, pb = _phi(a), _phi(b)
     d = (pa - pb) / z

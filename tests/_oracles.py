@@ -35,6 +35,21 @@ def quad_truncnorm_moments(mu: float, sigma: float) -> tuple[float, float]:
     return mean, math.sqrt(max(m2c / m0, 0.0))
 
 
+def within_variance_via_between(rows: np.ndarray, labels: np.ndarray) -> float:
+    """Within-cluster sum of squares as total minus between-cluster sum of
+    squares, from the maps (one per row) and their labels."""
+    X = np.asarray(rows, dtype=np.float64)
+    labels = np.asarray(labels)
+    gmean = X.mean(axis=0)
+    total = float(((X - gmean) ** 2).sum())
+    between = 0.0
+    for c in np.unique(labels):
+        members = X[labels == c]
+        diff = members.mean(axis=0) - gmean
+        between += len(members) * float(diff @ diff)
+    return total - between
+
+
 def brute_force_ward(vectors: np.ndarray) -> list[tuple[frozenset, frozenset, float]]:
     """Greedy merging by minimum within-cluster sum-of-squares increase.
 

@@ -17,7 +17,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from _oracles import brute_force_ward, merge_tree_members, quad_truncnorm_moments
+from _oracles import (
+    brute_force_ward,
+    merge_tree_members,
+    quad_truncnorm_moments,
+    within_variance_via_between,
+)
 from owa_explorer.cluster import (
     DissimilarityMatrix,
     cut,
@@ -25,7 +30,6 @@ from owa_explorer.cluster import (
     variance_ratio_curve,
     ward_linkage,
     within_variance,
-    within_variance_via_between,
 )
 from owa_explorer.grid import build_stack, parse_ascii_grid
 from owa_explorer.mapstore import MapStore
@@ -68,7 +72,7 @@ def criterion(number: int, title: str):
 def synth_stack(tmp_path_factory):
     data_dir = tmp_path_factory.mktemp("synth64")
     manifest = synth_generate(64, 64, 10, seed=SYNTH_SEED, out_dir=data_dir)
-    layers, weights = load_stack_manifest(manifest)
+    layers, weights, _ = load_stack_manifest(manifest)
     return manifest, build_stack(layers, weights)
 
 
@@ -153,22 +157,25 @@ def test_criterion_4_ward_oracle_equivalence():
 
 
 def test_criterion_5_variance_curve(pipeline_run):
-    with criterion(5, "variance ratio: 1 at k=1, 0 at k=m, non-increasing, two routes agree"):
+    with criterion(5, "variance ratio: 1 at k=1, 0 at k=m, non-increasing, matches two routes that agree"):
         out, _, _ = pipeline_run
         store = MapStore.open(out / "maps.bin")
         dm = pairwise_euclidean(store)
         tree = ward_linkage(dm)
-        curve = variance_ratio_curve(store, tree, store.m)
+        curve = variance_ratio_curve(tree, store.m)
         assert curve[0] == (1, 1.0)
         assert curve[-1][1] == 0.0
         ratios = [r for _, r in curve]
         for a, b in zip(ratios, ratios[1:]):
             assert b <= a + 1e-12
         total = within_variance(store, np.ones(store.m, dtype=np.int64))
+        for k, ratio in curve:
+            assert abs(ratio - within_variance(store, cut(tree, k)) / total) <= 1e-12
+        rows = store.rows(0, store.m)
         for k in [*range(1, 16), 20, 50, 100, 150, store.m - 1, store.m]:
             labels = cut(tree, k)
             w_direct = within_variance(store, labels)
-            w_between = within_variance_via_between(store, labels)
+            w_between = within_variance_via_between(rows, labels)
             if k == store.m:
                 assert w_direct == 0.0
                 assert abs(w_between) <= 1e-9 * total

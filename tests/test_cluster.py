@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_force_ward, merge_tree_members
+from _oracles import brute_force_ward, merge_tree_members, within_variance_via_between
 from owa_explorer.cluster import (
     DissimilarityMatrix,
     cluster_summaries,
@@ -14,7 +14,6 @@ from owa_explorer.cluster import (
     variance_ratio_curve,
     ward_linkage,
     within_variance,
-    within_variance_via_between,
 )
 from owa_explorer.errors import BadK, DataError, MaskMismatch
 from owa_explorer.grid import GridMeta
@@ -171,12 +170,19 @@ def test_variance_curve_endpoints(tmp_path):
     store = _store_from_rows(tmp_path, rows)
     dm = pairwise_euclidean(store)
     tree = ward_linkage(dm)
-    curve = variance_ratio_curve(store, tree, 10)
+    curve = variance_ratio_curve(tree, 10)
     assert curve[0] == (1, 1.0)
     assert curve[-1] == (10, 0.0)
     ratios = [r for _, r in curve]
     for a, b in zip(ratios, ratios[1:]):
         assert b <= a + 1e-12
+    total = within_variance(store, np.ones(10, dtype=np.int64))
+    for k, ratio in curve:
+        assert abs(ratio - within_variance(store, cut(tree, k)) / total) <= 1e-12
+    # identical maps: no variance at all, by convention 1 at k=1 and 0 beyond
+    same = _store_from_rows(tmp_path, np.tile(rows[0], (10, 1)), name="same.bin")
+    flat = variance_ratio_curve(ward_linkage(pairwise_euclidean(same)), 10)
+    assert flat == [(1, 1.0)] + [(k, 0.0) for k in range(2, 11)]
 
 
 def test_within_variance_two_routes_agree(tmp_path):
@@ -186,7 +192,7 @@ def test_within_variance_two_routes_agree(tmp_path):
     for k in (1, 2, 3, 5, 8, 12):
         labels = cut(tree, k)
         w1 = within_variance(store, labels)
-        w2 = within_variance_via_between(store, labels)
+        w2 = within_variance_via_between(store.rows(0, store.m), labels)
         assert w1 == pytest.approx(w2, rel=1e-6, abs=1e-12)
 
 

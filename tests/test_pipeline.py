@@ -65,7 +65,7 @@ def test_synth_rejects_tiny():
 
 
 def test_load_stack_manifest_fractions(synth_dir):
-    layers, weights = load_stack_manifest(synth_dir / "stack_manifest.csv")
+    layers, weights, _ = load_stack_manifest(synth_dir / "stack_manifest.csv")
     assert len(layers) == 4 and len(weights) == 4
     votes = (synth_dir / "votes.csv").read_text().strip().splitlines()[1:]
     for (name, _), w, line in zip(layers, weights, votes):
@@ -163,6 +163,23 @@ def test_manifest_detects_input_change(tmp_path, synth_dir):
     assert not verify_manifest(out)
 
 
+def test_run_whitespace_manifest_with_header(tmp_path, synth_dir):
+    # a `name path weight` header and space-separated rows load and run, and
+    # the run manifest digests every grid the stack manifest names
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    rows = [line.split(",") for line in (data / "stack_manifest.csv").read_text().splitlines()[1:]]
+    stack = data / "stack.txt"
+    stack.write_text("name path weight\n" + "".join(" ".join(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(stack_manifest=stack, m=6, seed=1, k=2, k_max=4, out=out, workers=1))
+    inputs = RunManifest.read(out / "run_manifest.json").inputs
+    grids = {str((data / path).resolve()) for _, path, _ in rows}
+    assert len(grids) == 4
+    assert set(inputs) == {str(stack), *grids}
+    assert verify_manifest(out)
+
+
 def test_run_auto_k_skips_summaries(tmp_path, synth_dir):
     out = tmp_path / "autok"
     cfg = PipelineConfig(
@@ -256,7 +273,7 @@ def test_run_prep_builds_stack(tmp_path):
         "[criterion:ready]\ngrid = ready.asc\n"
     )
     manifest_path = run_prep(tmp_path / "prep.cfg")
-    layers, weights = load_stack_manifest(manifest_path)
+    layers, weights, _ = load_stack_manifest(manifest_path)
     by_name = {name: raster for name, raster in layers}
     assert set(by_name) == {"crops", "fun", "ready"}
     assert weights == pytest.approx([7 / 13, 4 / 13, 1.0])

@@ -12,6 +12,8 @@ from owa_explorer.errors import (
     Unconverged,
 )
 from owa_explorer.strategy import (
+    MU_HI,
+    MU_LO,
     SQRT12,
     DecisionPoint,
     OrderWeights,
@@ -129,6 +131,27 @@ def test_solve_point_three():
     qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
     assert qmean == pytest.approx(0.3, abs=1e-6)
     assert qstd == pytest.approx(0.08660, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "r, t",
+    [(0.9338054820543983, 0.09406309126944601), (0.35848448327760674, 0.09715341003347766)],
+)
+def test_solve_interior_points_near_subnormal_mass(r, t):
+    # the bisection passes parents so remote that the truncation mass is
+    # subnormal; the mean must stay accurate there or the solve lands astray
+    spec = solve_generating_distribution(DecisionPoint(r, t))
+    mean, std = truncnorm_moments(spec)
+    assert mean == pytest.approx(r, abs=1e-9)
+    assert std == pytest.approx(t / SQRT12, abs=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [0.028, 0.03])
+def test_moments_mean_non_decreasing_in_mu(sigma):
+    means = np.array(
+        [truncnorm_moments(TruncatedNormalSpec(mu, sigma))[0] for mu in np.linspace(MU_LO, MU_HI, 20001)]
+    )
+    assert (np.diff(means) >= 0.0).all()
 
 
 def test_solve_refuses_infeasible():
