@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericalError, OwaExplorerError
@@ -63,7 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--run-dir", required=True, type=Path)
     p_analyze.add_argument("--k", type=int, required=True)
     p_analyze.add_argument("--out", type=Path)
-    p_analyze.add_argument("--workers", type=int, default=1)
+    p_analyze.add_argument(
+        "--workers", type=int, default=1,
+        help="deprecated: has no effect, analyze computes no distances",
+    )
 
     p_render = sub.add_parser("render", help="render a grid to a 16-bit PGM image")
     p_render.add_argument("grid", type=Path)
@@ -107,7 +111,9 @@ def main(argv: list[str] | None = None) -> int:
             manifest_path = run_prep(args.config, args.out)
             print(f"wrote criterion stack manifest {manifest_path}")
         elif args.command == "analyze":
-            analyze(args.run_dir, args.k, args.out, workers=args.workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("always", DeprecationWarning)  # show it on stderr
+                analyze(args.run_dir, args.k, args.out, workers=args.workers)
             print(f"re-clustered {args.run_dir} with k={args.k}")
         elif args.command == "render":
             raster = parse_ascii_grid(args.grid.read_text())

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import time
+import warnings
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cluster import (
+    MergeTree,
     cluster_summaries,
     export_segmentation,
     pairwise_euclidean,
@@ -267,7 +271,7 @@ def _write_design_csv(design: ExperimentalDesign, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_design_csv(path: Path, seed: int = 0) -> ExperimentalDesign:
+def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
     lines = path.read_text().splitlines()
     points = []
     for line in lines[1:]:
@@ -291,11 +295,68 @@ def _write_curve_csv(curve, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+_MERGE_TREE_HEADER = "step,cluster_a,cluster_b,height,new_size"
+
+
 def _write_merge_tree_csv(tree, path: Path) -> None:
-    lines = ["step,cluster_a,cluster_b,height,new_size"]
+    lines = [_MERGE_TREE_HEADER]
     for step, (a, b, height, size) in enumerate(tree.merges):
         lines.append(f"{step},{a},{b},{height!r},{size}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
+    """Parse the merge tree of m maps that `_write_merge_tree_csv` wrote.
+
+    Heights are exact reprs, so the tree comes back bit-identical. Each of
+    the m-1 steps must join two distinct live clusters into one of their
+    summed size at a finite, non-negative height; anything else raises
+    DataError naming the file and the step.
+    """
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError:
+        raise DataError(f"{path}: missing; analyze re-cuts the merge tree a run writes") from None
+    header = lines[0] if lines else ""
+    if header != _MERGE_TREE_HEADER:
+        raise DataError(f"{path}: header {header!r}, expected {_MERGE_TREE_HEADER!r}")
+    rows = lines[1:]
+    if len(rows) != m - 1:
+        raise DataError(
+            f"{path}: step {min(len(rows), m - 1)}: {m} maps need {m - 1} merges, "
+            f"the file holds {len(rows)}"
+        )
+    sizes = dict.fromkeys(range(m), 1)  # live cluster id -> member count
+    merges = []
+    for step, line in enumerate(rows):
+        where = f"{path}: step {step}"
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise DataError(f"{where}: expected 5 fields, got {line!r}")
+        try:
+            s, a, b, new_size = (int(fields[i]) for i in (0, 1, 2, 4))
+            height = float(fields[3])
+        except ValueError:
+            raise DataError(f"{where}: malformed row {line!r}") from None
+        if s != step:
+            raise DataError(f"{where}: row numbered {s}")
+        if a == b:
+            raise DataError(f"{where}: merges cluster {a} with itself")
+        for c in (a, b):
+            if c not in sizes:
+                state = "was merged before" if 0 <= c < m + step else "does not exist yet"
+                raise DataError(f"{where}: cluster {c} {state}")
+        if new_size != sizes[a] + sizes[b]:
+            raise DataError(
+                f"{where}: new_size {new_size}, but clusters {a} and {b} hold "
+                f"{sizes[a]} + {sizes[b]}"
+            )
+        if not (math.isfinite(height) and height >= 0.0):
+            raise DataError(f"{where}: height {fields[3]!r} is not finite and >= 0")
+        del sizes[a], sizes[b]
+        sizes[m + step] = new_size
+        merges.append((a, b, height, new_size))
+    return MergeTree(m=m, merges=tuple(merges))
 
 
 def _write_distances(dm, out_dir: Path) -> None:
@@ -307,9 +368,16 @@ def _write_distances(dm, out_dir: Path) -> None:
     )
 
 
+_CLUSTER_GRID = re.compile(r"cluster([1-9][0-9]*)_(?:mean|std)\.asc")
+
+
 def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir, memory_budget):
     labels = cut(tree, k)
     summary = cluster_summaries(store, design, labels, meta, valid_mask, memory_budget)
+    for path in out_dir.glob("cluster*.asc"):  # grids of an earlier, larger k
+        match = _CLUSTER_GRID.fullmatch(path.name)
+        if match and int(match.group(1)) > k:
+            path.unlink()
     (out_dir / "segmentation.csv").write_text(export_segmentation(design, labels))
     for info in summary.clusters:
         (out_dir / f"cluster{info.label}_mean.asc").write_text(write_ascii_grid(info.mean_map))
@@ -541,24 +609,51 @@ def run_prep(prep_config: str | Path, out_dir: str | Path | None = None) -> Path
     return manifest_path
 
 
+def _read_run_config(run_dir: Path) -> tuple[int, int]:
+    """The design seed and k_max a finished run recorded in its manifest."""
+    path = run_dir / "run_manifest.json"
+    try:
+        config = RunManifest.read(path).config
+        return int(config["seed"]), int(config["k_max"])
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{path}: cannot read the run's seed and k_max: {exc!r}") from None
+
+
 def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None,
             memory_budget: int = DEFAULT_MEMORY_BUDGET_MIB * 1024 * 1024,
             k_max: int | None = None, workers: int = 1) -> None:
-    """Re-cluster an existing map store with a new k, without recomputing maps."""
+    """Re-cut a finished run's Ward tree with a new k, without recomputing
+    maps, distances or the linkage.
+
+    Reads merge_tree.csv, design.csv, mask.asc, maps.bin and
+    run_manifest.json from run_dir and checks them all before writing any
+    output. The design seed and k_max (the curve's range) come from the
+    run's manifest; an explicit k_max overrides the latter. `workers` is
+    deprecated and has no effect.
+    """
+    if workers != 1:
+        warnings.warn(
+            "analyze(workers=...) has no effect: analyze re-cuts the run's merge tree "
+            "and computes no distances",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else run_dir
-    out.mkdir(parents=True, exist_ok=True)
+    seed, run_k_max = _read_run_config(run_dir)
     store = MapStore.open(run_dir / "maps.bin")
-    design = _read_design_csv(run_dir / "design.csv")
+    design = _read_design_csv(run_dir / "design.csv", seed)
+    if design.m != store.m:
+        raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
     mask_raster = parse_ascii_grid((run_dir / "mask.asc").read_text())
     valid_mask = mask_raster.values == 1.0
     store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
     if not (1 <= k <= store.m):
         raise ConfigError(f"k must be in [1, {store.m}], got {k}")
-    dm = pairwise_euclidean(store, memory_budget=memory_budget, workers=workers)
-    tree = ward_linkage(dm)
+    tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
+    curve = variance_ratio_curve(tree, min(run_k_max if k_max is None else k_max, store.m))
+    out.mkdir(parents=True, exist_ok=True)
     _write_merge_tree_csv(tree, out / "merge_tree.csv")
-    curve = variance_ratio_curve(tree, min(k_max or 15, store.m))
     _write_curve_csv(curve, out / "variance_curve.csv")
     (out / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
     _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, out, memory_budget)

@@ -87,3 +87,20 @@ def merge_tree_members(tree) -> list[tuple[frozenset, frozenset, float]]:
         out.append((members[a], members[b], height))
         members[tree.m + step] = members[a] | members[b]
     return out
+
+
+def write_ascii_grid_per_cell(raster) -> str:
+    """ESRI ASCII grid text with every cell formatted by its own f-string,
+    the writer's reference for byte-identical output."""
+    m = raster.meta
+    lines = [
+        f"ncols {m.ncols}",
+        f"nrows {m.nrows}",
+        f"xllcorner {m.xllcorner:.17g}",
+        f"yllcorner {m.yllcorner:.17g}",
+        f"cellsize {m.cellsize:.17g}",
+        f"NODATA_value {m.nodata_value:.17g}",
+    ]
+    for row in raster.grid:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"

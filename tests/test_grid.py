@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import write_ascii_grid_per_cell
 from owa_explorer.errors import (
     AlignmentError,
     DimensionMismatch,
@@ -96,6 +97,39 @@ def test_roundtrip_awkward_values():
 
 def test_seventeen_digits_reparse():
     assert float(f"{0.1:.17g}") == 0.1
+
+
+AWKWARD_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, 0.1, 1.0, -9999.0]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5)])
+def test_writer_matches_per_cell_oracle(shape):
+    nrows, ncols = shape
+    meta = GridMeta(ncols=ncols, nrows=nrows, xllcorner=-3.1, yllcorner=47.123456789, cellsize=0.1)
+    raster = Raster(meta, np.resize(np.array(AWKWARD_VALUES), meta.size))
+    assert write_ascii_grid(raster) == write_ascii_grid_per_cell(raster)
+
+
+def test_writer_awkward_literals():
+    meta = GridMeta(ncols=len(AWKWARD_VALUES), nrows=1, xllcorner=0.0, yllcorner=0.0, cellsize=1.0)
+    body = write_ascii_grid(Raster(meta, np.array(AWKWARD_VALUES))).splitlines()[6]
+    assert body == (
+        "-0 4.9406564584124654e-324 2.2250738585072014e-308 "
+        "1.0000000000000001e+300 0.10000000000000001 1 -9999"
+    )
+
+
+def test_writer_matches_oracle_on_acceptance_grids(synth_stack, pipeline_run):
+    # every grid the acceptance fixture writes: criteria, mask and cluster maps
+    manifest, _ = synth_stack
+    out, _, _ = pipeline_run
+    paths = sorted(manifest.parent.glob("*.asc")) + sorted(out.glob("*.asc"))
+    assert len(paths) == 10 + 1 + 2 * 4
+    for path in paths:
+        raster = parse_ascii_grid(path.read_text())
+        text = write_ascii_grid(raster)
+        assert text == write_ascii_grid_per_cell(raster), path.name
+        assert text == path.read_text(), path.name
 
 
 def test_nodata_serialized_as_declared_literal(meta_2x1):

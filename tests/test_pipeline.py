@@ -1,15 +1,21 @@
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from owa_explorer import pipeline
 from owa_explorer.cli import main
-from owa_explorer.errors import ConfigError, NoSolution
+from owa_explorer.cluster import DissimilarityMatrix, pairwise_euclidean, ward_linkage
+from owa_explorer.errors import ConfigError, DataError, NoSolution
 from owa_explorer.grid import GridMeta, Raster, parse_ascii_grid, write_ascii_grid
+from owa_explorer.mapstore import MapStore
 from owa_explorer.pipeline import (
     PipelineConfig,
     RunManifest,
+    _read_merge_tree_csv,
+    _write_merge_tree_csv,
     analyze,
     load_config,
     load_stack_manifest,
@@ -193,11 +199,19 @@ def test_run_auto_k_skips_summaries(tmp_path, synth_dir):
     assert not (out / "segmentation.csv").exists()
 
 
-def test_analyze_matches_direct_run(completed_run, tmp_path):
+def test_analyze_matches_direct_run(completed_run, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze must re-cut the persisted tree")
+
+    monkeypatch.setattr(pipeline, "pairwise_euclidean", refuse)
+    monkeypatch.setattr(pipeline, "ward_linkage", refuse)
     out, _, _ = completed_run
     re_out = tmp_path / "reanalysis"
     analyze(out, k=3, out_dir=re_out)
-    for name in ["segmentation.csv", "merge_tree.csv", "cluster1_mean.asc", "cluster3_std.asc"]:
+    for name in [
+        "segmentation.csv", "merge_tree.csv", "variance_curve.csv", "suggested_k.txt",
+        "cluster_centroids.csv", "cluster1_mean.asc", "cluster3_std.asc",
+    ]:
         assert (re_out / name).read_bytes() == (out / name).read_bytes(), name
 
 
@@ -205,6 +219,135 @@ def test_analyze_rejects_bad_k(completed_run, tmp_path):
     out, _, _ = completed_run
     with pytest.raises(ConfigError):
         analyze(out, k=99, out_dir=tmp_path / "x")
+
+
+def test_merge_tree_csv_roundtrip(pipeline_run, tmp_path):
+    # the acceptance fixture's tree, and an all-identical-maps tree (heights 0)
+    out, _, _ = pipeline_run
+    acceptance = ward_linkage(pairwise_euclidean(MapStore.open(out / "maps.bin")))
+    identical = ward_linkage(DissimilarityMatrix(m=6, d=np.zeros((6, 6))))
+    assert all(h == 0.0 for _, _, h, _ in identical.merges)
+    for tree in (acceptance, identical):
+        _write_merge_tree_csv(tree, tmp_path / "merge_tree.csv")
+        back = _read_merge_tree_csv(tmp_path / "merge_tree.csv", tree.m)
+        assert back == tree
+        heights = [np.array([h for _, _, h, _ in t.merges]).tobytes() for t in (back, tree)]
+        assert heights[0] == heights[1]
+
+
+def _field(rows, step, col):
+    return rows[1 + step].split(",")[col]  # rows[0] is the header
+
+
+def _set_field(rows, step, col, value):
+    fields = rows[1 + step].split(",")
+    fields[col] = str(value)
+    rows[1 + step] = ",".join(fields)
+
+
+# (name, edit of the merge-tree lines, the step the error names); the
+# completed run has m = 14 maps, so 13 merges and cluster ids 0..26.
+TREE_CORRUPTIONS = [
+    ("header", lambda r: r.__setitem__(0, "step,a,b,height,size"), None),
+    ("empty", lambda r: r.clear(), None),
+    ("missing row", lambda r: r.pop(), 12),
+    ("extra row", lambda r: r.append(r[-1]), 13),
+    ("misnumbered", lambda r: _set_field(r, 3, 0, 4), 3),
+    ("short row", lambda r: r.__setitem__(1 + 2, "2,0,1,0.5"), 2),
+    ("non-numeric", lambda r: _set_field(r, 2, 1, "x"), 2),
+    ("self merge", lambda r: _set_field(r, 4, 2, _field(r, 4, 1)), 4),
+    ("future id", lambda r: _set_field(r, 5, 1, 14 + 5), 5),
+    ("negative id", lambda r: _set_field(r, 5, 1, -1), 5),
+    ("id used twice", lambda r: _set_field(r, 6, 1, _field(r, 0, 1)), 6),
+    ("wrong size", lambda r: _set_field(r, 7, 4, int(_field(r, 7, 4)) + 1), 7),
+    ("nan height", lambda r: _set_field(r, 8, 3, "nan"), 8),
+    ("inf height", lambda r: _set_field(r, 8, 3, "inf"), 8),
+    ("negative height", lambda r: _set_field(r, 8, 3, "-0.5"), 8),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, step", [c[1:] for c in TREE_CORRUPTIONS], ids=[c[0] for c in TREE_CORRUPTIONS]
+)
+def test_analyze_rejects_corrupt_merge_tree(completed_run, tmp_path, edit, step):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    rows = (run / "merge_tree.csv").read_text().splitlines()
+    edit(rows)
+    (run / "merge_tree.csv").write_text("".join(row + "\n" for row in rows))
+    re_out = tmp_path / "re"
+    re_out.mkdir()
+    with pytest.raises(DataError) as err:
+        analyze(run, k=3, out_dir=re_out)
+    assert str(run / "merge_tree.csv") in str(err.value)
+    if step is not None:
+        assert f"step {step}:" in str(err.value)
+    assert not list(re_out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["merge_tree.csv", "run_manifest.json"])
+def test_analyze_requires_run_file(completed_run, tmp_path, name):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / name).unlink()
+    with pytest.raises(DataError, match=name):
+        analyze(run, k=3, out_dir=tmp_path / "re")
+    assert not (tmp_path / "re").exists()
+
+
+def test_analyze_in_place_keeps_run_k_max(completed_run, tmp_path):
+    # the run used k_max=8 of m=14; analyze takes it from run_manifest.json
+    out, cfg, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    analyze(run, k=2)
+    for name in ["variance_curve.csv", "suggested_k.txt", "merge_tree.csv"]:
+        assert (run / name).read_bytes() == (out / name).read_bytes(), name
+    assert len((run / "variance_curve.csv").read_text().splitlines()) == 1 + cfg.k_max
+    analyze(run, k=2, k_max=5)  # an explicit k_max still wins
+    assert len((run / "variance_curve.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_analyze_removes_stale_cluster_grids(completed_run, tmp_path):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    analyze(run, k=5)
+    assert (run / "cluster5_std.asc").exists()
+    keep = ["cluster04_mean.asc", "cluster4_mean.asc.bak", "cluster4_notes.txt"]
+    for name in keep:
+        (run / name).write_text("not ours\n")
+    before = {p.name for p in run.iterdir()}
+    analyze(run, k=3)
+    stale = {f"cluster{n}_{kind}.asc" for n in (4, 5) for kind in ("mean", "std")}
+    assert {p.name for p in run.iterdir()} == before - stale
+    for name in ["segmentation.csv", "cluster1_mean.asc", "cluster3_std.asc"]:
+        assert (run / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_analyze_workers_deprecated(completed_run, tmp_path):
+    out, _, _ = completed_run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analyze(out, k=3, out_dir=tmp_path / "one", workers=1)
+    with pytest.warns(DeprecationWarning, match="no effect"):
+        analyze(out, k=3, out_dir=tmp_path / "two", workers=2)
+    assert (tmp_path / "two" / "segmentation.csv").read_bytes() == (
+        tmp_path / "one" / "segmentation.csv"
+    ).read_bytes()
+
+
+def test_cli_analyze_workers_warns(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    args = ["analyze", "--run-dir", str(out), "--k", "2", "--out", str(tmp_path / "re")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    with pytest.warns(DeprecationWarning, match="no effect"):
+        assert main(args + ["--workers", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
