@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--m", type=int)
     p_run.add_argument("--k", type=int)
-    p_run.add_argument("--workers", type=int)
+    p_run.add_argument(
+        "--workers", type=int, help="threads of the distance stage (default: core count)"
+    )
     p_run.add_argument("--out", type=Path)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic criterion stack")

@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import BadK, DataError, EmptyCluster
 from .grid import GridMeta, Raster
-from .mapstore import MapStore
+from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, rows_per_block
 from .strategy import ExperimentalDesign
-
-DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,6 @@ class ClusterSummary:
     clusters: tuple[ClusterInfo, ...]
 
 
-def _row_blocks(m: int, pixel_count: int, memory_budget: int) -> int:
-    rows = memory_budget // (pixel_count * 8 * 2)
-    return max(1, min(m, int(rows)))
-
-
 def pairwise_euclidean(
     store: MapStore,
     expected_digest: bytes | None = None,
@@ -86,7 +79,7 @@ def pairwise_euclidean(
     if expected_digest is not None:
         store.check_digest(expected_digest)
     m = store.m
-    bs = _row_blocks(m, store.pixel_count, memory_budget)
+    bs = rows_per_block(m, store.pixel_count, memory_budget)
     d = np.zeros((m, m))
 
     def fill_row(args) -> None:
@@ -192,7 +185,7 @@ def cut(tree: MergeTree, k: int) -> np.ndarray:
 
 def _each_row(store: MapStore, memory_budget: int):
     """(index, row) over the whole store, read in budget-sized blocks."""
-    bs = _row_blocks(store.m, store.pixel_count, memory_budget)
+    bs = rows_per_block(store.m, store.pixel_count, memory_budget)
     for a0 in range(0, store.m, bs):
         yield from enumerate(store.rows(a0, min(a0 + bs, store.m)), start=a0)
 

@@ -21,6 +21,14 @@ MAGIC = b"OWAMAPS1"
 VERSION = 1
 _HEADER = struct.Struct("<8sIQQ32s")
 _DTYPE = np.dtype("<f8")
+DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
+
+
+def rows_per_block(m: int, pixel_count: int, memory_budget: int) -> int:
+    """How many of m map rows a block may hold: the budget covers two
+    float64 arrays of that many rows, at least one row and at most m."""
+    rows = memory_budget // (pixel_count * _DTYPE.itemsize * 2)
+    return max(1, min(m, int(rows)))
 
 
 def mask_digest(ncols: int, nrows: int, mask: np.ndarray) -> bytes:

@@ -12,7 +12,8 @@ the criterion weight reordered the same way.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import CacheMismatch, InfeasibleStrategy, LengthMismatch, NoSolution
 from .grid import CriterionStack, CriterionWeights, Raster
-from .mapstore import MapStore, mask_digest
+from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, rows_per_block
 from .strategy import DecisionPoint, ExperimentalDesign, OrderWeights, generate_weights
 
 
@@ -76,9 +77,13 @@ def owa_value(z, v, w) -> float:
     return float((coef * z[order]).sum() / coef.sum())
 
 
-def _map_values(cache: PixelPermutationCache, w: np.ndarray) -> np.ndarray:
-    coef = cache.v_sorted * w
-    return (coef * cache.z_sorted).sum(axis=1) / coef.sum(axis=1)
+def _map_values(cache: PixelPermutationCache, W: np.ndarray) -> np.ndarray:
+    """One map per row of the (maps x n) order weights W, as (W (V*Z)^T) / (W V^T).
+    einsum, unlike a BLAS product, sums each value in the same order for any
+    number of rows, so the bytes do not depend on the block size."""
+    out = np.einsum("ij,pj->ip", W, cache.v_sorted * cache.z_sorted)
+    out /= np.einsum("ij,pj->ip", W, cache.v_sorted)
+    return out
 
 
 def compute_map(stack: CriterionStack, cache: PixelPermutationCache, w: OrderWeights) -> SuitabilityMap:
@@ -89,7 +94,7 @@ def compute_map(stack: CriterionStack, cache: PixelPermutationCache, w: OrderWei
         raise CacheMismatch("permutation cache was built from a different stack")
     warr = _as_weight_array(w, stack.n, "order weights")
     values = np.full(stack.meta.size, stack.meta.nodata_value)
-    values[stack.valid_mask] = _map_values(cache, warr)
+    values[stack.valid_mask] = _map_values(cache, warr[None, :])[0]
     provenance = w.provenance if isinstance(w, OrderWeights) and w.provenance is not None else w
     return SuitabilityMap(raster=Raster(stack.meta, values), provenance=provenance)
 
@@ -99,50 +104,41 @@ def batch_compute(
     design: ExperimentalDesign,
     n: int,
     store_path: str | Path,
-    workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> tuple[MapStore, list[OrderWeights]]:
     """Compute and persist one map per design point, in design order.
 
-    Maps are streamed to a binary store to bound memory; each record is
-    written at its own offset, so the output bytes do not depend on the
-    worker count. Weight-generation failures are re-raised with the index
-    of the offending design point (the smallest index when several fail).
+    Every design point is solved first. If any has no order weights, the
+    error of the smallest failing index is raised, naming every failing
+    index, before the pixels are ranked or the store is created. The maps
+    are then evaluated in blocks sized by the memory budget and streamed to
+    a binary store; the bytes do not depend on the block size.
     """
     if n != stack.n:
         raise LengthMismatch(f"design expects {n} criteria, stack has {stack.n}")
-    cache = rank_pixels(stack)
-    digest = mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask)
-    pixel_count = int(stack.valid_mask.sum())
-    store = MapStore.create(store_path, m=len(design.points), pixel_count=pixel_count, digest=digest)
-
-    weights: list[OrderWeights | None] = [None] * len(design.points)
-    failures: dict[int, Exception] = {}
-
-    def run(i: int) -> None:
+    weights: list[OrderWeights] = []
+    failures: list[tuple[int, Exception]] = []
+    for i, p in enumerate(design.points):
         try:
-            w = generate_weights(design.points[i], n)
+            weights.append(generate_weights(p, n))
         except (NoSolution, InfeasibleStrategy) as exc:
-            failures[i] = exc
-            return
-        weights[i] = w
-        store.write_row(i, _map_values(cache, w.w))
-
-    if workers <= 1:
-        for i in range(len(design.points)):
-            run(i)
-            if i in failures:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(design.points))))
-
+            failures.append((i, exc))
     if failures:
-        i = min(failures)
-        exc = failures[i]
+        i, exc = failures[0]
         p = design.points[i]
+        every = ", ".join(str(j) for j, _ in failures)
+        msg = f"design point {i} (r={p.r}, t={p.t}): {exc}; failing design indices: {every}"
         if isinstance(exc, NoSolution):
-            raise NoSolution(f"design point {i} (r={p.r}, t={p.t}): {exc}", design_index=i) from exc
-        raise InfeasibleStrategy(f"design point {i} (r={p.r}, t={p.t}): {exc}") from exc
+            raise NoSolution(msg, design_index=i) from exc
+        raise InfeasibleStrategy(msg) from exc
 
+    cache = rank_pixels(stack)
+    W = np.array([w.w for w in weights])
+    m, pixel_count = len(W), len(cache.perm)
+    store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
+    bs = rows_per_block(m, pixel_count, memory_budget)
+    for a0 in range(0, m, bs):
+        for i, row in enumerate(_map_values(cache, W[a0 : a0 + bs]), start=a0):
+            store.write_row(i, row)
     store.flush()
-    return store, weights  # type: ignore[return-value]
+    return store, weights

@@ -66,6 +66,8 @@ class PipelineConfig:
             self.workers = os.cpu_count() or 1
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.criteria is not None and self.criteria < 2:
+            raise ConfigError(f"criteria must be >= 2, got {self.criteria}")
         if self.memory_budget_mib < 1:
             raise ConfigError(f"memory budget must be >= 1 MiB, got {self.memory_budget_mib}")
 
@@ -101,7 +103,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if "stack_manifest" not in raw:
         raise ConfigError(f"{path}: missing required key 'stack_manifest'")
 
-    def as_int(key: str, default: int) -> int:
+    def as_int(key: str, default: int | None) -> int | None:
         if key not in raw:
             return default
         try:
@@ -127,8 +129,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         k_max=as_int("k_max", 15),
         out=(base / raw["out"]).resolve() if "out" in raw else Path("out").resolve(),
         memory_budget_mib=as_int("memory_budget_mib", DEFAULT_MEMORY_BUDGET_MIB),
-        workers=as_int("workers", 0) or None,
-        criteria=as_int("criteria", 0) or None,
+        workers=as_int("workers", None),
+        criteria=as_int("criteria", None),
         write_distances=raw.get("write_distances", "false").strip().lower() in ("1", "true", "yes"),
     )
 
@@ -264,19 +266,36 @@ def render_pgm(raster: Raster, out_path: str | Path) -> None:
         fh.write(gray.astype(">u2").tobytes())
 
 
+_DESIGN_HEADER = "index,r,t"
+
+
 def _write_design_csv(design: ExperimentalDesign, path: Path) -> None:
-    lines = ["index,r,t"]
+    lines = [_DESIGN_HEADER]
     for i, p in enumerate(design.points):
         lines.append(f"{i},{p.r!r},{p.t!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
 def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
+    """Parse the design `_write_design_csv` wrote; a wrong header, a row
+    that is not `index,r,t` with numbers, or no rows at all raises
+    DataError naming the file and the line."""
     lines = path.read_text().splitlines()
+    header = lines[0] if lines else ""
+    if header != _DESIGN_HEADER:
+        raise DataError(f"{path}:1: header {header!r}, expected {_DESIGN_HEADER!r}")
     points = []
-    for line in lines[1:]:
-        _, r, t = line.split(",")
-        points.append(DecisionPoint(float(r), float(t)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields, got {line!r}")
+        try:
+            _, r, t = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
+        points.append(DecisionPoint(r, t))
+    if not points:
+        raise DataError(f"{path}: no design points")
     return ExperimentalDesign(points=tuple(points), seed=seed, m=len(points))
 
 
@@ -436,7 +455,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         mask_raster = Raster(mask_meta, stack.valid_mask.astype(np.float64))
         (out_dir / "mask.asc").write_text(write_ascii_grid(mask_raster))
         store, all_weights = batch_compute(
-            stack, design, stack.n, out_dir / "maps.bin", workers=config.workers
+            stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget
         )
         _write_weights_csv(all_weights, out_dir / "weights.csv")
         durations["aggregate"] = time.perf_counter() - t0

@@ -89,6 +89,15 @@ def merge_tree_members(tree) -> list[tuple[frozenset, frozenset, float]]:
     return out
 
 
+def owa_map_per_map(z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One OWA map from the raw (pixels x n) criterion values z, the
+    criterion weights v and one order-weight vector w: each pixel's values
+    sorted on their own, then sum(v_(j) w_j z_(j)) / sum(v_(j) w_j)."""
+    order = np.argsort(z, axis=1, kind="stable")
+    coef = np.asarray(v)[order] * np.asarray(w)
+    return (coef * np.take_along_axis(z, order, axis=1)).sum(axis=1) / coef.sum(axis=1)
+
+
 def write_ascii_grid_per_cell(raster) -> str:
     """ESRI ASCII grid text with every cell formatted by its own f-string,
     the writer's reference for byte-identical output."""

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from _oracles import owa_map_per_map
 
+import owa_explorer
 from owa_explorer.errors import CacheMismatch, DataError, LengthMismatch, NoSolution
 from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer.mapstore import MapStore, mask_digest
 from owa_explorer.owa import batch_compute, compute_map, owa_value, rank_pixels
-from owa_explorer.strategy import DecisionPoint, ExperimentalDesign, OrderWeights
+from owa_explorer.strategy import DecisionPoint, ExperimentalDesign, OrderWeights, sample_design
 
 
 def test_rank_pixels_examples():
@@ -183,13 +190,54 @@ def test_batch_values_in_range(tmp_path, small_stack):
     assert data.min() >= 0.0 and data.max() <= 1.0
 
 
-def test_batch_deterministic_across_workers(tmp_path, small_stack):
-    from owa_explorer.strategy import sample_design
+_BATCH_SCRIPT = """
+import sys
+from pathlib import Path
+from owa_explorer.grid import build_stack
+from owa_explorer.owa import batch_compute
+from owa_explorer.pipeline import load_stack_manifest
+from owa_explorer.strategy import sample_design
+layers, weights, _ = load_stack_manifest(sys.argv[1])
+stack = build_stack(layers, weights)
+batch_compute(stack, sample_design(16, seed=7), stack.n, Path(sys.argv[2]))
+"""
 
+
+def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, synth_stack):
+    manifest, stack = synth_stack
     design = sample_design(16, seed=7)
-    batch_compute(small_stack, design, small_stack.n, tmp_path / "w1.bin", workers=1)
-    batch_compute(small_stack, design, small_stack.n, tmp_path / "w4.bin", workers=4)
-    assert (tmp_path / "w1.bin").read_bytes() == (tmp_path / "w4.bin").read_bytes()
+    pixels = int(stack.valid_mask.sum())
+    # one map per block, blocks of 7 (the last one short), and one block
+    for name, budget in (("one", 1), ("seven", 7 * pixels * 16)):
+        batch_compute(stack, design, stack.n, tmp_path / f"{name}.bin", memory_budget=budget)
+    batch_compute(stack, design, stack.n, tmp_path / "default.bin")
+    expected = (tmp_path / "default.bin").read_bytes()
+    assert (tmp_path / "one.bin").read_bytes() == expected
+    assert (tmp_path / "seven.bin").read_bytes() == expected
+
+    src = Path(owa_explorer.__file__).resolve().parent.parent
+    for threads in ("1", "2"):
+        path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(path)}
+        out = tmp_path / f"blas{threads}.bin"
+        subprocess.run([sys.executable, "-c", _BATCH_SCRIPT, str(manifest), str(out)],
+                       env=env, check=True, timeout=300)
+        assert out.read_bytes() == expected, f"OPENBLAS_NUM_THREADS={threads}"
+
+
+def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):
+    _, stack = synth_stack
+    out, cfg, _ = pipeline_run
+    store = MapStore.open(out / "maps.bin")
+    lines = (out / "weights.csv").read_text().splitlines()[1:]
+    W = np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
+    assert W.shape == (cfg.m, stack.n)
+    z, v = stack.value_matrix(), stack.criterion_weights.v
+    worst = max(
+        float(np.abs(store.row(i) - owa_map_per_map(z, v, W[i])).max()) for i in range(cfg.m)
+    )
+    assert worst <= 1e-12, worst
 
 
 def test_batch_reports_design_index(tmp_path, small_stack):
@@ -201,6 +249,25 @@ def test_batch_reports_design_index(tmp_path, small_stack):
         batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
     assert err.value.design_index == 1
     assert "design point 1" in str(err.value)
+
+
+def test_batch_names_every_unreachable_point_before_any_map(tmp_path, small_stack):
+    # (0.05, 0.18) and (0.95, 0.18) both lie beyond the reachable frontier
+    design = ExperimentalDesign(
+        points=(
+            DecisionPoint(0.4, 0.4),
+            DecisionPoint(0.05, 0.18),
+            DecisionPoint(0.5, 0.2),
+            DecisionPoint(0.95, 0.18),
+        ),
+        seed=0,
+        m=4,
+    )
+    with pytest.raises(NoSolution) as err:
+        batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
+    assert err.value.design_index == 1
+    assert "failing design indices: 1, 3" in str(err.value)
+    assert not (tmp_path / "maps.bin").exists()
 
 
 def test_batch_length_mismatch(tmp_path, small_stack):

@@ -1,3 +1,4 @@
+import os
 import shutil
 import warnings
 from pathlib import Path
@@ -102,6 +103,27 @@ def test_load_config_rejects_unknown_key(tmp_path):
     p.write_text("stack_manifest = x\nnot_a_key = 1\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+@pytest.mark.parametrize("key", ["workers", "criteria"])
+def test_load_config_rejects_explicit_zero(tmp_path, key):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("stack_manifest = x\n")
+    cfg = load_config(cfg_path)  # an omitted key keeps its default
+    assert cfg.workers == (os.cpu_count() or 1) and cfg.criteria is None
+    cfg_path.write_text(f"stack_manifest = x\n{key} = 0\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg_path)
+    with pytest.raises(ConfigError, match=key):
+        load_config(tmp_path / "run.cfg", overrides={key: 0})
+
+
+def test_cli_run_rejects_zero_workers(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("stack_manifest = x\nout = out\n")
+    assert main(["run", "--config", str(cfg_path), "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_validation(tmp_path):
@@ -286,6 +308,46 @@ def test_analyze_rejects_corrupt_merge_tree(completed_run, tmp_path, edit, step)
     assert not list(re_out.iterdir())
 
 
+# (name, edit of the design.csv lines, the line the error names); the
+# completed run has m = 14 design points on lines 2..15.
+DESIGN_CORRUPTIONS = [
+    ("header", lambda r: r.__setitem__(0, "i,r,t"), 1),
+    ("empty", lambda r: r.clear(), 1),
+    ("header only", lambda r: r.__delitem__(slice(1, None)), None),
+    ("two fields", lambda r: r.__setitem__(3, "2,0.5"), 4),
+    ("four fields", lambda r: r.__setitem__(3, r[3] + ",1"), 4),
+    ("non-numeric r", lambda r: r.__setitem__(5, "4,x,0.1"), 6),
+    ("non-numeric index", lambda r: r.__setitem__(5, "four,0.5,0.1"), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, line", [c[1:] for c in DESIGN_CORRUPTIONS], ids=[c[0] for c in DESIGN_CORRUPTIONS]
+)
+def test_analyze_rejects_malformed_design_csv(completed_run, tmp_path, edit, line):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    rows = (run / "design.csv").read_text().splitlines()
+    edit(rows)
+    (run / "design.csv").write_text("".join(row + "\n" for row in rows))
+    re_out = tmp_path / "re"
+    with pytest.raises(DataError) as err:
+        analyze(run, k=3, out_dir=re_out)
+    where = str(run / "design.csv") + (f":{line}:" if line is not None else ":")
+    assert where in str(err.value)
+    assert not re_out.exists()
+
+
+def test_cli_analyze_header_only_design_is_data_error(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "design.csv").write_text("index,r,t\n")
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(tmp_path / "re")]) == 3
+    assert "design.csv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["merge_tree.csv", "run_manifest.json"])
 def test_analyze_requires_run_file(completed_run, tmp_path, name):
     out, _, _ = completed_run
@@ -352,7 +414,7 @@ def test_cli_analyze_workers_warns(completed_run, tmp_path, capsys):
 
 def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
     # seed 0 contains a design point in the unreachable near-boundary sliver
-    # at index 106, so the aggregate stage fails after maps.bin was created
+    # at index 106, so the aggregate stage fails after design.csv was written
     out = tmp_path / "failing"
     cfg = PipelineConfig(
         stack_manifest=synth_dir / "stack_manifest.csv",
@@ -364,6 +426,7 @@ def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
     assert "design point 106" in str(err.value)
     assert (out / "incomplete").is_dir()
     assert (out / "incomplete" / "design.csv").exists()
+    assert not (out / "incomplete" / "maps.bin").exists()
     assert not (out / "design.csv").exists()
     assert not (out / "run_manifest.json").exists()
 
