@@ -37,9 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--m", type=int)
     p_run.add_argument("--k", type=int)
-    p_run.add_argument(
-        "--workers", type=int, help="threads of the distance stage (default: core count)"
-    )
+    p_run.add_argument("--workers", type=int, help="deprecated: has no effect and warns")
     p_run.add_argument("--out", type=Path)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic criterion stack")
@@ -89,7 +87,9 @@ def main(argv: list[str] | None = None) -> int:
                 "workers": args.workers,
                 "out": args.out,
             }
-            config = load_config(args.config, overrides)
+            with warnings.catch_warnings():
+                warnings.simplefilter("always", DeprecationWarning)  # show it on stderr
+                config = load_config(args.config, overrides)
             manifest = run_pipeline(config)
             total = sum(manifest.durations.values())
             print(f"run complete in {total:.1f}s; outputs in {config.out}")
@@ -99,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sample":
             if args.m < 1:
                 raise ConfigError(f"--m must be >= 1, got {args.m}")
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             design = sample_design(args.m, args.seed)
             print("index,r,t")
             for i, p in enumerate(design.points):

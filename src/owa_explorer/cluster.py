@@ -9,7 +9,8 @@ id pair, so dendrograms are fully deterministic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ from .errors import BadK, DataError, EmptyCluster
 from .grid import GridMeta, Raster
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, rows_per_block
 from .strategy import ExperimentalDesign
+
+# Pixels per chunk of the distance sums. The summation order, and so the
+# bytes of every distance, depend on it: it must stay a constant.
+_PIXEL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -62,50 +67,28 @@ class ClusterSummary:
     clusters: tuple[ClusterInfo, ...]
 
 
-def pairwise_euclidean(
-    store: MapStore,
-    expected_digest: bytes | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    workers: int = 1,
-) -> DissimilarityMatrix:
-    """Distance matrix over all map pairs, computed block-wise.
+def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) -> DissimilarityMatrix:
+    """Distance matrix over all map pairs, from exact differences.
 
     Differences are formed directly (no Gram expansion), which keeps tiny
-    distances accurate. Block size depends only on the memory budget, so
-    results are identical for any worker count.
+    distances accurate and identical maps exactly 0 apart. Their squares
+    are summed over fixed chunks of _PIXEL_CHUNK pixels of every map, which
+    stay in cache.
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
     if expected_digest is not None:
         store.check_digest(expected_digest)
     m = store.m
-    bs = rows_per_block(m, store.pixel_count, memory_budget)
-    d = np.zeros((m, m))
-
-    def fill_row(args) -> None:
-        i_global, row, block, b0, j0 = args
-        diff = block[j0:] - row
-        d[i_global, b0 + j0 : b0 + block.shape[0]] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-    for a0 in range(0, m, bs):
-        a1 = min(a0 + bs, m)
-        ablock = store.rows(a0, a1)
-        for b0 in range(a0, m, bs):
-            b1 = min(b0 + bs, m)
-            bblock = ablock if b0 == a0 else store.rows(b0, b1)
-            tasks = [
-                (a0 + i, ablock[i], bblock, b0, i + 1 if b0 == a0 else 0)
-                for i in range(a1 - a0)
-            ]
-            if workers <= 1:
-                for task in tasks:
-                    fill_row(task)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(fill_row, tasks))
-
-    d = d + d.T
-    return DissimilarityMatrix(m=m, d=d)
+    d2 = np.zeros((m, m))
+    for start in range(0, store.pixel_count, _PIXEL_CHUNK):
+        cols = store.columns(start, min(start + _PIXEL_CHUNK, store.pixel_count))
+        buf = np.empty_like(cols)
+        for i in range(m - 1):
+            diff = np.subtract(cols[i + 1 :], cols[i], out=buf[i + 1 :])
+            d2[i, i + 1 :] += np.einsum("ij,ij->i", diff, diff)
+    d = np.sqrt(d2)
+    return DissimilarityMatrix(m=m, d=d + d.T)
 
 
 def ward_linkage(dm: DissimilarityMatrix) -> MergeTree:

@@ -96,6 +96,10 @@ class MapStore:
     def rows(self, start: int, stop: int) -> np.ndarray:
         return np.asarray(self._mm[start:stop], dtype=np.float64)
 
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """Pixels start..stop-1 of every map, as one m x width array."""
+        return np.ascontiguousarray(self._mm[:, start:stop], dtype=np.float64)
+
     def flush(self) -> None:
         self._mm.flush()
 

@@ -1,9 +1,9 @@
 """End-to-end orchestration: config, synthetic data, the full run, re-analysis.
 
 A run is deterministic: with the same inputs, config and seed, every CSV,
-grid and map-store byte is reproduced exactly, whatever the worker count.
-The run manifest (config snapshot, input digests, stage durations) is the
-only output containing wall-clock information.
+grid and map-store byte is reproduced exactly. The run manifest (config
+snapshot, input digests, stage durations) is the only output containing
+wall-clock information.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
 import shutil
 import time
@@ -51,21 +50,26 @@ class PipelineConfig:
     k_max: int = 15
     out: Path = Path("out")
     memory_budget_mib: int = DEFAULT_MEMORY_BUDGET_MIB
-    workers: int | None = None  # None = available hardware parallelism
+    workers: int | None = None  # deprecated: no stage uses threads
     criteria: int | None = None
     write_distances: bool = False
 
     def __post_init__(self):
         if self.m < 2:
             raise ConfigError(f"m must be >= 2, got {self.m}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.k_max < 1:
+            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.k_max > self.m:
             raise ConfigError(f"k_max ({self.k_max}) cannot exceed m ({self.m})")
         if self.k is not None and not (1 <= self.k <= self.m):
             raise ConfigError(f"k must be in [1, m], got {self.k}")
-        if self.workers is None:
-            self.workers = os.cpu_count() or 1
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.workers is not None:
+            if self.workers < 1:
+                raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            msg = "config key 'workers' is deprecated and has no effect: every stage runs on one thread"
+            warnings.warn(msg, DeprecationWarning, stacklevel=3)
         if self.criteria is not None and self.criteria < 2:
             raise ConfigError(f"criteria must be >= 2, got {self.criteria}")
         if self.memory_budget_mib < 1:
@@ -80,6 +84,7 @@ _CONFIG_KEYS = {
     "stack_manifest", "m", "seed", "k", "k_max", "out",
     "memory_budget_mib", "workers", "criteria", "write_distances",
 }
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
@@ -102,6 +107,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
     if "stack_manifest" not in raw:
         raise ConfigError(f"{path}: missing required key 'stack_manifest'")
+
+    def as_bool(key: str) -> bool:
+        value = raw.get(key, "false").strip().lower()
+        if value not in _BOOLEANS:
+            raise ConfigError(f"config key {key!r} must be true/false/yes/no/1/0, got {raw[key]!r}")
+        return _BOOLEANS[value]
 
     def as_int(key: str, default: int | None) -> int | None:
         if key not in raw:
@@ -131,7 +142,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         memory_budget_mib=as_int("memory_budget_mib", DEFAULT_MEMORY_BUDGET_MIB),
         workers=as_int("workers", None),
         criteria=as_int("criteria", None),
-        write_distances=raw.get("write_distances", "false").strip().lower() in ("1", "true", "yes"),
+        write_distances=as_bool("write_distances"),
     )
 
 
@@ -464,8 +475,6 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         dm = pairwise_euclidean(
             store,
             expected_digest=mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask),
-            memory_budget=config.memory_budget,
-            workers=config.workers,
         )
         if config.write_distances:
             _write_distances(dm, out_dir)

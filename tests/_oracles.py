@@ -50,6 +50,18 @@ def within_variance_via_between(rows: np.ndarray, labels: np.ndarray) -> float:
     return total - between
 
 
+def pairwise_euclidean_per_row(rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the maps (one per row), each row's
+    differences to the later rows summed over whole rows at once."""
+    X = np.asarray(rows, dtype=np.float64)
+    m = X.shape[0]
+    d = np.zeros((m, m))
+    for i in range(m - 1):
+        diff = X[i + 1 :] - X[i]
+        d[i, i + 1 :] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return d + d.T
+
+
 def brute_force_ward(vectors: np.ndarray) -> list[tuple[frozenset, frozenset, float]]:
     """Greedy merging by minimum within-cluster sum-of-squares increase.
 

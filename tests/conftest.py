@@ -51,8 +51,7 @@ def pipeline_run(tmp_path_factory, synth_stack):
     manifest, _ = synth_stack
     out = tmp_path_factory.mktemp("run_main")
     cfg = PipelineConfig(
-        stack_manifest=manifest, m=M_RUN, seed=DESIGN_SEED, k=K_RUN, k_max=15,
-        out=out, workers=1,
+        stack_manifest=manifest, m=M_RUN, seed=DESIGN_SEED, k=K_RUN, k_max=15, out=out,
     )
     t0 = time.perf_counter()
     run_pipeline(cfg)

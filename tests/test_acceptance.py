@@ -16,6 +16,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from _oracles import (
     brute_force_ward,
@@ -189,10 +190,11 @@ def test_criterion_8_determinism(pipeline_run, tmp_path_factory):
         reruns = []
         for workers in (1, 4):
             rerun_out = tmp_path_factory.mktemp(f"rerun_w{workers}")
-            rerun_cfg = PipelineConfig(
-                stack_manifest=cfg.stack_manifest, m=cfg.m, seed=cfg.seed, k=cfg.k,
-                k_max=cfg.k_max, out=rerun_out, workers=workers,
-            )
+            with pytest.warns(DeprecationWarning, match="no effect"):  # workers is deprecated
+                rerun_cfg = PipelineConfig(
+                    stack_manifest=cfg.stack_manifest, m=cfg.m, seed=cfg.seed, k=cfg.k,
+                    k_max=cfg.k_max, out=rerun_out, workers=workers,
+                )
             run_pipeline(rerun_cfg)
             reruns.append(rerun_out)
         names = sorted(

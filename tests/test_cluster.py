@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_force_ward, merge_tree_members, within_variance_via_between
+from _oracles import (
+    brute_force_ward,
+    merge_tree_members,
+    pairwise_euclidean_per_row,
+    within_variance_via_between,
+)
 from owa_explorer.cluster import (
     DissimilarityMatrix,
     cluster_summaries,
@@ -57,16 +62,29 @@ def test_pairwise_properties(tmp_path):
         assert dm.d[a, c] <= dm.d[a, b] + dm.d[b, c] + 1e-9
 
 
-def test_pairwise_blockwise_equals_onepass(tmp_path):
-    rng = np.random.default_rng(12)
-    rows = rng.random((9, 40))
-    store = _store_from_rows(tmp_path, rows)
-    full = pairwise_euclidean(store)
-    # budget forcing 1-row blocks, plus threaded variant
-    tiny = pairwise_euclidean(store, memory_budget=1)
-    threaded = pairwise_euclidean(store, workers=4)
-    assert np.array_equal(full.d, tiny.d)
-    assert np.array_equal(full.d, threaded.d)
+@pytest.mark.parametrize("pixels", [1, 1023, 1024, 1025, 3000])
+def test_pairwise_matches_per_row_oracle(tmp_path, pixels):
+    # one short chunk, one full chunk, a 1-pixel tail chunk and three
+    # chunks; rows 3 and 7 repeat rows 0 and 5, so they must be exactly 0 apart
+    rng = np.random.default_rng(12 + pixels)
+    rows = rng.random((9, pixels))
+    rows[3], rows[7] = rows[0], rows[5]
+    d = pairwise_euclidean(_store_from_rows(tmp_path, rows)).d
+    _check_against_per_row_oracle(d, rows)
+    assert d[0, 3] == 0.0 and d[5, 7] == 0.0
+
+
+def test_pairwise_matches_per_row_oracle_on_acceptance_store(pipeline_run):
+    out, _, _ = pipeline_run
+    store = MapStore.open(out / "maps.bin")
+    _check_against_per_row_oracle(pairwise_euclidean(store).d, store.rows(0, store.m))
+
+
+def _check_against_per_row_oracle(d, rows):
+    oracle = pairwise_euclidean_per_row(rows)
+    assert np.abs(d - oracle).max() <= 1e-14 * oracle.max()
+    assert np.array_equal(d, d.T)
+    assert (np.diag(d) == 0.0).all()
 
 
 def test_pairwise_digest_check(tmp_path):

@@ -1,5 +1,7 @@
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -110,7 +112,7 @@ def test_load_config_rejects_explicit_zero(tmp_path, key):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("stack_manifest = x\n")
     cfg = load_config(cfg_path)  # an omitted key keeps its default
-    assert cfg.workers == (os.cpu_count() or 1) and cfg.criteria is None
+    assert cfg.workers is None and cfg.criteria is None
     cfg_path.write_text(f"stack_manifest = x\n{key} = 0\n")
     with pytest.raises(ConfigError, match=key):
         load_config(cfg_path)
@@ -135,6 +137,106 @@ def test_config_validation(tmp_path):
         PipelineConfig(stack_manifest=Path("x"), m=10, k=11)
     with pytest.raises(ConfigError):
         PipelineConfig(stack_manifest=Path("x"), workers=0)
+    with pytest.raises(ConfigError, match="k_max"):
+        PipelineConfig(stack_manifest=Path("x"), m=10, k_max=0)
+    with pytest.raises(ConfigError, match="seed"):
+        PipelineConfig(stack_manifest=Path("x"), seed=-1)
+
+
+def test_workers_deprecated(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PipelineConfig(stack_manifest=Path("x")).workers is None
+    for workers in (1, 4):
+        with pytest.warns(DeprecationWarning, match="no effect"):
+            PipelineConfig(stack_manifest=Path("x"), workers=workers)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("stack_manifest = x\nworkers = 2\n")
+    with pytest.warns(DeprecationWarning, match="'workers'"):
+        load_config(cfg_path)
+
+
+def _small_run_cfg(tmp_path, synth_dir, seed=1, k_max=4):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"stack_manifest = {synth_dir}/stack_manifest.csv\n"
+        f"m = 6\nseed = {seed}\nk_max = {k_max}\nout = out\n"
+    )
+    return cfg_path
+
+
+def test_cli_run_workers_warns_on_stderr(tmp_path, synth_dir):
+    # the interpreter's default filters hide a DeprecationWarning raised
+    # outside __main__, so only a separate process shows what a user sees
+    cfg_path = _small_run_cfg(tmp_path, synth_dir)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    args = ["run", "--config", str(cfg_path), "--workers", "2", "--out", str(tmp_path / "w2")]
+    proc = subprocess.run([sys.executable, "-m", "owa_explorer.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "DeprecationWarning" in proc.stderr and "'workers'" in proc.stderr
+    for name in ("maps.bin", "merge_tree.csv", "variance_curve.csv"):
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+def test_cli_run_rejects_k_max_below_one(tmp_path, synth_dir, capsys):
+    cfg_path = _small_run_cfg(tmp_path, synth_dir, k_max=0)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "k_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("maps.bin"))
+
+
+def test_cli_rejects_negative_seed(tmp_path, synth_dir, capsys):
+    cfg_path = _small_run_cfg(tmp_path, synth_dir)
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    cfg_path = _small_run_cfg(tmp_path, synth_dir, seed=-1)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert main(["sample", "--m", "5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("seed must be >= 0, got -1") == 3
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+)
+def test_load_config_write_distances(tmp_path, value, expected):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("stack_manifest = x\n")
+    assert load_config(cfg_path).write_distances is False
+    cfg_path.write_text(f"stack_manifest = x\nwrite_distances = {value}\n")
+    assert load_config(cfg_path).write_distances is expected
+
+
+@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+def test_load_config_rejects_bad_write_distances(tmp_path, value):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"stack_manifest = x\nwrite_distances = {value}\n")
+    with pytest.raises(ConfigError, match="write_distances"):
+        load_config(cfg_path)
+
+
+def test_write_distances_lower_triangle(tmp_path, synth_dir):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(
+        stack_manifest=synth_dir / "stack_manifest.csv", m=6, seed=1, k_max=4, out=out,
+        write_distances=True,
+    ))
+    d = pairwise_euclidean(MapStore.open(out / "maps.bin")).d
+    raw = (out / "distances.bin").read_bytes()
+    assert len(raw) == 8 * 15
+    assert np.frombuffer(raw, dtype="<f8").tolist() == [d[i, j] for i in range(6) for j in range(i)]
+    assert (out / "distances_header.csv").read_text() == (
+        "m,entries,dtype,order\n6,15,float64-le,row-major-lower-triangle\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +244,7 @@ def completed_run(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("run")
     cfg = PipelineConfig(
         stack_manifest=synth_dir / "stack_manifest.csv",
-        m=14, seed=7, k=3, k_max=8, out=out, workers=1,
+        m=14, seed=7, k=3, k_max=8, out=out,
     )
     manifest = run_pipeline(cfg)
     return out, cfg, manifest
@@ -163,7 +265,7 @@ def test_run_idempotent(completed_run, tmp_path):
     out2 = tmp_path / "again"
     cfg2 = PipelineConfig(
         stack_manifest=cfg.stack_manifest, m=cfg.m, seed=cfg.seed,
-        k=cfg.k, k_max=cfg.k_max, out=out2, workers=1,
+        k=cfg.k, k_max=cfg.k_max, out=out2,
     )
     run_pipeline(cfg2)
     names = [p.name for p in sorted(out.iterdir()) if p.name != "run_manifest.json"]
@@ -200,7 +302,7 @@ def test_run_whitespace_manifest_with_header(tmp_path, synth_dir):
     stack = data / "stack.txt"
     stack.write_text("name path weight\n" + "".join(" ".join(row) + "\n" for row in rows))
     out = tmp_path / "out"
-    run_pipeline(PipelineConfig(stack_manifest=stack, m=6, seed=1, k=2, k_max=4, out=out, workers=1))
+    run_pipeline(PipelineConfig(stack_manifest=stack, m=6, seed=1, k=2, k_max=4, out=out))
     inputs = RunManifest.read(out / "run_manifest.json").inputs
     grids = {str((data / path).resolve()) for _, path, _ in rows}
     assert len(grids) == 4

@@ -31,3 +31,23 @@ def test_every_trace_target_resolves():
         if not hasattr(owner, attr):
             missing.append(f"{owner_path}.{attr}")
     assert not missing, f"trace targets missing from owa_explorer: {missing}"
+
+
+def test_pool_names_are_kept_only_for_the_tracer(tmp_path, monkeypatch):
+    # owa and cluster import ThreadPoolExecutor only so the tracer can swap
+    # it; a run and an analyze that never touch it prove the imports idle
+    from owa_explorer import cluster, owa, pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no stage may start a thread pool")
+
+    monkeypatch.setattr(owa, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(cluster, "ThreadPoolExecutor", refuse)
+    manifest = pipeline.synth_generate(16, 12, 4, seed=5, out_dir=tmp_path / "data")
+    run = tmp_path / "run"
+    pipeline.run_pipeline(
+        pipeline.PipelineConfig(stack_manifest=manifest, m=6, seed=1, k=2, k_max=4, out=run)
+    )
+    pipeline.analyze(run, k=3, out_dir=tmp_path / "re")
+    assert (run / "cluster2_mean.asc").exists()
+    assert (tmp_path / "re" / "cluster3_mean.asc").exists()
