@@ -228,6 +228,8 @@ def synth_generate(width: int, height: int, n: int, seed: int, out_dir: str | Pa
         raise ConfigError(f"synthetic grid must be at least 8x8, got {width}x{height}")
     if n < 2:
         raise ConfigError(f"need at least 2 criteria, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

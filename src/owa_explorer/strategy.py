@@ -204,43 +204,39 @@ def truncnorm_moments(spec: TruncatedNormalSpec) -> tuple[float, float]:
     return _moments(spec.mu, spec.sigma)
 
 
-def _solve_mu(
-    sigma: float,
-    r: float,
-    hint: tuple[float, float] | None = None,
-    max_iter: int = 200,
-) -> float:
-    """Bisect on mu for truncated mean == r (mean is increasing in mu).
+def _solve_mu(sigma: float, r: float, mu: float, max_iter: int = 200) -> float:
+    """Safeguarded Newton on mu, from `mu`, for truncated mean == r.
 
-    `hint` is a (center, delta) bracket guess from a nearby sigma; it is
-    only adopted after verifying it still brackets the root.
+    With sigma fixed, mu/sigma^2 is the natural parameter of x, so the
+    mean's slope in mu is var/sigma^2, exact from the same evaluation. The
+    mean is non-decreasing in mu, so every evaluation also narrows the
+    bracket [MU_LO, MU_HI]; a step that leaves it, or a zero slope, falls
+    back to bisection.
     """
     lo, hi = MU_LO, MU_HI
-    if hint is not None:
-        hlo, hhi = hint[0] - hint[1], hint[0] + hint[1]
-        if (
-            MU_LO < hlo < hhi < MU_HI
-            and _moments(hlo, sigma)[0] < r <= _moments(hhi, sigma)[0]
-        ):
-            lo, hi = hlo, hhi
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if _moments(mid, sigma)[0] < r:
-            lo = mid
+        mean, std = _moments(mu, sigma)
+        if mean < r:
+            lo = mu
         else:
-            hi = mid
+            hi = mu
+        step = (mean - r) * (sigma / std) ** 2 if std > 0.0 else math.inf
+        if abs(step) <= 1e-13 * (1.0 + abs(mu)):
+            return mu - step
+        mu = mu - step if lo < mu - step < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-12:
             return 0.5 * (lo + hi)
-    raise Unconverged(f"mu bisection did not converge for sigma={sigma}, r={r}")
+    raise Unconverged(f"mu iteration did not converge for sigma={sigma}, r={r}")
 
 
 def solve_generating_distribution(p: DecisionPoint, max_iter: int = 200) -> TruncatedNormalSpec:
     """Find (mu, sigma) whose truncated moments are (r, t/sqrt(12)).
 
-    Nested bisection: the outer loop walks sigma toward the target standard
-    deviation, the inner loop re-solves mu for the target mean at each
-    sigma. Raises NoSolution when no parameters inside the search box meet
-    both targets within 1e-6; the result is never clamped silently.
+    The outer loop bisects sigma toward the target standard deviation; at
+    each sigma a safeguarded Newton step re-solves mu for the target mean,
+    warm-started from the mu of the previous sigma. Raises NoSolution when
+    no parameters inside the search box meet both targets within 1e-6;
+    the result is never clamped silently.
     """
     if not feasible(p):
         raise InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
@@ -249,15 +245,11 @@ def solve_generating_distribution(p: DecisionPoint, max_iter: int = 200) -> Trun
             f"moment matching needs 0 < r < 1 and t > 0, got ({p.r}, {p.t})"
         )
     target = p.t / SQRT12
-    mu_trace: list[float] = []
+    mu = p.r
 
     def std_at(sigma: float) -> float:
-        hint = None
-        if mu_trace:
-            delta = 1e-4 if len(mu_trace) < 2 else max(4.0 * abs(mu_trace[-1] - mu_trace[-2]), 1e-9)
-            hint = (mu_trace[-1], delta)
-        mu = _solve_mu(sigma, p.r, hint, max_iter)
-        mu_trace.append(mu)
+        nonlocal mu
+        mu = _solve_mu(sigma, p.r, mu, max_iter)
         return _moments(mu, sigma)[1]
 
     if std_at(SIGMA_MIN) >= target:
@@ -278,7 +270,7 @@ def solve_generating_distribution(p: DecisionPoint, max_iter: int = 200) -> Trun
             raise Unconverged(f"sigma bisection did not converge for (r, t) = ({p.r}, {p.t})")
         sigma = 0.5 * (lo + hi)
 
-    mu = _solve_mu(sigma, p.r, None, max_iter)
+    mu = _solve_mu(sigma, p.r, mu, max_iter)
     spec = TruncatedNormalSpec(mu, sigma)
     mean, std = _moments(mu, sigma)
     if abs(mean - p.r) > MOMENT_TOL or abs(std - target) > MOMENT_TOL:

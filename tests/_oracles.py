@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: moments come from
 adaptive quadrature over the raw density, and the clustering oracle merges
 by explicit within-cluster sum-of-squares increase computed from the
-vectors themselves.
+vectors themselves. The mu bisection is the one exception: it reuses the
+library's moments on purpose, because it checks the root finder alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from owa_explorer import strategy
+from owa_explorer.errors import Unconverged
 
 
 def quad_truncnorm_moments(mu: float, sigma: float) -> tuple[float, float]:
@@ -125,3 +129,23 @@ def write_ascii_grid_per_cell(raster) -> str:
     for row in raster.grid:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def solve_mu_bisect(sigma: float, r: float, mu: float | None = None, max_iter: int = 200) -> float:
+    """Plain bisection over [MU_LO, MU_HI] for truncated mean == r.
+
+    The reference for the library's Newton iteration on mu: the same
+    moments, bracket and 1e-12 stopping width, but no use of the slope or of
+    a starting point. `mu` is accepted, and ignored, so that this function
+    can stand in for `strategy._solve_mu`.
+    """
+    lo, hi = strategy.MU_LO, strategy.MU_HI
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if strategy._moments(mid, sigma)[0] < r:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            return 0.5 * (lo + hi)
+    raise Unconverged(f"mu bisection did not converge for sigma={sigma}, r={r}")

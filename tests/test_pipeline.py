@@ -73,6 +73,15 @@ def test_synth_rejects_tiny():
         synth_generate(4, 64, 3, seed=0, out_dir="/tmp/never")
 
 
+def test_cli_synth_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "stack"
+    assert main(["synth", "--width", "8", "--height", "8", "--n", "2", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_load_stack_manifest_fractions(synth_dir):
     layers, weights, _ = load_stack_manifest(synth_dir / "stack_manifest.csv")
     assert len(layers) == 4 and len(weights) == 4

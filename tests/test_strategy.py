@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import quad_truncnorm_moments
+from _oracles import quad_truncnorm_moments, solve_mu_bisect
+from owa_explorer import strategy
 from owa_explorer.errors import (
     DegenerateSigma,
     InfeasibleStrategy,
@@ -14,6 +15,8 @@ from owa_explorer.errors import (
 from owa_explorer.strategy import (
     MU_HI,
     MU_LO,
+    SIGMA_MAX,
+    SIGMA_MIN,
     SQRT12,
     DecisionPoint,
     OrderWeights,
@@ -152,6 +155,101 @@ def test_moments_mean_non_decreasing_in_mu(sigma):
         [truncnorm_moments(TruncatedNormalSpec(mu, sigma))[0] for mu in np.linspace(MU_LO, MU_HI, 20001)]
     )
     assert (np.diff(means) >= 0.0).all()
+
+
+def _regime(monkeypatch, mu, sigma):
+    """Name of the evaluator that `_moments` settles on at (mu, sigma)."""
+    used = []
+    for name in ("_gl_moments", "_closed_moments", "_tail_moments"):
+        f = getattr(strategy, name)
+        monkeypatch.setattr(strategy, name, lambda *a, f=f, name=name: used.append(name) or f(*a))
+    strategy._moments(mu, sigma)
+    monkeypatch.undo()
+    return used[-1]
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, regime",
+    [
+        (0.5, 0.1, "_gl_moments"), (0.3, 1.0, "_gl_moments"), (0.5, SIGMA_MAX, "_gl_moments"),
+        (51.0, 20.0, "_gl_moments"), (-50.0, 100.0, "_gl_moments"), (-5.0, 0.1, "_gl_moments"),
+        # either side of the _GL_SIGMA seam
+        (0.2, 0.03, "_gl_moments"), (0.2, 0.0299, "_closed_moments"),
+        # either side of the _GL_MIN_LAYER seam (sigma^2 / distance = 1e-3 at mu = -0.90601)
+        (-0.905, 0.0301, "_gl_moments"), (-0.907, 0.0301, "_closed_moments"),
+        (0.3, 0.01, "_closed_moments"), (0.7, SIGMA_MIN, "_closed_moments"),
+        (-1e-5, SIGMA_MIN, "_closed_moments"), (-1.0, 0.031, "_closed_moments"),
+        (1.5, 0.02, "_closed_moments"),
+        # either side of the subnormal-mass seam (a = -mu/sigma ~ 37.5)
+        (-0.37, 0.01, "_closed_moments"), (-0.38, 0.01, "_tail_moments"),
+        (-2.0, 0.04, "_tail_moments"), (1.5, 0.01, "_tail_moments"), (-0.5, SIGMA_MIN, "_tail_moments"),
+    ],
+)
+def test_mean_slope_in_mu_is_var_over_sigma_squared(monkeypatch, mu, sigma, regime):
+    # with sigma fixed, mu / sigma^2 is the natural parameter of x, so
+    # d mean / d mu = var / sigma^2; the Newton step on mu relies on it
+    h = 1e-3 * sigma
+    assert {_regime(monkeypatch, x, sigma) for x in (mu - h, mu, mu + h)} == {regime}
+    slope = (strategy._moments(mu + h, sigma)[0] - strategy._moments(mu - h, sigma)[0]) / (2.0 * h)
+    std = strategy._moments(mu, sigma)[1]
+    assert slope == pytest.approx((std / sigma) ** 2, rel=1e-5)
+
+
+_MU_SIGMAS = [SIGMA_MIN, 1e-4, 0.01, 0.0299, 0.03, 0.3, 3.0, 300.0, SIGMA_MAX]
+_MU_RISKS = [1e-6, 0.01, 0.1, 0.37, 0.5, 0.5000001, 0.63, 0.9, 0.99, 1.0 - 1e-6]
+
+
+@pytest.mark.parametrize("sigma", _MU_SIGMAS)
+def test_solve_mu_matches_bisection_oracle(sigma):
+    # one ulp of the mean spans ulp(r) * sigma^2 / var in mu: ~1e-9 at
+    # SIGMA_MAX, where either root is as good as the other, and below 1e-12
+    # for sigma <= 30
+    for r in _MU_RISKS:
+        ref = solve_mu_bisect(sigma, r)
+        tol = 1e-11 + 4.0 * math.ulp(r) * (sigma / strategy._moments(ref, sigma)[1]) ** 2
+        for start in (r, MU_LO + 1.0, MU_HI - 1.0):
+            assert abs(strategy._solve_mu(sigma, r, start) - ref) <= tol, (r, start)
+
+
+def _solve_outcomes(points):
+    out = []
+    for p in points:
+        try:
+            out.append(generate_weights(p, 10).w)
+        except NoSolution:
+            out.append(None)
+    return out
+
+
+def test_generate_weights_matches_bisection_oracle(monkeypatch):
+    points = list(sample_design(1500, 31).points) + [
+        DecisionPoint(0.9338054820543983, 0.09406309126944601),
+        DecisionPoint(0.35848448327760674, 0.09715341003347766),
+    ]
+    newton = _solve_outcomes(points)
+    monkeypatch.setattr(strategy, "_solve_mu", solve_mu_bisect)
+    oracle = _solve_outcomes(points)
+    assert [w is None for w in newton] == [w is None for w in oracle]
+    worst = max(np.abs(a - b).max() for a, b in zip(newton, oracle) if a is not None)
+    print(f"largest weight difference to the bisection oracle: {worst:.3g}")
+    assert worst <= 1e-9
+
+
+def test_solve_moment_evaluations_per_point(monkeypatch):
+    # nested bisection took 1611 evaluations per point; a silent fallback
+    # to bisection in the mu loop would bring that back
+    calls = 0
+    moments = strategy._moments
+
+    def counted(mu, sigma):
+        nonlocal calls
+        calls += 1
+        return moments(mu, sigma)
+
+    monkeypatch.setattr(strategy, "_moments", counted)
+    points = sample_design(64, 6).points
+    _solve_outcomes(points)
+    assert calls / len(points) <= 1611 / 3
 
 
 def test_solve_refuses_infeasible():
