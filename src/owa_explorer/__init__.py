@@ -28,6 +28,7 @@ from .strategy import (  # noqa: F401
     empirical_risk,
     feasible,
     generate_weights,
+    generate_weights_batch,
     sample_design,
     solve_generating_distribution,
     truncnorm_moments,

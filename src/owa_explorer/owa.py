@@ -22,7 +22,10 @@ import numpy as np
 from .errors import CacheMismatch, InfeasibleStrategy, LengthMismatch, NoSolution
 from .grid import CriterionStack, CriterionWeights, Raster
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, rows_per_block
-from .strategy import DecisionPoint, ExperimentalDesign, OrderWeights, generate_weights
+from .strategy import DecisionPoint, ExperimentalDesign, OrderWeights, generate_weights_batch
+
+# Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
+from .strategy import generate_weights  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -108,21 +111,17 @@ def batch_compute(
 ) -> tuple[MapStore, list[OrderWeights]]:
     """Compute and persist one map per design point, in design order.
 
-    Every design point is solved first. If any has no order weights, the
-    error of the smallest failing index is raised, naming every failing
-    index, before the pixels are ranked or the store is created. The maps
-    are then evaluated in blocks sized by the memory budget and streamed to
-    a binary store; the bytes do not depend on the block size.
+    Every design point is solved first, in one array pass. If any has no
+    order weights, the error of the smallest failing index is raised, naming
+    every failing index, before the pixels are ranked or the store is
+    created. The maps are then evaluated in blocks sized by the memory
+    budget and streamed to a binary store; the bytes do not depend on the
+    block size.
     """
     if n != stack.n:
         raise LengthMismatch(f"design expects {n} criteria, stack has {stack.n}")
-    weights: list[OrderWeights] = []
-    failures: list[tuple[int, Exception]] = []
-    for i, p in enumerate(design.points):
-        try:
-            weights.append(generate_weights(p, n))
-        except (NoSolution, InfeasibleStrategy) as exc:
-            failures.append((i, exc))
+    weights = generate_weights_batch(design.points, n)
+    failures = [(i, w) for i, w in enumerate(weights) if isinstance(w, Exception)]
     if failures:
         i, exc = failures[0]
         p = design.points[i]

@@ -506,7 +506,9 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                 if target.exists():
                     target.unlink() if target.is_file() else shutil.rmtree(target)
                 shutil.move(str(item), str(target))
-        raise type(exc)(f"stage {stage!r}: {exc}").with_traceback(exc.__traceback__) from exc
+        staged = type(exc)(f"stage {stage!r}: {exc}")
+        staged.__dict__.update(exc.__dict__)  # keeps e.g. NoSolution.design_index
+        raise staged.with_traceback(exc.__traceback__) from exc
 
     manifest = RunManifest(
         config={

@@ -9,7 +9,8 @@ Order weights for a feasible point come from a normal distribution
 truncated to [0, 1], chosen so that its mean equals r and its standard
 deviation equals t/sqrt(12); t = 1 at r = 0.5 then reproduces the uniform
 density (std 1/sqrt(12)) and t = 0 collapses to a point mass. The density
-is discretized into n bins to yield the weight vector.
+is discretized into n bins to yield the weight vector. The parameters of
+a whole design are solved in one pass over numpy arrays.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ def feasible(p: DecisionPoint) -> bool:
     return p.t <= 4.0 * p.r * (1.0 - p.r) + FEAS_EPS
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-
 def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
@@ -137,147 +134,267 @@ def _log_ndtr_c(x: float) -> float:
     return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(tail)
 
 
-def _tail_moments(a: float, sigma: float) -> tuple[float, float]:
-    # mass concentrated against the lower bound; conditional distribution is
-    # exponential-like with rate a/sigma, upper bound negligible (a/sigma huge
-    # whenever this branch is reachable)
-    ia2 = 1.0 / (a * a)
-    mean = (sigma / a) * (1.0 - ia2 * (2.0 - ia2 * (10.0 - 74.0 * ia2)))
-    var = (sigma / a) ** 2 * (1.0 - ia2 * (6.0 - 50.0 * ia2))
-    return mean, math.sqrt(max(var, 0.0))
+# numpy has no erfc; this keeps the scalar one, value for value
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _gl_moments(mu: float, sigma: float) -> tuple[float, float]:
-    xi = (_GL_X - mu) / sigma
-    e = 0.5 * xi * xi
-    w = np.exp(e.min() - e) * _GL_W
-    m0 = w.sum()
-    mean = float((w * _GL_X).sum() / m0)
-    var = float((w * (_GL_X - mean) ** 2).sum() / m0)
-    return mean, math.sqrt(max(var, 0.0))
+def _gl_moments(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # in place on two (points x nodes) buffers: large batches then skip the
+    # page faults of fresh temporaries
+    w = _GL_X - mu[:, None]
+    w /= sigma[:, None]
+    w *= w
+    w *= 0.5
+    np.subtract(w.min(axis=1, keepdims=True), w, out=w)
+    np.exp(w, out=w)
+    w *= _GL_W
+    m0 = w.sum(axis=1)
+    tmp = np.multiply(w, _GL_X)
+    mean = tmp.sum(axis=1) / m0
+    np.subtract(_GL_X, mean[:, None], out=tmp)
+    tmp *= tmp
+    tmp *= w
+    return mean, np.sqrt(tmp.sum(axis=1) / m0)
 
 
-def _closed_moments(mu: float, sigma: float) -> tuple[float, float] | None:
-    """Standard phi/Phi closed forms; None when the truncation mass underflows.
-
-    A subnormal mass counts as underflow: its few significant bits make the
-    mean jump about, and the tail expansion is exact there.
-    """
+def _closed_moments(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard phi/Phi closed forms, given the truncation mass z."""
     a = (0.0 - mu) / sigma
     b = (1.0 - mu) / sigma
-    if a > 0.0:
-        z = 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
-    elif b < 0.0:
-        z = 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
-    else:
-        z = _ndtr(b) - _ndtr(a)
-    if z < sys.float_info.min:
-        return None
-    pa, pb = _phi(a), _phi(b)
+    pa = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
+    pb = np.exp(-0.5 * b * b) * _INV_SQRT_2PI
     d = (pa - pb) / z
     mean = mu + sigma * d
     var = sigma * sigma * (1.0 + (a * pa - b * pb) / z - d * d)
-    return mean, math.sqrt(max(var, 0.0))
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def _moments(mu: float, sigma: float) -> tuple[float, float]:
-    dist = max(0.0, -mu, mu - 1.0)
-    if sigma >= _GL_SIGMA and (dist == 0.0 or sigma * sigma / dist >= _GL_MIN_LAYER):
-        return _gl_moments(mu, sigma)
-    closed = _closed_moments(mu, sigma)
-    if closed is not None:
-        return closed
-    if mu < 0.0:
-        return _tail_moments(-mu / sigma, sigma)
-    mean, std = _tail_moments((mu - 1.0) / sigma, sigma)
-    return 1.0 - mean, std
+def _tail_moments(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # mass concentrated against the nearer bound; conditional distribution is
+    # exponential-like with rate a/sigma, the far bound negligible (a/sigma
+    # huge whenever this regime is reachable)
+    left = mu < 0.0
+    a = np.where(left, -mu, mu - 1.0) / sigma
+    ia2 = 1.0 / (a * a)
+    mean = (sigma / a) * (1.0 - ia2 * (2.0 - ia2 * (10.0 - 74.0 * ia2)))
+    var = (sigma / a) ** 2 * (1.0 - ia2 * (6.0 - 50.0 * ia2))
+    return np.where(left, mean, 1.0 - mean), np.sqrt(np.maximum(var, 0.0))
+
+
+# indexed by the codes that `_regime` returns
+_EVALUATORS = (_gl_moments, _closed_moments, _tail_moments)
+QUADRATURE, CLOSED, TAIL = range(3)
+
+
+def _regime(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluator of each element, and its truncation mass off the quadrature.
+
+    Quadrature where the density is smooth on the unit interval, closed
+    forms for narrow densities, and a tail expansion when the parent is so
+    remote that the mass underflows. A subnormal mass counts as underflow:
+    its few significant bits make the closed-form mean jump about, and the
+    tail expansion is exact there.
+    """
+    dist = np.maximum(0.0, np.maximum(-mu, mu - 1.0))
+    quad = (sigma >= _GL_SIGMA) & (sigma * sigma >= _GL_MIN_LAYER * dist)
+    regime = np.where(quad, QUADRATURE, CLOSED)
+    z = np.zeros(mu.shape)
+    off = ~quad
+    if off.any():
+        a = (0.0 - mu[off]) / sigma[off]
+        b = (1.0 - mu[off]) / sigma[off]
+        # each mass from the tail it lies in, so it keeps its digits far out
+        upper = a > 0.0
+        lo, hi = np.where(upper, a, -b), np.where(upper, b, -a)
+        z[off] = mass = 0.5 * (_erfc(lo / _SQRT2) - _erfc(hi / _SQRT2)).astype(np.float64)
+        regime[off] = np.where(mass < sys.float_info.min, TAIL, CLOSED)
+    return regime, z
+
+
+def _moments(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of the [0, 1]-truncated normal, per element
+    of the 1-D arrays mu and sigma; each element takes the evaluator that
+    `_regime` picks for it, so it does not depend on the other elements."""
+    regime, z = _regime(mu, sigma)
+    if mu.size and (regime == regime[0]).all():
+        return _EVALUATORS[regime[0]](mu, sigma, z)
+    mean, std = np.empty(mu.shape), np.empty(mu.shape)
+    for code, evaluate in enumerate(_EVALUATORS):
+        sel = regime == code
+        if sel.any():
+            mean[sel], std[sel] = evaluate(mu[sel], sigma[sel], z[sel])
+    return mean, std
 
 
 def truncnorm_moments(spec: TruncatedNormalSpec) -> tuple[float, float]:
     """Exact mean and standard deviation of the [0, 1]-truncated normal.
 
     Three evaluation regimes keep full precision everywhere the parameter
-    box can reach: quadrature where the density is smooth on the unit
-    interval, closed forms for narrow densities, and a tail expansion when
-    the parent is so remote that the truncation mass underflows.
+    box can reach (see `_regime`).
     """
-    return _moments(spec.mu, spec.sigma)
+    mean, std = _moments(np.array([spec.mu]), np.array([spec.sigma]))
+    return float(mean[0]), float(std[0])
 
 
-def _solve_mu(sigma: float, r: float, mu: float, max_iter: int = 200) -> float:
-    """Safeguarded Newton on mu, from `mu`, for truncated mean == r.
+def _solve_mu(
+    sigma: np.ndarray, r: np.ndarray, mu: np.ndarray, max_iter: int = 200
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton on mu, from `mu`, for truncated mean == r, per point.
 
     With sigma fixed, mu/sigma^2 is the natural parameter of x, so the
     mean's slope in mu is var/sigma^2, exact from the same evaluation. The
     mean is non-decreasing in mu, so every evaluation also narrows the
-    bracket [MU_LO, MU_HI]; a step that leaves it, or a zero slope, falls
-    back to bisection.
+    point's bracket [MU_LO, MU_HI]; a step that leaves it, or a zero slope,
+    falls back to bisection. A point stops when its step is below
+    1e-13 * (1 + |mu|) or its bracket below 1e-12, and drops out of later
+    evaluations. Returns mu, and the mean and std of each point's last
+    evaluation.
     """
-    lo, hi = MU_LO, MU_HI
+    out = np.empty((3, mu.size))
+    idx = np.arange(mu.size)
+    m, s, target = mu, sigma, r
+    lo, hi = np.full(mu.shape, MU_LO), np.full(mu.shape, MU_HI)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            mean, std = _moments(m, s)
+            below = mean < target
+            lo, hi = np.where(below, m, lo), np.where(below, hi, m)
+            step = np.where(std > 0.0, (mean - target) * (s / std) ** 2, np.inf)
+            new = m - step
+            by_step = np.abs(step) <= 1e-13 * (1.0 + np.abs(m))
+            by_width = hi - lo <= 1e-12
+            inside = (lo < new) & (new < hi) & ~by_width
+            m = np.where(by_step | inside, new, 0.5 * (lo + hi))
+            done = by_step | by_width
+            if done.any():
+                out[:, idx[done]] = m[done], mean[done], std[done]
+                if done.all():
+                    return out[0], out[1], out[2]
+                keep = ~done
+                idx, m, s, target, lo, hi = idx[keep], m[keep], s[keep], target[keep], lo[keep], hi[keep]
+    i = idx[0]
+    raise Unconverged(f"mu iteration did not converge for sigma={sigma[i]}, r={r[i]}")
+
+
+def _solve_sigma(
+    r: np.ndarray, t: np.ndarray, max_iter: int = 200
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parent (mu, sigma) per point whose truncated std meets t/sqrt(12),
+    with mu solved for mean r at every sigma, and the mean and std there.
+
+    A truncated normal's std is below its sigma, so s = max(target,
+    SIGMA_MIN) is a lower end. A point whose std there already meets the
+    target keeps s: SIGMA_MIN, or a density so narrow that its std rounds
+    to its sigma. The upper end starts at 2s and grows x4 up to SIGMA_MAX,
+    where a point that still falls short stops. The rest take regula falsi
+    steps in log sigma with the Illinois modification (Dowell & Jarratt
+    1971, BIT 11:168): the end kept twice in a row has its value halved,
+    so both ends move and the bracket shrinks superlinearly, down to a
+    width of 1e-12 * (1 + hi). Each mu solve starts from the point's
+    previous mu. Converged points drop out, so a point's result does not
+    depend on the rest of the batch.
+    """
+    target = t / SQRT12
+    lo = np.maximum(target, SIGMA_MIN)
+    mu, mean, std = _solve_mu(lo, r, r, max_iter)
+    f_lo = std - target
+    hi, f_hi = np.minimum(2.0 * lo, SIGMA_MAX), np.full(r.shape, np.nan)
+    sigma = np.where(f_lo >= 0.0, lo, np.nan)
+
+    def evaluate(idx, s):
+        mu[idx], mean[idx], std[idx] = _solve_mu(s, r[idx], mu[idx], max_iter)
+        return std[idx] - target[idx]
+
+    grow = np.flatnonzero(f_lo < 0.0)
     for _ in range(max_iter):
-        mean, std = _moments(mu, sigma)
-        if mean < r:
-            lo = mu
+        if not grow.size:
+            break
+        f = f_hi[grow] = evaluate(grow, hi[grow])
+        short = f < 0.0
+        capped = short & (hi[grow] == SIGMA_MAX)
+        sigma[grow[capped]] = SIGMA_MAX
+        up = grow[short & ~capped]
+        lo[up], f_lo[up] = hi[up], f_hi[up]
+        hi[up] = np.minimum(4.0 * hi[up], SIGMA_MAX)
+        grow = up
+    if grow.size:
+        raise Unconverged(f"sigma bracket did not close for (r, t) = ({r[grow[0]]}, {t[grow[0]]})")
+
+    live = bracketed = np.flatnonzero(np.isnan(sigma))
+    kept = np.zeros(r.shape, dtype=np.int8)  # +1: hi kept last step, -1: lo kept
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        l, h, fl, fh = lo[live], hi[live], f_lo[live], f_hi[live]
+        xl, xh = np.log(l), np.log(h)
+        # stay a quarter of the stopping width inside the bracket
+        inset = 0.25e-12 * (1.0 + h) / h
+        x = np.clip(xh - fh * (xh - xl) / (fh - fl), xl + inset, xh - inset)
+        s = np.exp(x)
+        f = evaluate(live, s)
+        below = f < 0.0
+        fh = np.where(below & (kept[live] == 1), 0.5 * fh, fh)
+        fl = np.where(~below & (kept[live] == -1), 0.5 * fl, fl)
+        lo[live], f_lo[live] = np.where(below, s, l), np.where(below, f, fl)
+        hi[live], f_hi[live] = np.where(below, h, s), np.where(below, fh, f)
+        kept[live] = np.where(below, 1, -1)
+        done = hi[live] - lo[live] <= 1e-12 * (1.0 + hi[live])
+        sigma[live[done]] = 0.5 * (lo[live[done]] + hi[live[done]])
+        live = live[~done]
+    if live.size:
+        i = live[0]
+        raise Unconverged(f"sigma search did not converge for (r, t) = ({r[i]}, {t[i]})")
+
+    if bracketed.size:
+        evaluate(bracketed, sigma[bracketed])
+    return mu, sigma, mean, std
+
+
+def solve_generating_distributions(
+    points, max_iter: int = 200
+) -> list[TruncatedNormalSpec | NoSolution | InfeasibleStrategy]:
+    """Find (mu, sigma) whose truncated moments are (r, t/sqrt(12)), for
+    every point in one array pass (see `_solve_sigma`).
+
+    A point that needs no moment matching (infeasible, r not in (0, 1), or
+    t <= 0) gets an InfeasibleStrategy in place of its parameters; one where
+    no parameters inside the search box meet both targets within 1e-6 gets
+    a NoSolution. No result is clamped silently.
+    """
+    out: list = [None] * len(points)
+    solve = []
+    for i, p in enumerate(points):
+        if not feasible(p):
+            out[i] = InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
+        elif not (0.0 < p.r < 1.0) or p.t <= 0.0:
+            out[i] = InfeasibleStrategy(
+                f"moment matching needs 0 < r < 1 and t > 0, got ({p.r}, {p.t})"
+            )
         else:
-            hi = mu
-        step = (mean - r) * (sigma / std) ** 2 if std > 0.0 else math.inf
-        if abs(step) <= 1e-13 * (1.0 + abs(mu)):
-            return mu - step
-        mu = mu - step if lo < mu - step < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
-            return 0.5 * (lo + hi)
-    raise Unconverged(f"mu iteration did not converge for sigma={sigma}, r={r}")
+            solve.append(i)
+    if not solve:
+        return out
+    r = np.array([points[i].r for i in solve])
+    t = np.array([points[i].t for i in solve])
+    mu, sigma, mean, std = _solve_sigma(r, t, max_iter)
+    target = t / SQRT12
+    for k, i in enumerate(solve):
+        if abs(mean[k] - r[k]) > MOMENT_TOL or abs(std[k] - target[k]) > MOMENT_TOL:
+            p = points[i]
+            out[i] = NoSolution(
+                f"(r, t) = ({p.r}, {p.t}): best match has mean {mean[k]:.8f} (target {p.r}), "
+                f"std {std[k]:.8f} (target {target[k]:.8f})"
+            )
+        else:
+            out[i] = TruncatedNormalSpec(float(mu[k]), float(sigma[k]))
+    return out
 
 
 def solve_generating_distribution(p: DecisionPoint, max_iter: int = 200) -> TruncatedNormalSpec:
-    """Find (mu, sigma) whose truncated moments are (r, t/sqrt(12)).
-
-    The outer loop bisects sigma toward the target standard deviation; at
-    each sigma a safeguarded Newton step re-solves mu for the target mean,
-    warm-started from the mu of the previous sigma. Raises NoSolution when
-    no parameters inside the search box meet both targets within 1e-6;
-    the result is never clamped silently.
-    """
-    if not feasible(p):
-        raise InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
-    if not (0.0 < p.r < 1.0) or p.t <= 0.0:
-        raise InfeasibleStrategy(
-            f"moment matching needs 0 < r < 1 and t > 0, got ({p.r}, {p.t})"
-        )
-    target = p.t / SQRT12
-    mu = p.r
-
-    def std_at(sigma: float) -> float:
-        nonlocal mu
-        mu = _solve_mu(sigma, p.r, mu, max_iter)
-        return _moments(mu, sigma)[1]
-
-    if std_at(SIGMA_MIN) >= target:
-        sigma = SIGMA_MIN
-    elif std_at(SIGMA_MAX) <= target:
-        sigma = SIGMA_MAX
-    else:
-        lo, hi = SIGMA_MIN, SIGMA_MAX
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if std_at(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * (1.0 + hi):
-                break
-        else:
-            raise Unconverged(f"sigma bisection did not converge for (r, t) = ({p.r}, {p.t})")
-        sigma = 0.5 * (lo + hi)
-
-    mu = _solve_mu(sigma, p.r, mu, max_iter)
-    spec = TruncatedNormalSpec(mu, sigma)
-    mean, std = _moments(mu, sigma)
-    if abs(mean - p.r) > MOMENT_TOL or abs(std - target) > MOMENT_TOL:
-        raise NoSolution(
-            f"(r, t) = ({p.r}, {p.t}): best match has mean {mean:.8f} (target {p.r}), "
-            f"std {std:.8f} (target {target:.8f})"
-        )
+    """`solve_generating_distributions` for one point; raises its error."""
+    spec = solve_generating_distributions([p], max_iter)[0]
+    if isinstance(spec, Exception):
+        raise spec
     return spec
 
 
@@ -320,35 +437,49 @@ def discretize(spec: TruncatedNormalSpec, n: int, provenance: DecisionPoint | No
     return OrderWeights(masses / masses.sum(), provenance=provenance)
 
 
-def generate_weights(p: DecisionPoint, n: int) -> OrderWeights:
-    """Order weights for a feasible (risk, trade-off) point.
+def _direct_weights(p: DecisionPoint, n: int) -> OrderWeights | None:
+    """Weights of the points that need no moment matching, else None.
 
     The three corner strategies are exact: (0, 0) puts all weight on the
     worst criterion, (1, 0) on the best, and (0.5, 1) is exactly uniform
     (order weights cancel there, so any deviation would be noise). Other
-    zero-trade-off points get a unit mass on the bin containing r; the rest
-    go through moment matching and discretization.
+    zero-trade-off points get a unit mass on the bin containing r.
     """
+    w = np.zeros(n)
+    if p.r == 0.0:
+        w[0] = 1.0
+    elif p.r == 1.0:
+        w[-1] = 1.0
+    elif p.r == 0.5 and p.t == 1.0:
+        w[:] = 1.0 / n
+    elif p.t <= T_DEGENERATE:
+        w[min(int(p.r * n) + 1, n) - 1] = 1.0
+    else:
+        return None
+    return OrderWeights(w, provenance=p)
+
+
+def generate_weights_batch(points, n: int) -> list[OrderWeights | NoSolution | InfeasibleStrategy]:
+    """Order weights for every point, with one array solve for all that need
+    moment matching (see `_direct_weights` for the rest). A point that has
+    no weights gets its NoSolution or InfeasibleStrategy in their place."""
     if n < 2:
         raise ValueError(f"need n >= 2 weights, got {n}")
-    if not feasible(p):
-        raise InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
-    if p.r == 0.0:
-        w = np.zeros(n)
-        w[0] = 1.0
-        return OrderWeights(w, provenance=p)
-    if p.r == 1.0:
-        w = np.zeros(n)
-        w[-1] = 1.0
-        return OrderWeights(w, provenance=p)
-    if p.r == 0.5 and p.t == 1.0:
-        return OrderWeights(np.full(n, 1.0 / n), provenance=p)
-    if p.t <= T_DEGENERATE:
-        w = np.zeros(n)
-        w[min(int(p.r * n) + 1, n) - 1] = 1.0
-        return OrderWeights(w, provenance=p)
-    spec = solve_generating_distribution(p)
-    return discretize(spec, n, provenance=p)
+    out: list = [_direct_weights(p, n) if feasible(p) else None for p in points]
+    solve = [i for i, w in enumerate(out) if w is None]
+    specs = solve_generating_distributions([points[i] for i in solve])
+    for i, spec in zip(solve, specs):
+        out[i] = spec if isinstance(spec, Exception) else discretize(spec, n, provenance=points[i])
+    return out
+
+
+def generate_weights(p: DecisionPoint, n: int) -> OrderWeights:
+    """Order weights for a feasible (risk, trade-off) point: the batch of one
+    of `generate_weights_batch`, raising its error."""
+    w = generate_weights_batch([p], n)[0]
+    if isinstance(w, Exception):
+        raise w
+    return w
 
 
 def empirical_risk(weights: OrderWeights) -> float:

@@ -3,13 +3,16 @@
 These deliberately avoid the library's own code paths: moments come from
 adaptive quadrature over the raw density, and the clustering oracle merges
 by explicit within-cluster sum-of-squares increase computed from the
-vectors themselves. The mu bisection is the one exception: it reuses the
-library's moments on purpose, because it checks the root finder alone.
+vectors themselves. The scalar solve keeps the weight solve as it was
+before it took arrays, as the reference for the array one. The bisection
+oracles are the exception: they reuse the library's array moments on
+purpose, because they check the root finders alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import integrate
@@ -131,21 +134,166 @@ def write_ascii_grid_per_cell(raster) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_mu_bisect(sigma: float, r: float, mu: float | None = None, max_iter: int = 200) -> float:
-    """Plain bisection over [MU_LO, MU_HI] for truncated mean == r.
+# The weight solve one point at a time, as it stood before it took arrays:
+# the same three moment regimes and seams, with math.exp where the array
+# code uses np.exp, a safeguarded Newton step for mu and a plain bisection
+# of sigma over [SIGMA_MIN, SIGMA_MAX].
 
-    The reference for the library's Newton iteration on mu: the same
-    moments, bracket and 1e-12 stopping width, but no use of the slope or of
-    a starting point. `mu` is accepted, and ignored, so that this function
-    can stand in for `strategy._solve_mu`.
-    """
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _scalar_gl(mu: float, sigma: float) -> tuple[float, float]:
+    xi = (strategy._GL_X - mu) / sigma
+    e = 0.5 * xi * xi
+    w = np.exp(e.min() - e) * strategy._GL_W
+    m0 = w.sum()
+    mean = float((w * strategy._GL_X).sum() / m0)
+    var = float((w * (strategy._GL_X - mean) ** 2).sum() / m0)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def _scalar_closed(mu: float, sigma: float) -> tuple[float, float] | None:
+    a = (0.0 - mu) / sigma
+    b = (1.0 - mu) / sigma
+    if a > 0.0:
+        z = 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
+    elif b < 0.0:
+        z = 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
+    else:
+        z = 0.5 * math.erfc(-b / _SQRT2) - 0.5 * math.erfc(-a / _SQRT2)
+    if z < sys.float_info.min:
+        return None
+    pa = math.exp(-0.5 * a * a) * _INV_SQRT_2PI
+    pb = math.exp(-0.5 * b * b) * _INV_SQRT_2PI
+    d = (pa - pb) / z
+    mean = mu + sigma * d
+    var = sigma * sigma * (1.0 + (a * pa - b * pb) / z - d * d)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def _scalar_tail(a: float, sigma: float) -> tuple[float, float]:
+    ia2 = 1.0 / (a * a)
+    mean = (sigma / a) * (1.0 - ia2 * (2.0 - ia2 * (10.0 - 74.0 * ia2)))
+    var = (sigma / a) ** 2 * (1.0 - ia2 * (6.0 - 50.0 * ia2))
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def scalar_moments(mu: float, sigma: float) -> tuple[float, float, int]:
+    """Truncated mean and std at one (mu, sigma), and the code of the regime
+    (strategy.QUADRATURE, CLOSED or TAIL) that evaluated them."""
+    dist = max(0.0, -mu, mu - 1.0)
+    if sigma >= strategy._GL_SIGMA and (dist == 0.0 or sigma * sigma / dist >= strategy._GL_MIN_LAYER):
+        return (*_scalar_gl(mu, sigma), strategy.QUADRATURE)
+    closed = _scalar_closed(mu, sigma)
+    if closed is not None:
+        return (*closed, strategy.CLOSED)
+    if mu < 0.0:
+        return (*_scalar_tail(-mu / sigma, sigma), strategy.TAIL)
+    mean, std = _scalar_tail((mu - 1.0) / sigma, sigma)
+    return 1.0 - mean, std, strategy.TAIL
+
+
+def _scalar_solve_mu(sigma: float, r: float, mu: float, max_iter: int = 200) -> float:
     lo, hi = strategy.MU_LO, strategy.MU_HI
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if strategy._moments(mid, sigma)[0] < r:
-            lo = mid
+        mean, std = scalar_moments(mu, sigma)[:2]
+        if mean < r:
+            lo = mu
         else:
-            hi = mid
+            hi = mu
+        step = (mean - r) * (sigma / std) ** 2 if std > 0.0 else math.inf
+        if abs(step) <= 1e-13 * (1.0 + abs(mu)):
+            return mu - step
+        mu = mu - step if lo < mu - step < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-12:
             return 0.5 * (lo + hi)
-    raise Unconverged(f"mu bisection did not converge for sigma={sigma}, r={r}")
+    raise Unconverged(f"mu iteration did not converge for sigma={sigma}, r={r}")
+
+
+def scalar_solve(r: float, t: float, max_iter: int = 200) -> tuple[float, float] | None:
+    """(mu, sigma) for one point in (0, 1) x (0, 1], or None where no
+    parameters in the box meet both targets within MOMENT_TOL."""
+    target = t / strategy.SQRT12
+    mu = r
+
+    def std_at(sigma: float) -> float:
+        nonlocal mu
+        mu = _scalar_solve_mu(sigma, r, mu, max_iter)
+        return scalar_moments(mu, sigma)[1]
+
+    if std_at(strategy.SIGMA_MIN) >= target:
+        sigma = strategy.SIGMA_MIN
+    elif std_at(strategy.SIGMA_MAX) <= target:
+        sigma = strategy.SIGMA_MAX
+    else:
+        lo, hi = strategy.SIGMA_MIN, strategy.SIGMA_MAX
+        for _ in range(max_iter):
+            mid = 0.5 * (lo + hi)
+            if std_at(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12 * (1.0 + hi):
+                break
+        else:
+            raise Unconverged(f"sigma bisection did not converge for (r, t) = ({r}, {t})")
+        sigma = 0.5 * (lo + hi)
+    mu = _scalar_solve_mu(sigma, r, mu, max_iter)
+    mean, std = scalar_moments(mu, sigma)[:2]
+    if abs(mean - r) > strategy.MOMENT_TOL or abs(std - target) > strategy.MOMENT_TOL:
+        return None
+    return mu, sigma
+
+
+def solve_mu_bisect(sigma: np.ndarray, r: np.ndarray, max_iter: int = 200) -> np.ndarray:
+    """Plain bisection over [MU_LO, MU_HI] for truncated mean == r, per
+    element of the arrays sigma and r.
+
+    The reference for the library's Newton iteration on mu: the same array
+    moments, bracket and 1e-12 stopping width, but no use of the slope or of
+    a starting point. Every bracket starts equal, so all stop together.
+    """
+    lo = np.full(np.shape(r), strategy.MU_LO)
+    hi = np.full(np.shape(r), strategy.MU_HI)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        below = strategy._moments(mid, sigma)[0] < r
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if (hi - lo <= 1e-12).all():
+            return 0.5 * (lo + hi)
+    raise Unconverged("mu bisection did not converge")
+
+
+def solve_bisect(r: np.ndarray, t: np.ndarray, max_iter: int = 200):
+    """(mu, sigma, mean, std) per point (r, t) by nested plain bisection over
+    arrays: sigma over [SIGMA_MIN, SIGMA_MAX] for std == t/sqrt(12), down to
+    a width of 1e-12 * (1 + hi), with mu bisected for mean == r at every
+    sigma. No Newton step, no regula falsi; the reference for the
+    library's solve, on the library's array moments."""
+    target = t / strategy.SQRT12
+
+    def std_at(sigma, idx):
+        return strategy._moments(solve_mu_bisect(sigma, r[idx], max_iter), sigma)[1]
+
+    every = np.arange(r.size)
+    at_min = std_at(np.full(r.shape, strategy.SIGMA_MIN), every) >= target
+    at_max = ~at_min & (std_at(np.full(r.shape, strategy.SIGMA_MAX), every) <= target)
+    sigma = np.where(at_min, strategy.SIGMA_MIN, np.where(at_max, strategy.SIGMA_MAX, np.nan))
+    lo, hi = np.full(r.shape, strategy.SIGMA_MIN), np.full(r.shape, strategy.SIGMA_MAX)
+    live = np.flatnonzero(np.isnan(sigma))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        below = std_at(mid, live) < target[live]
+        lo[live] = np.where(below, mid, lo[live])
+        hi[live] = np.where(below, hi[live], mid)
+        done = hi[live] - lo[live] <= 1e-12 * (1.0 + hi[live])
+        sigma[live[done]] = 0.5 * (lo[live[done]] + hi[live[done]])
+        live = live[~done]
+    if live.size:
+        raise Unconverged("sigma bisection did not converge")
+    mu = solve_mu_bisect(sigma, r, max_iter)
+    mean, std = strategy._moments(mu, sigma)
+    return mu, sigma, mean, std

@@ -12,7 +12,14 @@ from owa_explorer.errors import CacheMismatch, DataError, LengthMismatch, NoSolu
 from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer.mapstore import MapStore, mask_digest
 from owa_explorer.owa import batch_compute, compute_map, owa_value, rank_pixels
-from owa_explorer.strategy import DecisionPoint, ExperimentalDesign, OrderWeights, sample_design
+from owa_explorer.strategy import (
+    DecisionPoint,
+    ExperimentalDesign,
+    OrderWeights,
+    generate_weights,
+    generate_weights_batch,
+    sample_design,
+)
 
 
 def test_rank_pixels_examples():
@@ -238,6 +245,29 @@ def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):
         float(np.abs(store.row(i) - owa_map_per_map(z, v, W[i])).max()) for i in range(cfg.m)
     )
     assert worst <= 1e-12, worst
+
+
+def test_batch_weights_do_not_depend_on_the_batch(synth_stack, pipeline_run):
+    # each point's solve sees only its own elements, so neither the run's
+    # weights nor maps.bin depend on how the design is grouped
+    _, stack = synth_stack
+    out, cfg, _ = pipeline_run
+    design = sample_design(cfg.m, cfg.seed)
+    lines = (out / "weights.csv").read_text().splitlines()[1:]
+    W = np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
+    for p, w in zip(design.points, W):
+        assert np.array_equal(generate_weights(p, stack.n).w, w), p
+
+    points = sample_design(300, 12).points  # some lie beyond the frontier
+    alone = generate_weights_batch(points, 10)
+    order = np.random.default_rng(3).permutation(len(points))
+    permuted = generate_weights_batch([points[i] for i in order], 10)
+    assert any(isinstance(w, NoSolution) for w in alone)
+    for i, w in zip(order, permuted):
+        if isinstance(alone[i], NoSolution):
+            assert isinstance(w, NoSolution) and str(w) == str(alone[i])
+        else:
+            assert np.array_equal(w.w, alone[i].w), points[i]
 
 
 def test_batch_reports_design_index(tmp_path, small_stack):

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -540,6 +541,26 @@ def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
     assert not (out / "incomplete" / "maps.bin").exists()
     assert not (out / "design.csv").exists()
     assert not (out / "run_manifest.json").exists()
+
+
+def test_default_config_fails_fast(tmp_path, synth_stack, capsys):
+    # the default design (m=1000, seed 0) holds two points beyond the
+    # reachable frontier; the run names both and computes no map
+    manifest, _ = synth_stack
+    out = tmp_path / "default"
+    t0 = time.perf_counter()
+    with pytest.raises(NoSolution) as err:
+        run_pipeline(PipelineConfig(stack_manifest=manifest, m=1000, seed=0, out=out))
+    print(f"default config failed after {time.perf_counter() - t0:.2f} s")
+    assert err.value.design_index == 106
+    assert "failing design indices: 106, 670" in str(err.value)
+    assert not list(out.rglob("maps.bin"))
+
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(f"stack_manifest = {manifest}\nout = {tmp_path / 'cli'}\n")
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert "106, 670" in capsys.readouterr().err
+    assert not list((tmp_path / "cli").rglob("maps.bin"))
 
 
 def test_render_pgm(tmp_path):

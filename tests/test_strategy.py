@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import quad_truncnorm_moments, solve_mu_bisect
+from _oracles import (
+    quad_truncnorm_moments,
+    scalar_moments,
+    scalar_solve,
+    solve_bisect,
+    solve_mu_bisect,
+)
 from owa_explorer import strategy
 from owa_explorer.errors import (
     DegenerateSigma,
@@ -13,6 +19,8 @@ from owa_explorer.errors import (
     Unconverged,
 )
 from owa_explorer.strategy import (
+    CLOSED,
+    MOMENT_TOL,
     MU_HI,
     MU_LO,
     SIGMA_MAX,
@@ -25,6 +33,7 @@ from owa_explorer.strategy import (
     empirical_risk,
     feasible,
     generate_weights,
+    generate_weights_batch,
     sample_design,
     solve_generating_distribution,
     truncnorm_moments,
@@ -96,9 +105,9 @@ def test_moments_deep_tail_against_mpmath():
             m2 = mp.quad(lambda x: (x - m1) ** 2 * w(x), [0, 1]) / z
             return float(m1), float(mp.sqrt(m2))
 
-    for mu, sigma in [(-50.0, 0.5), (-50.0, 0.2), (-5.0, 0.05), (41.0, 0.5), (-30.0, 0.6)]:
-        mean, std = truncnorm_moments(TruncatedNormalSpec(mu, sigma))
-        rmean, rstd = mp_moments(mu, sigma)
+    mus, sigmas = np.array([[-50.0, 0.5], [-50.0, 0.2], [-5.0, 0.05], [41.0, 0.5], [-30.0, 0.6]]).T
+    for mu, sigma, mean, std in zip(mus, sigmas, *strategy._moments(mus, sigmas)):
+        rmean, rstd = mp_moments(float(mu), float(sigma))
         assert mean == pytest.approx(rmean, rel=1e-7, abs=1e-12)
         assert std == pytest.approx(rstd, rel=1e-6, abs=1e-12)
 
@@ -151,48 +160,66 @@ def test_solve_interior_points_near_subnormal_mass(r, t):
 
 @pytest.mark.parametrize("sigma", [0.028, 0.03])
 def test_moments_mean_non_decreasing_in_mu(sigma):
-    means = np.array(
-        [truncnorm_moments(TruncatedNormalSpec(mu, sigma))[0] for mu in np.linspace(MU_LO, MU_HI, 20001)]
-    )
+    mus = np.linspace(MU_LO, MU_HI, 20001)
+    means = strategy._moments(mus, np.full(mus.shape, sigma))[0]
     assert (np.diff(means) >= 0.0).all()
 
 
-def _regime(monkeypatch, mu, sigma):
-    """Name of the evaluator that `_moments` settles on at (mu, sigma)."""
-    used = []
-    for name in ("_gl_moments", "_closed_moments", "_tail_moments"):
-        f = getattr(strategy, name)
-        monkeypatch.setattr(strategy, name, lambda *a, f=f, name=name: used.append(name) or f(*a))
-    strategy._moments(mu, sigma)
-    monkeypatch.undo()
-    return used[-1]
+_SEAMS = [
+    (0.5, 0.1, "_gl_moments"), (0.3, 1.0, "_gl_moments"), (0.5, SIGMA_MAX, "_gl_moments"),
+    (51.0, 20.0, "_gl_moments"), (-50.0, 100.0, "_gl_moments"), (-5.0, 0.1, "_gl_moments"),
+    # either side of the _GL_SIGMA seam
+    (0.2, 0.03, "_gl_moments"), (0.2, 0.0299, "_closed_moments"),
+    # either side of the _GL_MIN_LAYER seam (sigma^2 / distance = 1e-3 at mu = -0.90601)
+    (-0.905, 0.0301, "_gl_moments"), (-0.907, 0.0301, "_closed_moments"),
+    (0.3, 0.01, "_closed_moments"), (0.7, SIGMA_MIN, "_closed_moments"),
+    (-1e-5, SIGMA_MIN, "_closed_moments"), (-1.0, 0.031, "_closed_moments"),
+    (1.5, 0.02, "_closed_moments"),
+    # either side of the subnormal-mass seam (a = -mu/sigma ~ 37.5)
+    (-0.37, 0.01, "_closed_moments"), (-0.38, 0.01, "_tail_moments"),
+    (-2.0, 0.04, "_tail_moments"), (1.5, 0.01, "_tail_moments"), (-0.5, SIGMA_MIN, "_tail_moments"),
+]
 
 
-@pytest.mark.parametrize(
-    "mu, sigma, regime",
-    [
-        (0.5, 0.1, "_gl_moments"), (0.3, 1.0, "_gl_moments"), (0.5, SIGMA_MAX, "_gl_moments"),
-        (51.0, 20.0, "_gl_moments"), (-50.0, 100.0, "_gl_moments"), (-5.0, 0.1, "_gl_moments"),
-        # either side of the _GL_SIGMA seam
-        (0.2, 0.03, "_gl_moments"), (0.2, 0.0299, "_closed_moments"),
-        # either side of the _GL_MIN_LAYER seam (sigma^2 / distance = 1e-3 at mu = -0.90601)
-        (-0.905, 0.0301, "_gl_moments"), (-0.907, 0.0301, "_closed_moments"),
-        (0.3, 0.01, "_closed_moments"), (0.7, SIGMA_MIN, "_closed_moments"),
-        (-1e-5, SIGMA_MIN, "_closed_moments"), (-1.0, 0.031, "_closed_moments"),
-        (1.5, 0.02, "_closed_moments"),
-        # either side of the subnormal-mass seam (a = -mu/sigma ~ 37.5)
-        (-0.37, 0.01, "_closed_moments"), (-0.38, 0.01, "_tail_moments"),
-        (-2.0, 0.04, "_tail_moments"), (1.5, 0.01, "_tail_moments"), (-0.5, SIGMA_MIN, "_tail_moments"),
-    ],
-)
-def test_mean_slope_in_mu_is_var_over_sigma_squared(monkeypatch, mu, sigma, regime):
+def _regime_code(name):
+    """The `_regime` code of the evaluator named `name`."""
+    return strategy._EVALUATORS.index(getattr(strategy, name))
+
+
+@pytest.mark.parametrize("mu, sigma, regime", _SEAMS)
+def test_mean_slope_in_mu_is_var_over_sigma_squared(mu, sigma, regime):
     # with sigma fixed, mu / sigma^2 is the natural parameter of x, so
     # d mean / d mu = var / sigma^2; the Newton step on mu relies on it
     h = 1e-3 * sigma
-    assert {_regime(monkeypatch, x, sigma) for x in (mu - h, mu, mu + h)} == {regime}
-    slope = (strategy._moments(mu + h, sigma)[0] - strategy._moments(mu - h, sigma)[0]) / (2.0 * h)
-    std = strategy._moments(mu, sigma)[1]
-    assert slope == pytest.approx((std / sigma) ** 2, rel=1e-5)
+    mus, sigmas = np.array([mu - h, mu, mu + h]), np.full(3, sigma)
+    assert strategy._regime(mus, sigmas)[0].tolist() == [_regime_code(regime)] * 3
+    mean, std = strategy._moments(mus, sigmas)
+    slope = (mean[2] - mean[0]) / (2.0 * h)
+    assert slope == pytest.approx((std[1] / sigma) ** 2, rel=1e-5)
+
+
+def test_array_moments_match_scalar_reference():
+    # the seam points, half of 1e5 random points over the whole box, and
+    # half with mu in [-1, 2], where all three regimes meet; the regime is
+    # read from the mask. Closed forms may differ by one ulp of np.exp
+    # against math.exp, which the variance's cancellation near the
+    # subnormal-mass seam magnifies.
+    rng = np.random.default_rng(20)
+    half = 50_000
+    mu = np.concatenate([[m for m, _, _ in _SEAMS], rng.uniform(MU_LO, MU_HI, half), rng.uniform(-1.0, 2.0, half)])
+    log_sigma = rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 2 * half)
+    sigma = np.concatenate([[s for _, s, _ in _SEAMS], np.exp(log_sigma)])
+    regime = strategy._regime(mu, sigma)[0]
+    assert regime[: len(_SEAMS)].tolist() == [_regime_code(name) for _, _, name in _SEAMS]
+    mean, std = strategy._moments(mu, sigma)
+    ref_mean, ref_std, ref_regime = np.array([scalar_moments(m, s) for m, s in zip(mu, sigma)]).T
+    assert (regime == ref_regime).all()
+    assert np.bincount(regime).min() >= 10_000
+    assert np.abs(mean - ref_mean).max() <= 4.5e-16
+    rel = np.abs(std - ref_std) / ref_std
+    closed = regime == CLOSED
+    assert rel[~closed].max() <= 1e-13
+    assert rel[closed].max() <= 1e-9
 
 
 _MU_SIGMAS = [SIGMA_MIN, 1e-4, 0.01, 0.0299, 0.03, 0.3, 3.0, 300.0, SIGMA_MAX]
@@ -204,52 +231,74 @@ def test_solve_mu_matches_bisection_oracle(sigma):
     # one ulp of the mean spans ulp(r) * sigma^2 / var in mu: ~1e-9 at
     # SIGMA_MAX, where either root is as good as the other, and below 1e-12
     # for sigma <= 30
-    for r in _MU_RISKS:
-        ref = solve_mu_bisect(sigma, r)
-        tol = 1e-11 + 4.0 * math.ulp(r) * (sigma / strategy._moments(ref, sigma)[1]) ** 2
-        for start in (r, MU_LO + 1.0, MU_HI - 1.0):
-            assert abs(strategy._solve_mu(sigma, r, start) - ref) <= tol, (r, start)
+    r = np.array(_MU_RISKS)
+    sigmas = np.full(r.shape, sigma)
+    ref = solve_mu_bisect(sigmas, r)
+    tol = 1e-11 + 4.0 * np.spacing(r) * (sigma / strategy._moments(ref, sigmas)[1]) ** 2
+    for start in (r, np.full(r.shape, MU_LO + 1.0), np.full(r.shape, MU_HI - 1.0)):
+        mu, mean, std = strategy._solve_mu(sigmas, r, start)
+        assert (np.abs(mu - ref) <= tol).all(), (start[0], np.abs(mu - ref) / tol)
+        # the moments returned are those of the last evaluation, at most
+        # one converged step away from mu
+        at_mu = strategy._moments(mu, sigmas)
+        assert np.abs(mean - at_mu[0]).max() <= 1e-12
+        assert std == pytest.approx(at_mu[1], rel=1e-9)
 
 
-def _solve_outcomes(points):
-    out = []
-    for p in points:
-        try:
-            out.append(generate_weights(p, 10).w)
-        except NoSolution:
-            out.append(None)
-    return out
+_ORACLE_POINTS = list(sample_design(1500, 31).points) + [
+    DecisionPoint(0.9338054820543983, 0.09406309126944601),
+    DecisionPoint(0.35848448327760674, 0.09715341003347766),
+]
 
 
-def test_generate_weights_matches_bisection_oracle(monkeypatch):
-    points = list(sample_design(1500, 31).points) + [
-        DecisionPoint(0.9338054820543983, 0.09406309126944601),
-        DecisionPoint(0.35848448327760674, 0.09715341003347766),
-    ]
-    newton = _solve_outcomes(points)
-    monkeypatch.setattr(strategy, "_solve_mu", solve_mu_bisect)
-    oracle = _solve_outcomes(points)
-    assert [w is None for w in newton] == [w is None for w in oracle]
-    worst = max(np.abs(a - b).max() for a, b in zip(newton, oracle) if a is not None)
+def test_generate_weights_matches_bisection_oracle():
+    # nested plain bisection over arrays, on the same moments
+    r = np.array([p.r for p in _ORACLE_POINTS])
+    t = np.array([p.t for p in _ORACLE_POINTS])
+    mu, sigma, mean, std = solve_bisect(r, t)
+    solved = (np.abs(mean - r) <= MOMENT_TOL) & (np.abs(std - t / SQRT12) <= MOMENT_TOL)
+    weights = generate_weights_batch(_ORACLE_POINTS, 10)
+    assert [isinstance(w, OrderWeights) for w in weights] == solved.tolist()
+    assert all(isinstance(w, (OrderWeights, NoSolution)) for w in weights)
+    worst = max(
+        np.abs(w.w - discretize(TruncatedNormalSpec(m, s), 10).w).max()
+        for w, m, s, ok in zip(weights, mu, sigma, solved) if ok
+    )
     print(f"largest weight difference to the bisection oracle: {worst:.3g}")
-    assert worst <= 1e-9
+    assert worst <= 1e-10
+
+
+def test_generate_weights_matches_scalar_solve():
+    # the solve one point at a time, with a bisection of sigma, as it was
+    # before it took arrays
+    points = _ORACLE_POINTS[::15]
+    weights = generate_weights_batch(points, 10)
+    worst = 0.0
+    for p, w in zip(points, weights):
+        spec = scalar_solve(p.r, p.t)
+        assert isinstance(w, NoSolution) == (spec is None), p
+        if spec is not None:
+            worst = max(worst, np.abs(w.w - discretize(TruncatedNormalSpec(*spec), 10).w).max())
+    assert worst <= 1e-10
 
 
 def test_solve_moment_evaluations_per_point(monkeypatch):
-    # nested bisection took 1611 evaluations per point; a silent fallback
-    # to bisection in the mu loop would bring that back
-    calls = 0
+    # counts point-evaluations: the sum of the batch sizes passed to
+    # _moments. The solve with a sigma bisection and a Newton step on mu
+    # took 229.5 per point here, this one ~28; bisecting log sigma in place
+    # of the Illinois step brings back ~90
+    evaluated = 0
     moments = strategy._moments
 
     def counted(mu, sigma):
-        nonlocal calls
-        calls += 1
+        nonlocal evaluated
+        evaluated += mu.size
         return moments(mu, sigma)
 
     monkeypatch.setattr(strategy, "_moments", counted)
     points = sample_design(64, 6).points
-    _solve_outcomes(points)
-    assert calls / len(points) <= 1611 / 3
+    generate_weights_batch(points, 10)
+    assert evaluated / len(points) <= 229.5 / 3
 
 
 def test_solve_refuses_infeasible():

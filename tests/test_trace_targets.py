@@ -34,15 +34,17 @@ def test_every_trace_target_resolves():
 
 
 def test_pool_names_are_kept_only_for_the_tracer(tmp_path, monkeypatch):
-    # owa and cluster import ThreadPoolExecutor only so the tracer can swap
-    # it; a run and an analyze that never touch it prove the imports idle
+    # owa and cluster import ThreadPoolExecutor, and owa generate_weights,
+    # only so the tracer can swap them; a run and an analyze that never
+    # touch them prove the imports idle
     from owa_explorer import cluster, owa, pipeline
 
     def refuse(*args, **kwargs):
-        raise AssertionError("no stage may start a thread pool")
+        raise AssertionError("no stage may start a thread pool or solve one point alone")
 
     monkeypatch.setattr(owa, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(cluster, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(owa, "generate_weights", refuse)
     manifest = pipeline.synth_generate(16, 12, 4, seed=5, out_dir=tmp_path / "data")
     run = tmp_path / "run"
     pipeline.run_pipeline(
