@@ -290,7 +290,9 @@ def _solve_sigma(
     steps in log sigma with the Illinois modification (Dowell & Jarratt
     1971, BIT 11:168): the end kept twice in a row has its value halved,
     so both ends move and the bracket shrinks superlinearly, down to a
-    width of 1e-12 * (1 + hi). Each mu solve starts from the point's
+    width of 1e-12 * (1 + hi), or onto a sigma where std equals the target
+    exactly (near the uniform limit std is flat to the last bit over a
+    range of sigma, and regula falsi would crawl along it). Each mu solve starts from the point's
     previous mu. Converged points drop out, so a point's result does not
     depend on the rest of the batch.
     """
@@ -335,7 +337,8 @@ def _solve_sigma(
         below = f < 0.0
         fh = np.where(below & (kept[live] == 1), 0.5 * fh, fh)
         fl = np.where(~below & (kept[live] == -1), 0.5 * fl, fl)
-        lo[live], f_lo[live] = np.where(below, s, l), np.where(below, f, fl)
+        # a zero lands on the root: the bracket closes there
+        lo[live], f_lo[live] = np.where(f <= 0.0, s, l), np.where(below, f, fl)
         hi[live], f_hi[live] = np.where(below, h, s), np.where(below, fh, f)
         kept[live] = np.where(below, 1, -1)
         done = hi[live] - lo[live] <= 1e-12 * (1.0 + hi[live])

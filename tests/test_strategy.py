@@ -270,8 +270,9 @@ def test_generate_weights_matches_bisection_oracle():
 
 def test_generate_weights_matches_scalar_solve():
     # the solve one point at a time, with a bisection of sigma, as it was
-    # before it took arrays
-    points = _ORACLE_POINTS[::15]
+    # before it took arrays; near the uniform limit std is flat to the last
+    # bit over a range of sigma, where regula falsi must not crawl
+    points = _ORACLE_POINTS[::15] + [DecisionPoint(0.5, 0.999999), DecisionPoint(0.5, 1.0 - 1e-12)]
     weights = generate_weights_batch(points, 10)
     worst = 0.0
     for p, w in zip(points, weights):
