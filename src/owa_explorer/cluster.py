@@ -3,11 +3,13 @@
 Distances are plain Euclidean over valid pixels. The agglomeration follows
 the Lance-Williams recurrence on squared distances (the variant that
 minimizes within-cluster variance of the maps); reported merge heights are
-the unsquared Ward distances. Exact ties pick the smallest (a, b) cluster
-id pair, so dendrograms are fully deterministic.
+the unsquared Ward distances. Ties go to the smallest cluster id, so
+dendrograms are fully deterministic.
 """
 
 from __future__ import annotations
+
+import heapq
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -23,6 +25,11 @@ from .strategy import ExperimentalDesign
 # Pixels per chunk of the distance sums. The summation order, and so the
 # bytes of every distance, depend on it: it must stay a constant.
 _PIXEL_CHUNK = 1024
+# A pair whose Gram-form d^2 is below this share of g_i + g_j (the squared
+# norms of the centred maps) is recomputed from exact differences: the
+# Gram form's absolute error scales with g_i + g_j, so its relative error
+# grows as d^2 shrinks against them.
+_RECOMPUTE_BELOW = 1e-3
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,7 @@ class DissimilarityMatrix:
 
     m: int
     d: np.ndarray
+    pairs_recomputed: int = 0  # pairs taken from exact differences, not the Gram form
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64)
@@ -68,71 +76,129 @@ class ClusterSummary:
 
 
 def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) -> DissimilarityMatrix:
-    """Distance matrix over all map pairs, from exact differences.
+    """Distance matrix over all map pairs, from a Gram matrix with close
+    pairs recomputed from exact differences.
 
-    Differences are formed directly (no Gram expansion), which keeps tiny
-    distances accurate and identical maps exactly 0 apart. Their squares
-    are summed over fixed chunks of _PIXEL_CHUNK pixels of every map, which
-    stay in cache.
+    Each fixed chunk of _PIXEL_CHUNK pixels of every map is centred by its
+    per-pixel mean, which moves no distance, and its Gram matrix G is
+    summed; then d_ij^2 = g_i + g_j - 2 G_ij with g the diagonal of G.
+    Every pair with d_ij^2 below _RECOMPUTE_BELOW (g_i + g_j) is summed
+    again from exact differences over the same chunks, so tiny distances
+    stay accurate and identical maps exactly 0 apart.
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
     if expected_digest is not None:
         store.check_digest(expected_digest)
     m = store.m
-    d2 = np.zeros((m, m))
+    gram = np.zeros((m, m))
+    for cols in _column_chunks(store):
+        cols -= cols.mean(axis=0)
+        gram += cols @ cols.T
+    g = np.diag(gram)
+    norms = g[:, None] + g[None, :]
+    d2 = np.triu(norms - 2.0 * gram, 1)
+    close_i, close_j = np.nonzero(np.triu(d2 < _RECOMPUTE_BELOW * norms, 1))
+    if close_i.size:
+        d2[close_i, close_j] = _exact_sq_distances(store, close_i, close_j)
+    d = np.sqrt(d2 + d2.T)
+    return DissimilarityMatrix(m=m, d=d, pairs_recomputed=int(close_i.size))
+
+
+def _column_chunks(store: MapStore):
+    """Every map's pixels in fixed chunks of _PIXEL_CHUNK, as m x width arrays."""
     for start in range(0, store.pixel_count, _PIXEL_CHUNK):
-        cols = store.columns(start, min(start + _PIXEL_CHUNK, store.pixel_count))
-        buf = np.empty_like(cols)
-        for i in range(m - 1):
-            diff = np.subtract(cols[i + 1 :], cols[i], out=buf[i + 1 :])
-            d2[i, i + 1 :] += np.einsum("ij,ij->i", diff, diff)
-    d = np.sqrt(d2)
-    return DissimilarityMatrix(m=m, d=d + d.T)
+        yield store.columns(start, min(start + _PIXEL_CHUNK, store.pixel_count))
+
+
+def _exact_sq_distances(store: MapStore, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Sum of squared differences of each map pair (first[p], second[p]),
+    first sorted, over the fixed pixel chunks."""
+    out = np.zeros(first.size)
+    maps, starts = np.unique(first, return_index=True)
+    ends = [*starts[1:], first.size]
+    for chunk in _column_chunks(store):
+        for i, a, b in zip(maps, starts, ends):
+            diff = chunk[second[a:b]] - chunk[i]
+            out[a:b] += np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def ward_linkage(dm: DissimilarityMatrix) -> MergeTree:
-    """Agglomerate by minimum Ward distance (Lance-Williams on d^2)."""
+    """Agglomerate by minimum Ward distance (Lance-Williams on d^2).
+
+    Ward's distance is reducible, so a nearest-neighbour chain finds the
+    merges of a global minimum scan in O(m^2) time (Muellner 2011,
+    arXiv:1109.2378, section 3): follow nearest neighbours until two are
+    each other's, merge them, and go on from the rest of the chain. Ties
+    go to the neighbour with the smallest cluster id, which makes groups of
+    identical maps merge as the scan merges them. The merges are then
+    replayed in the scan's order (see _scan_order). Where two merges tie
+    at a nonzero height, the chain's Lance-Williams updates, made in
+    another order than the scan's, may round the tie apart or resolve it
+    differently.
+    """
     m = dm.m
     d2 = np.square(dm.d)
-    size = np.ones(m, dtype=np.int64)
-    ids = np.arange(m, dtype=np.int64)
-    active = np.ones(m, dtype=bool)
     np.fill_diagonal(d2, np.inf)
-
-    merges: list[tuple[int, int, float, int]] = []
+    size = np.ones(m, dtype=np.int64)
+    ids = np.arange(m, dtype=np.int64)  # chain id of the cluster in each slot
+    active = np.ones(m, dtype=bool)
+    chain: list[int] = []
+    merges: list[tuple[int, int, float, int]] = []  # in chain order, chain ids
     for step in range(m - 1):
-        sub = np.where(active)[0]
-        block = d2[np.ix_(sub, sub)]
-        iu = np.triu_indices(len(sub), k=1)
-        vals = block[iu]
-        best = vals.min()
-        ties = np.nonzero(vals == best)[0]
-        pair = min(
-            (int(ids[sub[iu[0][t]]]), int(ids[sub[iu[1][t]]])) if ids[sub[iu[0][t]]] < ids[sub[iu[1][t]]]
-            else (int(ids[sub[iu[1][t]]]), int(ids[sub[iu[0][t]]]))
-            for t in ties
-        )
-        # slots of the chosen ids
-        si = int(sub[np.nonzero(ids[sub] == pair[0])[0][0]])
-        sj = int(sub[np.nonzero(ids[sub] == pair[1])[0][0]])
-
+        if not chain:
+            chain.append(int(np.argmax(active)))
+        while True:
+            row = d2[chain[-1]]
+            ties = np.flatnonzero(row == row.min())
+            nearest = int(ties[np.argmin(ids[ties])])
+            if len(chain) > 1 and nearest == chain[-2]:
+                break
+            chain.append(nearest)
+        si, sj = chain.pop(), chain.pop()
         ni, nj = size[si], size[sj]
         dij2 = d2[si, sj]
-        merges.append((pair[0], pair[1], float(np.sqrt(dij2)), int(ni + nj)))
+        merges.append((int(ids[si]), int(ids[sj]), float(dij2), int(ni + nj)))
 
-        others = sub[(sub != si) & (sub != sj)]
-        nk = size[others]
-        d2new = ((ni + nk) * d2[others, si] + (nj + nk) * d2[others, sj] - nk * dij2) / (
-            ni + nj + nk
-        )
-        d2[others, si] = d2new
-        d2[si, others] = d2new
+        # inactive slots and the pair itself hold inf and stay inf
+        d2new = ((ni + size) * d2[si] + (nj + size) * d2[sj] - size * dij2) / (ni + nj + size)
+        d2[si] = d2new
+        d2[:, si] = d2new
+        d2[sj] = np.inf
+        d2[:, sj] = np.inf
         size[si] = ni + nj
         ids[si] = m + step
         active[sj] = False
+    return MergeTree(m=m, merges=_scan_order(m, merges))
 
-    return MergeTree(m=m, merges=tuple(merges))
+
+def _scan_order(m: int, merges: list[tuple[int, int, float, int]]) -> tuple:
+    """The chain's merges as the global scan makes them: always the lowest
+    d^2 among merges whose two clusters exist, exact ties to the smallest
+    (a, b) id pair, the cluster born at step s numbered m+s, heights
+    unsquared."""
+    parent = {}
+    for t, (a, b, _, _) in enumerate(merges):
+        parent[a] = parent[b] = t
+    scan_id: dict[int, int] = {i: i for i in range(m)}  # chain id -> scan id
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push_if_ready(t: int) -> None:
+        a, b, h2, _ = merges[t]
+        if a in scan_id and b in scan_id:
+            heapq.heappush(heap, (h2, *sorted((scan_id[a], scan_id[b])), t))
+
+    for t in range(len(merges)):
+        push_if_ready(t)
+    out = []
+    while heap:
+        h2, a, b, t = heapq.heappop(heap)
+        scan_id[m + t] = m + len(out)
+        out.append((a, b, float(np.sqrt(h2)), merges[t][3]))
+        if m + t in parent:
+            push_if_ready(parent[m + t])
+    return tuple(out)
 
 
 def cut(tree: MergeTree, k: int) -> np.ndarray:

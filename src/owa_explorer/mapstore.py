@@ -10,6 +10,7 @@ the output bytes. A side-car CSV maps record index to (r, t).
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -40,17 +41,23 @@ def mask_digest(ncols: int, nrows: int, mask: np.ndarray) -> bytes:
 
 
 class MapStore:
-    """Reader/writer over one store file; rows are addressed by map index."""
+    """Reader/writer over one store file; rows are addressed by map index.
 
-    def __init__(self, path: Path, m: int, pixel_count: int, digest: bytes, mode: str):
+    Reads go through a read-only mapping. A store made by `create` also
+    holds a write descriptor: rows are written at their offsets with
+    pwrite, which never dirties the mapping.
+    """
+
+    def __init__(self, path: Path, m: int, pixel_count: int, digest: bytes, fd: int | None = None):
         self.path = Path(path)
         self.m = m
         self.pixel_count = pixel_count
         self.digest = digest
+        self._fd = fd
         self._mm = np.memmap(
             self.path,
             dtype=_DTYPE,
-            mode=mode,
+            mode="r",
             offset=_HEADER.size,
             shape=(m, pixel_count),
         )
@@ -61,10 +68,14 @@ class MapStore:
             raise DataError(f"store needs m >= 1 and pixels >= 1, got {m}, {pixel_count}")
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, m, pixel_count, digest))
-            fh.truncate(_HEADER.size + m * pixel_count * _DTYPE.itemsize)
-        return cls(path, m, pixel_count, digest, mode="r+")
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            os.pwrite(fd, _HEADER.pack(MAGIC, VERSION, m, pixel_count, digest), 0)
+            os.ftruncate(fd, _HEADER.size + m * pixel_count * _DTYPE.itemsize)
+            return cls(path, m, pixel_count, digest, fd=fd)
+        except BaseException:
+            os.close(fd)
+            raise
 
     @classmethod
     def open(cls, path: str | Path) -> "MapStore":
@@ -81,14 +92,23 @@ class MapStore:
         expected = _HEADER.size + m * pixel_count * _DTYPE.itemsize
         if path.stat().st_size != expected:
             raise DataError(f"{path}: store size {path.stat().st_size}, expected {expected}")
-        return cls(path, m, pixel_count, digest, mode="r")
+        return cls(path, m, pixel_count, digest)
 
     def check_digest(self, digest: bytes) -> None:
         if digest != self.digest:
             raise MaskMismatch(f"{self.path}: store was built over a different validity mask")
 
     def write_row(self, i: int, values: np.ndarray) -> None:
-        self._mm[i, :] = values
+        if self._fd is None:
+            raise DataError(f"{self.path}: store is not open for writing")
+        if not 0 <= i < self.m:
+            raise DataError(f"{self.path}: row {i} outside 0..{self.m - 1}")
+        data = np.ascontiguousarray(values, dtype=_DTYPE)
+        if data.shape != (self.pixel_count,):
+            raise DataError(f"{self.path}: row of shape {data.shape}, expected ({self.pixel_count},)")
+        offset = _HEADER.size + i * data.nbytes
+        if os.pwrite(self._fd, data, offset) != data.nbytes:
+            raise OSError(f"{self.path}: short write of row {i}")
 
     def row(self, i: int) -> np.ndarray:
         return np.asarray(self._mm[i], dtype=np.float64)
@@ -97,12 +117,13 @@ class MapStore:
         return np.asarray(self._mm[start:stop], dtype=np.float64)
 
     def columns(self, start: int, stop: int) -> np.ndarray:
-        """Pixels start..stop-1 of every map, as one m x width array."""
-        return np.ascontiguousarray(self._mm[:, start:stop], dtype=np.float64)
-
-    def flush(self) -> None:
-        self._mm.flush()
+        """Pixels start..stop-1 of every map, as one new m x width array."""
+        return np.array(self._mm[:, start:stop], dtype=np.float64, order="C")
 
     def close(self) -> None:
-        # memmap holds the fd; dropping the reference releases it
+        """Release the write descriptor and the mapping (which holds its
+        own descriptor until dropped)."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         self._mm = None

@@ -135,9 +135,11 @@ def batch_compute(
     W = np.array([w.w for w in weights])
     m, pixel_count = len(W), len(cache.perm)
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
-    bs = rows_per_block(m, pixel_count, memory_budget)
-    for a0 in range(0, m, bs):
-        for i, row in enumerate(_map_values(cache, W[a0 : a0 + bs]), start=a0):
-            store.write_row(i, row)
-    store.flush()
-    return store, weights
+    try:
+        bs = rows_per_block(m, pixel_count, memory_budget)
+        for a0 in range(0, m, bs):
+            for i, row in enumerate(_map_values(cache, W[a0 : a0 + bs]), start=a0):
+                store.write_row(i, row)
+    finally:
+        store.close()
+    return MapStore.open(store_path), weights

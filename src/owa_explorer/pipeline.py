@@ -2,8 +2,8 @@
 
 A run is deterministic: with the same inputs, config and seed, every CSV,
 grid and map-store byte is reproduced exactly. The run manifest (config
-snapshot, input digests, stage durations) is the only output containing
-wall-clock information.
+snapshot, input digests, stage durations, run metrics) is the only output
+containing wall-clock information.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 import shutil
 import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -198,6 +198,7 @@ class RunManifest:
     started: str
     finished: str
     durations: dict[str, float]
+    metrics: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
@@ -481,6 +482,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         if config.write_distances:
             _write_distances(dm, out_dir)
         durations["distances"] = time.perf_counter() - t0
+        metrics = {"distance_pairs_recomputed": dm.pairs_recomputed}
 
         t0 = clock("cluster")
         tree = ward_linkage(dm)
@@ -519,6 +521,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         started=started,
         finished=datetime.now(timezone.utc).isoformat(),
         durations=durations,
+        metrics=metrics,
     )
     manifest.write(out_dir / "run_manifest.json")
     return manifest

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: moments come from
 adaptive quadrature over the raw density, and the clustering oracle merges
 by explicit within-cluster sum-of-squares increase computed from the
 vectors themselves. The scalar solve keeps the weight solve as it was
-before it took arrays, as the reference for the array one. The bisection
+before it took arrays, as the reference for the array one; the chunked
+exact-difference distances and the O(m^3) Ward scan keep those stages as
+they were before the Gram form and the nearest-neighbour chain. The bisection
 oracles are the exception: they reuse the library's array moments on
 purpose, because they check the root finders alone.
 """
@@ -17,7 +19,7 @@ import sys
 import numpy as np
 from scipy import integrate
 
-from owa_explorer import strategy
+from owa_explorer import cluster, strategy
 from owa_explorer.errors import Unconverged
 
 
@@ -67,6 +69,62 @@ def pairwise_euclidean_per_row(rows: np.ndarray) -> np.ndarray:
         diff = X[i + 1 :] - X[i]
         d[i, i + 1 :] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return d + d.T
+
+
+def pairwise_euclidean_chunked(store) -> np.ndarray:
+    """Euclidean distances between the maps of a store from exact
+    differences, their squares summed over the library's fixed pixel
+    chunks, one chunk of every map at a time."""
+    m = store.m
+    d2 = np.zeros((m, m))
+    for start in range(0, store.pixel_count, cluster._PIXEL_CHUNK):
+        cols = store.columns(start, min(start + cluster._PIXEL_CHUNK, store.pixel_count))
+        buf = np.empty_like(cols)
+        for i in range(m - 1):
+            diff = np.subtract(cols[i + 1 :], cols[i], out=buf[i + 1 :])
+            d2[i, i + 1 :] += np.einsum("ij,ij->i", diff, diff)
+    d = np.sqrt(d2)
+    return d + d.T
+
+
+def ward_linkage_scan(dm) -> "cluster.MergeTree":
+    """Ward agglomeration by a global scan: each step merges the pair of
+    live clusters with the smallest d^2, exact ties to the smallest (a, b)
+    id pair, and updates d^2 by Lance-Williams. O(m^3)."""
+    m = dm.m
+    d2 = np.square(dm.d)
+    size = np.ones(m, dtype=np.int64)
+    ids = np.arange(m, dtype=np.int64)
+    active = np.ones(m, dtype=bool)
+    np.fill_diagonal(d2, np.inf)
+
+    merges: list[tuple[int, int, float, int]] = []
+    for step in range(m - 1):
+        sub = np.where(active)[0]
+        block = d2[np.ix_(sub, sub)]
+        iu = np.triu_indices(len(sub), k=1)
+        vals = block[iu]
+        ties = np.nonzero(vals == vals.min())[0]
+        pair = min(tuple(sorted((int(ids[sub[iu[0][t]]]), int(ids[sub[iu[1][t]]])))) for t in ties)
+        si = int(sub[np.nonzero(ids[sub] == pair[0])[0][0]])
+        sj = int(sub[np.nonzero(ids[sub] == pair[1])[0][0]])
+
+        ni, nj = size[si], size[sj]
+        dij2 = d2[si, sj]
+        merges.append((pair[0], pair[1], float(np.sqrt(dij2)), int(ni + nj)))
+
+        others = sub[(sub != si) & (sub != sj)]
+        nk = size[others]
+        d2new = ((ni + nk) * d2[others, si] + (nj + nk) * d2[others, sj] - nk * dij2) / (
+            ni + nj + nk
+        )
+        d2[others, si] = d2new
+        d2[si, others] = d2new
+        size[si] = ni + nj
+        ids[si] = m + step
+        active[sj] = False
+
+    return cluster.MergeTree(m=m, merges=tuple(merges))
 
 
 def brute_force_ward(vectors: np.ndarray) -> list[tuple[frozenset, frozenset, float]]:

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +11,12 @@ import pytest
 from _oracles import (
     brute_force_ward,
     merge_tree_members,
+    pairwise_euclidean_chunked,
     pairwise_euclidean_per_row,
+    ward_linkage_scan,
     within_variance_via_between,
 )
+import owa_explorer
 from owa_explorer.cluster import (
     DissimilarityMatrix,
     cluster_summaries,
@@ -32,8 +40,8 @@ def _store_from_rows(tmp_path, rows, name="maps.bin"):
     store = MapStore.create(tmp_path / name, m=rows.shape[0], pixel_count=rows.shape[1], digest=digest)
     for i in range(rows.shape[0]):
         store.write_row(i, rows[i])
-    store.flush()
-    return store
+    store.close()
+    return MapStore.open(tmp_path / name)
 
 
 def _design_of(m):
@@ -78,6 +86,36 @@ def test_pairwise_matches_per_row_oracle_on_acceptance_store(pipeline_run):
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
     _check_against_per_row_oracle(pairwise_euclidean(store).d, store.rows(0, store.m))
+
+
+def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
+    # the Gram form serves all but a small share of the pairs, and the run
+    # records that share in its manifest
+    out, _, _ = pipeline_run
+    store = MapStore.open(out / "maps.bin")
+    dm = pairwise_euclidean(store)
+    pairs = store.m * (store.m - 1) // 2
+    assert 0 < dm.pairs_recomputed <= 0.01 * pairs
+    metrics = json.loads((out / "run_manifest.json").read_text())["metrics"]
+    assert metrics == {"distance_pairs_recomputed": dm.pairs_recomputed}
+
+
+def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run):
+    # the chain over Gram distances against the global scan over exact ones:
+    # the same merges in the same order, heights to the last few digits
+    out, _, _ = pipeline_run
+    store = MapStore.open(out / "maps.bin")
+    tree = ward_linkage(pairwise_euclidean(store))
+    exact = ward_linkage_scan(DissimilarityMatrix(m=store.m, d=pairwise_euclidean_chunked(store)))
+    _check_same_tree(tree, exact, rel=1e-11)
+    for k in range(1, 16):
+        assert np.array_equal(cut(tree, k), cut(exact, k)), k
+
+
+def _check_same_tree(tree, reference, rel):
+    assert [(a, b, n) for a, b, _, n in tree.merges] == [(a, b, n) for a, b, _, n in reference.merges]
+    for (_, _, h, _), (_, _, h_ref, _) in zip(tree.merges, reference.merges):
+        assert abs(h - h_ref) <= rel * h_ref
 
 
 def _check_against_per_row_oracle(d, rows):
@@ -171,6 +209,63 @@ def test_ward_tie_break_smallest_pair():
     again = ward_linkage(DissimilarityMatrix(m=4, d=d))
     assert tree.merges == again.merges
     assert tree.merges[1][:2] == (2, 3)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_ward_matches_scan_on_duplicate_maps(tmp_path, seed):
+    # groups of 2 to 5 identical maps merge at height 0; the scan takes
+    # the smallest id pair first, so the two smallest members of a group
+    # merge first and a merged cluster, whose id exceeds every map's, comes
+    # after the group's single maps, whatever order the chain meets them in
+    rng = np.random.default_rng(seed)
+    rows = rng.random((60, 40))
+    bounds = np.cumsum([0, 2, 2, 2, 3, 3, 3, 4, 5])
+    members = rng.permutation(60)
+    groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    for group in groups:
+        rows[group[1:]] = rows[group[0]]
+    dm = pairwise_euclidean(_store_from_rows(tmp_path, rows))
+    tree = ward_linkage(dm)
+    assert sum(h == 0.0 for _, _, h, _ in tree.merges) == sum(len(g) - 1 for g in groups)
+    _check_same_tree(tree, ward_linkage_scan(dm), rel=1e-13)
+
+
+_BLAS_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from owa_explorer.cluster import cut, pairwise_euclidean, ward_linkage
+from owa_explorer.mapstore import MapStore, mask_digest
+rows = np.random.default_rng(21).random((300, 16057))
+rows[[40, 41, 250]] = rows[7]
+rows[199] = rows[100]
+path = Path(sys.argv[1])
+store = MapStore.create(path, m=300, pixel_count=16057, digest=mask_digest(16057, 1, np.ones(16057, bool)))
+for i, row in enumerate(rows):
+    store.write_row(i, row)
+store.close()
+tree = ward_linkage(pairwise_euclidean(MapStore.open(path)))
+print(json.dumps({"merges": tree.merges, "cuts": [cut(tree, k).tolist() for k in (2, 3, 5, 8, 15)]}))
+"""
+
+
+def test_tree_topology_identical_across_blas_threads(tmp_path):
+    # the Gram sums may round differently with the BLAS thread count; the
+    # merges and cuts may not change, and heights only in the last digits
+    src = Path(owa_explorer.__file__).resolve().parent.parent
+    runs = []
+    for threads in ("1", "2"):
+        path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, str(tmp_path / f"blas{threads}.bin")],
+                              env=env, check=True, timeout=300, capture_output=True, text=True)
+        runs.append(json.loads(proc.stdout))
+    one, two = runs
+    assert [m[:2] + m[3:] for m in one["merges"]] == [m[:2] + m[3:] for m in two["merges"]]
+    assert one["cuts"] == two["cuts"]
+    for m1, m2 in zip(one["merges"], two["merges"]):
+        assert abs(m1[2] - m2[2]) <= 1e-12 * m1[2]
 
 
 def test_cut_labels_by_min_member():

@@ -311,9 +311,17 @@ def test_mapstore_roundtrip(tmp_path):
     rows = np.arange(24, dtype=np.float64).reshape(3, 8) / 24.0
     for i in range(3):
         store.write_row(i, rows[i])
-    store.flush()
+    assert np.array_equal(store.rows(0, 3), rows)  # written rows show through the read mapping
+    for i, values in ((3, rows[0]), (-1, rows[0]), (0, rows[0][:7]), (0, np.zeros((2, 8)))):
+        with pytest.raises(DataError):
+            store.write_row(i, values)
+    store.close()
+    with pytest.raises(DataError):
+        store.write_row(0, rows[0])
 
     again = MapStore.open(tmp_path / "s.bin")
+    with pytest.raises(DataError):
+        again.write_row(0, rows[0])
     assert again.m == 3 and again.pixel_count == 8
     assert np.array_equal(again.rows(0, 3), rows)
     again.check_digest(digest)
@@ -331,7 +339,7 @@ def test_mapstore_rejects_truncation(tmp_path):
     digest = mask_digest(2, 2, np.ones(4, dtype=bool))
     store = MapStore.create(tmp_path / "s.bin", m=2, pixel_count=4, digest=digest)
     store.write_row(0, np.zeros(4))
-    store.flush()
+    store.close()
     data = (tmp_path / "s.bin").read_bytes()
     (tmp_path / "s.bin").write_bytes(data[:-8])
     with pytest.raises(DataError):

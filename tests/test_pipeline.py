@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import shutil
 import subprocess
@@ -289,6 +291,31 @@ def test_run_manifest_verifies(completed_run):
     manifest = RunManifest.read(out / "run_manifest.json")
     assert manifest.version
     assert manifest.config["m"] == 14
+
+
+def test_run_manifest_records_metrics(completed_run, tmp_path):
+    # the recompute count rides in the manifest alone: a rerun into another
+    # directory with another memory budget writes the same count and every
+    # other output byte for byte
+    out, cfg, manifest = completed_run
+    recomputed = pairwise_euclidean(MapStore.open(out / "maps.bin")).pairs_recomputed
+    assert manifest.metrics == {"distance_pairs_recomputed": recomputed}
+    assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
+    again = tmp_path / "again"
+    rerun = run_pipeline(dataclasses.replace(cfg, out=again, memory_budget_mib=1))
+    assert rerun.metrics == manifest.metrics
+    names = sorted(p.name for p in out.iterdir() if p.is_file() and p.name != "run_manifest.json")
+    assert names == sorted(p.name for p in again.iterdir() if p.is_file() and p.name != "run_manifest.json")
+    for name in names:
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
+    # a manifest written before the metrics existed still reads, and
+    # analyze still takes the run's seed and k_max from it
+    old = json.loads((again / "run_manifest.json").read_text())
+    del old["metrics"]
+    (again / "run_manifest.json").write_text(json.dumps(old))
+    assert RunManifest.read(again / "run_manifest.json").metrics == {}
+    analyze(again, k=2, out_dir=tmp_path / "re")
+    assert (tmp_path / "re" / "variance_curve.csv").read_bytes() == (out / "variance_curve.csv").read_bytes()
 
 
 def test_manifest_detects_input_change(tmp_path, synth_dir):
