@@ -162,21 +162,149 @@ def write_ascii_grid(raster: Raster) -> str:
     """Serialize a raster; values use 17 significant digits so that
     parse(write(r)) reproduces r bit-for-bit.
 
-    The body is one %-format over all cells: the same bytes as formatting
-    each cell on its own, in about half the time.
+    Every cell is written exactly as Python's "%.17g" writes it, cells
+    separated by one space and rows ended by a newline. The body is
+    formatted in numpy, a fixed number of cells at a time, so the
+    temporaries stay the same size whatever the grid size.
     """
     m = raster.meta
+    # no newline after the header: each row of the body starts with one
     header = (
         f"ncols {m.ncols}\n"
         f"nrows {m.nrows}\n"
         f"xllcorner {m.xllcorner:.17g}\n"
         f"yllcorner {m.yllcorner:.17g}\n"
         f"cellsize {m.cellsize:.17g}\n"
-        f"NODATA_value {m.nodata_value:.17g}\n"
+        f"NODATA_value {m.nodata_value:.17g}"
     )
-    row = " ".join(["%.17g"] * m.ncols)
-    body = "\n".join([row] * m.nrows) % tuple(raster.values.tolist())
-    return header + body + "\n"
+    v = raster.values
+    blocks = [
+        _format_cells(v[i:i + _BLOCK_CELLS], i, m.ncols) for i in range(0, v.size, _BLOCK_CELLS)
+    ]
+    return "".join([header, *blocks, "\n"])
+
+
+# The body kernel. "%.17g" writes a cell in fixed notation when it is zero
+# or 1e-4 <= |v| < 1e15 (a "plain" cell), from its 17 significant digits
+# D = round-half-even(|v| * 10^(16 - e)), e the decimal exponent of D. e comes
+# from floor(log10 |v|) and is corrected where D does not have 17 digits,
+# which also carries a D rounded up to 10^17 into the next decade. 10^k is
+# an exact double for k <= 22, so Dekker's TwoProduct (Dekker 1971, "A
+# floating-point technique for extending the available precision") gives
+# the product exactly as p + err; with 17 digits the product is above 2^53,
+# p is an even integer and D = p + rint(err). Python formats the other cells.
+#
+# Each cell is laid out in five 8-byte words, NUL where a char is absent:
+#   word 0:     separator, sign, the "0.000" prefix of e < 0, digit d0
+#   words 1-4:  a point slot, then a digit, for d1 .. d16
+# so digit j sits at byte 2j + 7 and the point after digit e at byte 2e + 8.
+# Deleting the NULs leaves the text.
+_BLOCK_CELLS = 4096
+_CELL_BYTES = 40
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo, each half at most 26 bits wide, so
+    the product of two halves is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _seventeen_digits(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """round-half-even(x * 10^(16 - e)) as int64, exact where the product
+    lies in [2^53, 2^63)."""
+    s = 16 - e
+    p = x * _POW10[s]
+    x_hi, x_lo = _split(x)
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    err = x_lo * b_lo - (((p - x_hi * b_hi) - x_lo * b_hi) - x_hi * b_lo)
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _digit_words() -> np.ndarray:
+    """Per group value g in [0, 10^4): its four digit chars at the odd bytes
+    of a word and, in byte 0, the place (1-4) of its last nonzero digit, 0
+    if g is 0."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # digits[:, g]
+    words = np.zeros((8, 10_000), np.uint8)  # byte b of word g at words[b, g]
+    words[1::2] = digits + 48
+    words[0] = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    return words.T.copy().view(np.uint64).reshape(-1)
+
+
+def _layout_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Per row (e + 4) * 18 + kept, e in [-4, 14] and kept the count of
+    digits up to the last nonzero one: a mask of the digit bytes printed,
+    and the fixed chars (separator, "0." and leading zeros, point). Both
+    are (5, rows) word tables."""
+    b = np.arange(_CELL_BYTES, dtype=np.int8)
+    e = np.arange(-4, 15, dtype=np.int8)[:, None, None]
+    kept = np.arange(18, dtype=np.int8)[None, :, None]
+    digit = np.where((b >= 7) & (b % 2 == 1), (b - 7) // 2, 99)
+    mask = (digit <= np.maximum(e, kept - 1)) * np.uint8(255)
+    prefix = np.frombuffer(b"  0.000 ", np.uint8)[np.minimum(b, 7)]
+    chars = np.where(b == 0, np.uint8(32), np.uint8(0))
+    chars = np.where((b >= 2) & (b < 3 - e) & (e < 0), prefix, chars)
+    chars = np.where((b == 2 * e + 8) & (e >= 0) & (kept - 1 > e), np.uint8(46), chars)
+    return tuple(t.reshape(-1, _CELL_BYTES).view(np.uint64).T.copy() for t in (mask, chars))
+
+
+_DIGIT_WORDS = _digit_words()
+_GROUP_FIRST = np.arange(1, 17, 4, dtype=np.uint8)[:, None]  # index of each group's first digit
+_ROW_MASK, _ROW_CHARS = _layout_rows()
+
+
+def _format_cells(v: np.ndarray, start: int, ncols: int) -> str:
+    """The cells v, which begin at cell `start` of a grid `ncols` wide, each
+    as "%.17g" writes it, preceded by '\\n' at the start of a row and by
+    ' ' elsewhere."""
+    n = v.size
+    a = np.abs(v)
+    plain = (a >= 1e-4) & (a < 1e15)
+    x = np.where(plain, a, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    d = _seventeen_digits(x, e)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    while off.size:
+        e[off] += np.where(d[off] < 10**16, -1, 1)
+        d[off] = _seventeen_digits(x[off], e[off])
+        off = off[(d[off] < 10**16) | (d[off] >= 10**17)]
+    d[~plain] = 0  # zero prints as "0"; the other cells are overwritten below
+    e[~plain] = 0
+
+    d0 = d // 10**16
+    rest = d - d0 * 10**16
+    halves = np.empty((2, n), np.int64)
+    halves[0] = rest // 10**8
+    halves[1] = rest - halves[0] * 10**8
+    groups = np.empty((4, n), np.int64)  # d1..d4, d5..d8, d9..d12, d13..d16
+    groups[0::2] = halves // 10_000
+    groups[1::2] = halves - groups[0::2] * 10_000
+
+    words = np.empty((5, n), np.uint64)  # words[w, i] is word w of cell i
+    words[0] = 0
+    words[1:] = _DIGIT_WORDS[groups]
+    head = words[0].view(np.uint8).reshape(n, 8)
+    head[:, 7] = d0 + 48
+    last = words[1:].view(np.uint8)[:, ::8]
+    kept = ((last + _GROUP_FIRST) * (last > 0)).max(axis=0)  # digits up to the last nonzero one
+    np.maximum(kept, d0 > 0, out=kept)
+    row = (e + 4) * 18 + kept
+    words &= np.take(_ROW_MASK, row, axis=1)
+    words |= np.take(_ROW_CHARS, row, axis=1)
+    head[:, 1] = np.signbit(v) * np.uint8(45)
+
+    other = np.flatnonzero(~plain & (a != 0))
+    if other.size:
+        text = np.array([f" {c:.17g}" for c in v[other].tolist()], dtype=f"S{_CELL_BYTES}")
+        words[:, other] = text.view(np.uint64).reshape(other.size, 5).T
+    head[-start % ncols::ncols, 0] = 10
+    return words.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)

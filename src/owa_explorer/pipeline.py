@@ -146,19 +146,29 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     )
 
 
+def _read_hashed(path: Path, digests: dict[str, str]) -> str:
+    """The text of a file; records the SHA-256 of its bytes in digests
+    under its path. The bytes are dropped before the text is parsed."""
+    data = path.read_bytes()
+    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data.decode()
+
+
 def load_stack_manifest(path: str | Path):
     """Read the stack manifest: one `name path weight` row per criterion.
 
     The weight column accepts either a number or a votes/total fraction
     like `7/13`. Paths are relative to the manifest file. Returns the
-    (name, raster) layers, their weights and the resolved grid paths.
+    (name, raster) layers, their weights and the SHA-256 digests of the
+    manifest and of each grid, keyed by path, taken from the very bytes
+    that were parsed.
     """
     path = Path(path)
     base = path.parent
     layers = []
     weights = []
-    grid_paths = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    digests: dict[str, str] = {}
+    for lineno, line in enumerate(_read_hashed(path, digests).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -174,15 +184,17 @@ def load_stack_manifest(path: str | Path):
         else:
             weight = float(weight_s)
         grid_file = (base / grid_path).resolve()
-        layers.append((name, parse_ascii_grid(grid_file.read_text())))
+        layers.append((name, parse_ascii_grid(_read_hashed(grid_file, digests))))
         weights.append(weight)
-        grid_paths.append(grid_file)
     if not layers:
         raise DataError(f"{path}: empty stack manifest")
-    return layers, weights, grid_paths
+    return layers, weights, digests
 
 
 def file_digest(path: Path) -> str:
+    """SHA-256 of a file's bytes, as a hex string. The run does not call
+    it (load_stack_manifest hashes what it parses); perfbench/tracer.py
+    wraps it by name, and the tests re-hash a run's inputs with it."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -206,15 +218,6 @@ class RunManifest:
     @classmethod
     def read(cls, path: Path) -> "RunManifest":
         return cls(**json.loads(path.read_text()))
-
-
-def verify_manifest(out_dir: str | Path) -> bool:
-    """Re-hash the recorded inputs; True iff all digests still match."""
-    manifest = RunManifest.read(Path(out_dir) / "run_manifest.json")
-    return all(
-        Path(p).exists() and file_digest(Path(p)) == digest
-        for p, digest in manifest.inputs.items()
-    )
 
 
 def synth_generate(width: int, height: int, n: int, seed: int, out_dir: str | Path) -> Path:
@@ -404,13 +407,24 @@ def _write_distances(dm, out_dir: Path) -> None:
 _CLUSTER_GRID = re.compile(r"cluster([1-9][0-9]*)_(?:mean|std)\.asc")
 
 
-def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir, memory_budget):
-    labels = cut(tree, k)
-    summary = cluster_summaries(store, design, labels, meta, valid_mask, memory_budget)
-    for path in out_dir.glob("cluster*.asc"):  # grids of an earlier, larger k
+def _remove_stale_cut(out_dir: Path, k: int) -> None:
+    """Remove the outputs an earlier cut left in out_dir that a cut into k
+    clusters does not overwrite: its cluster<i>_{mean,std}.asc with i > k
+    and, for k = 0 (no cut), its segmentation.csv and
+    cluster_centroids.csv. No other file is touched."""
+    for path in out_dir.glob("cluster*.asc"):
         match = _CLUSTER_GRID.fullmatch(path.name)
         if match and int(match.group(1)) > k:
             path.unlink()
+    if k == 0:
+        for name in ("segmentation.csv", "cluster_centroids.csv"):
+            (out_dir / name).unlink(missing_ok=True)
+
+
+def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir, memory_budget):
+    labels = cut(tree, k)
+    summary = cluster_summaries(store, design, labels, meta, valid_mask, memory_budget)
+    _remove_stale_cut(out_dir, k)
     (out_dir / "segmentation.csv").write_text(export_segmentation(design, labels))
     for info in summary.clusters:
         (out_dir / f"cluster{info.label}_mean.asc").write_text(write_ascii_grid(info.mean_map))
@@ -443,13 +457,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
     try:
         t0 = clock("load")
-        layers, weights, grid_paths = load_stack_manifest(config.stack_manifest)
+        layers, weights, inputs = load_stack_manifest(config.stack_manifest)
         if config.criteria is not None and len(layers) != config.criteria:
             raise ConfigError(
                 f"config says {config.criteria} criteria, manifest has {len(layers)}"
             )
         stack = build_stack(layers, weights)
-        inputs = {str(p): file_digest(p) for p in [config.stack_manifest, *grid_paths]}
         durations["load"] = time.perf_counter() - t0
 
         t0 = clock("sample")
@@ -499,6 +512,8 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                 out_dir, config.memory_budget,
             )
             durations["summaries"] = time.perf_counter() - t0
+        else:
+            _remove_stale_cut(out_dir, 0)
     except Exception as exc:
         incomplete = out_dir / "incomplete"
         incomplete.mkdir(parents=True, exist_ok=True)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 
-from owa_explorer import cluster, strategy
+from owa_explorer import cluster, pipeline, strategy
 from owa_explorer.errors import Unconverged
 
 
@@ -190,6 +191,16 @@ def write_ascii_grid_per_cell(raster) -> str:
     for row in raster.grid:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def verify_manifest(out_dir) -> bool:
+    """Re-hash the inputs a run's manifest records; True iff every file
+    still exists with the recorded digest."""
+    manifest = pipeline.RunManifest.read(Path(out_dir) / "run_manifest.json")
+    return all(
+        Path(p).exists() and pipeline.file_digest(Path(p)) == digest
+        for p, digest in manifest.inputs.items()
+    )
 
 
 # The weight solve one point at a time, as it stood before it took arrays:

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from owa_explorer.errors import (
     ValueRangeError,
 )
 from owa_explorer.grid import (
+    _BLOCK_CELLS,
     CriterionWeights,
     GridMeta,
     Raster,
@@ -108,6 +112,69 @@ def test_writer_matches_per_cell_oracle(shape):
     meta = GridMeta(ncols=ncols, nrows=nrows, xllcorner=-3.1, yllcorner=47.123456789, cellsize=0.1)
     raster = Raster(meta, np.resize(np.array(AWKWARD_VALUES), meta.size))
     assert write_ascii_grid(raster) == write_ascii_grid_per_cell(raster)
+
+
+def _writer_sweep() -> np.ndarray:
+    """~1.05e6 seeded values over every case the writer formats apart:
+    +-0, subnormals, 1e300 and -9999; every decade from 1e-6 to 1e16;
+    nextafter neighbours of each 10^k and of the fixed-notation edges 1e-4
+    and 1e15; exact ties at the 17th significant digit; both signs."""
+    rng = np.random.default_rng(20261018)
+    special = np.array([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e300, -9999.0])
+    decades = 10.0 ** rng.uniform(-6, 16, 400_000)
+    edges = np.concatenate([10.0 ** np.arange(-6, 17), [1e-4, 1e15]])
+    neighbours = [edges]
+    for toward in (0.0, np.inf):
+        near = edges
+        for _ in range(8):
+            near = np.nextafter(near, toward)
+            neighbours.append(near)
+    # odd N / 2^j where N * 5^j has 18 digits: the exact decimal value ends
+    # in a 5 at the 18th digit, a tie that "%.17g" rounds half to even
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        odd = rng.integers(lo, hi, 16_000) | 1
+        ties.append(np.ldexp(odd[odd < hi].astype(np.float64), -j))
+    dyadic = np.ldexp(rng.integers(1, 2**53, 150_000).astype(np.float64), -rng.integers(0, 60, 150_000))
+    signed = np.concatenate([decades, *neighbours, *ties, dyadic, rng.random(100_000)])
+    signed *= rng.choice([-1.0, 1.0], signed.size)
+    return np.concatenate([special, signed])
+
+
+@pytest.fixture(scope="module")
+def writer_sweep():
+    return _writer_sweep()
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols", [(1, 1), (1, 3 * _BLOCK_CELLS + 5), (3 * _BLOCK_CELLS + 5, 1), (1016, 1009)]
+)
+def test_writer_matches_per_cell_oracle_on_sweep(writer_sweep, nrows, ncols):
+    # the last grid holds over 1e6 of the sweep's values; no cell count is
+    # a multiple of the writer's block size
+    meta = GridMeta(ncols=ncols, nrows=nrows, xllcorner=-3.1, yllcorner=47.123456789, cellsize=0.1)
+    assert meta.size <= writer_sweep.size and meta.size % _BLOCK_CELLS != 0
+    raster = Raster(meta, writer_sweep[: meta.size])
+    got, want = write_ascii_grid(raster), write_ascii_grid_per_cell(raster)
+    if got != want:  # show where, not a diff of megabytes
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"text differs at char {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+def test_writer_peak_memory_within_three_times_its_text():
+    # the body is formatted a fixed number of cells at a time, so the
+    # writer holds little beyond the blocks' text and the joined result
+    rng = np.random.default_rng(3)
+    meta = GridMeta(ncols=512, nrows=512, xllcorner=0.0, yllcorner=0.0, cellsize=1.0)
+    raster = Raster(meta, rng.random(meta.size))
+    tracemalloc.start()
+    try:
+        text = write_ascii_grid(raster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def test_writer_awkward_literals():

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import verify_manifest
 from owa_explorer import pipeline
 from owa_explorer.cli import main
 from owa_explorer.cluster import DissimilarityMatrix, pairwise_euclidean, ward_linkage
@@ -29,7 +30,6 @@ from owa_explorer.pipeline import (
     run_pipeline,
     run_prep,
     synth_generate,
-    verify_manifest,
 )
 
 DATA_OUTPUTS = [
@@ -330,6 +330,24 @@ def test_manifest_detects_input_change(tmp_path, synth_dir):
     assert not verify_manifest(out)
 
 
+def test_run_digests_the_bytes_it_parsed(tmp_path, synth_dir, monkeypatch):
+    # load_stack_manifest hashes each input as it parses it; the run records
+    # those digests, the same hex strings a fresh hash of each file gives,
+    # and reads no input a second time
+    manifest = synth_dir / "stack_manifest.csv"
+    _, _, digests = load_stack_manifest(manifest)
+    assert len(digests) == 1 + 4
+    assert digests == {p: pipeline.file_digest(Path(p)) for p in digests}
+
+    def second_read(path):
+        raise AssertionError(f"{path} read a second time")
+
+    monkeypatch.setattr(pipeline, "file_digest", second_read)
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(stack_manifest=manifest, m=6, seed=1, k=2, k_max=4, out=out))
+    assert RunManifest.read(out / "run_manifest.json").inputs == digests
+
+
 def test_run_whitespace_manifest_with_header(tmp_path, synth_dir):
     # a `name path weight` header and space-separated rows load and run, and
     # the run manifest digests every grid the stack manifest names
@@ -358,6 +376,24 @@ def test_run_auto_k_skips_summaries(tmp_path, synth_dir):
     assert (out / "variance_curve.csv").exists()
     assert not list(out.glob("cluster*_mean.asc"))
     assert not (out / "segmentation.csv").exists()
+
+
+def test_auto_k_rerun_removes_the_earlier_cut(tmp_path, synth_dir):
+    # a k = auto run over a run with k = 5 leaves none of that cut's
+    # outputs behind, and nothing else in the directory is touched
+    out = tmp_path / "out"
+    cfg = PipelineConfig(stack_manifest=synth_dir / "stack_manifest.csv", m=8, seed=2, k=5, k_max=5, out=out)
+    run_pipeline(cfg)
+    cut_outputs = {"segmentation.csv", "cluster_centroids.csv"} | {
+        f"cluster{i}_{kind}.asc" for i in range(1, 6) for kind in ("mean", "std")
+    }
+    assert cut_outputs <= {p.name for p in out.iterdir()}
+    (out / "notes.txt").write_text("not the run's\n")
+    (out / "cluster_palette.asc").write_text("not the run's\n")
+    run_pipeline(dataclasses.replace(cfg, k=None))
+    names = {p.name for p in out.iterdir()}
+    assert not names & cut_outputs
+    assert {"notes.txt", "cluster_palette.asc", "suggested_k.txt", "merge_tree.csv"} <= names
 
 
 def test_analyze_matches_direct_run(completed_run, tmp_path, monkeypatch):
