@@ -25,25 +25,18 @@ from .strategy import (  # noqa: F401
     OrderWeights,
     TruncatedNormalSpec,
     discretize,
-    empirical_risk,
     feasible,
     generate_weights,
     generate_weights_batch,
     sample_design,
-    solve_generating_distribution,
-    truncnorm_moments,
 )
 from .owa import (  # noqa: F401
     PixelPermutationCache,
-    SuitabilityMap,
     batch_compute,
-    compute_map,
-    owa_value,
     rank_pixels,
 )
 from .cluster import (  # noqa: F401
     ClusterSummary,
-    DissimilarityMatrix,
     MergeTree,
     cluster_summaries,
     cut,

@@ -1,10 +1,10 @@
 """Dissimilarity, Ward clustering and per-cluster map summaries.
 
-Distances are plain Euclidean over valid pixels. The agglomeration follows
-the Lance-Williams recurrence on squared distances (the variant that
-minimizes within-cluster variance of the maps); reported merge heights are
-the unsquared Ward distances. Ties go to the smallest cluster id, so
-dendrograms are fully deterministic.
+Distances are plain Euclidean over valid pixels, and stay squared from the
+Gram sums to the agglomeration, which follows the Lance-Williams recurrence
+on squared distances (the variant that minimizes within-cluster variance
+of the maps); reported merge heights are the unsquared Ward distances.
+Ties go to the smallest cluster id, so dendrograms are fully deterministic.
 """
 
 from __future__ import annotations
@@ -30,21 +30,6 @@ _PIXEL_CHUNK = 1024
 # Gram form's absolute error scales with g_i + g_j, so its relative error
 # grows as d^2 shrinks against them.
 _RECOMPUTE_BELOW = 1e-3
-
-
-@dataclass(frozen=True)
-class DissimilarityMatrix:
-    """Symmetric Euclidean distances between maps, zero diagonal."""
-
-    m: int
-    d: np.ndarray
-    pairs_recomputed: int = 0  # pairs taken from exact differences, not the Gram form
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.float64)
-        if d.shape != (self.m, self.m):
-            raise DataError(f"distance matrix shape {d.shape}, expected ({self.m}, {self.m})")
-        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -75,16 +60,18 @@ class ClusterSummary:
     clusters: tuple[ClusterInfo, ...]
 
 
-def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) -> DissimilarityMatrix:
-    """Distance matrix over all map pairs, from a Gram matrix with close
-    pairs recomputed from exact differences.
+def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) -> tuple[np.ndarray, int]:
+    """Squared Euclidean distances over all map pairs, from a Gram matrix
+    with close pairs recomputed from exact differences.
 
     Each fixed chunk of _PIXEL_CHUNK pixels of every map is centred by its
     per-pixel mean, which moves no distance, and its Gram matrix G is
     summed; then d_ij^2 = g_i + g_j - 2 G_ij with g the diagonal of G.
     Every pair with d_ij^2 below _RECOMPUTE_BELOW (g_i + g_j) is summed
     again from exact differences over the same chunks, so tiny distances
-    stay accurate and identical maps exactly 0 apart.
+    stay accurate and identical maps exactly 0 apart. Returns the
+    symmetric m x m array of d^2 (zero diagonal, no square root taken) and
+    the number of pairs recomputed.
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
@@ -101,8 +88,8 @@ def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) ->
     close_i, close_j = np.nonzero(np.triu(d2 < _RECOMPUTE_BELOW * norms, 1))
     if close_i.size:
         d2[close_i, close_j] = _exact_sq_distances(store, close_i, close_j)
-    d = np.sqrt(d2 + d2.T)
-    return DissimilarityMatrix(m=m, d=d, pairs_recomputed=int(close_i.size))
+    d2 += d2.T
+    return d2, int(close_i.size)
 
 
 def _column_chunks(store: MapStore):
@@ -124,8 +111,10 @@ def _exact_sq_distances(store: MapStore, first: np.ndarray, second: np.ndarray) 
     return out
 
 
-def ward_linkage(dm: DissimilarityMatrix) -> MergeTree:
-    """Agglomerate by minimum Ward distance (Lance-Williams on d^2).
+def ward_linkage(d2: np.ndarray) -> MergeTree:
+    """Agglomerate by minimum Ward distance (Lance-Williams on the symmetric
+    m x m squared distances d2). The chain works in place: d2 is
+    overwritten.
 
     Ward's distance is reducible, so a nearest-neighbour chain finds the
     merges of a global minimum scan in O(m^2) time (Muellner 2011,
@@ -138,8 +127,7 @@ def ward_linkage(dm: DissimilarityMatrix) -> MergeTree:
     another order than the scan's, may round the tie apart or resolve it
     differently.
     """
-    m = dm.m
-    d2 = np.square(dm.d)
+    m = d2.shape[0]
     np.fill_diagonal(d2, np.inf)
     size = np.ones(m, dtype=np.int64)
     ids = np.arange(m, dtype=np.int64)  # chain id of the cluster in each slot

@@ -114,10 +114,6 @@ class LengthMismatch(DataError):
     """Vectors passed to the aggregation operator differ in length."""
 
 
-class CacheMismatch(DataError):
-    """Permutation cache does not belong to the stack being evaluated."""
-
-
 # cluster analysis
 class MaskMismatch(DataError):
     """Map store validity mask does not match the expected mask."""

@@ -2,8 +2,7 @@
 
 Grids are single-band, row 0 is the northernmost row. A cell equal to the
 declared NODATA value is invalid; invalid cells are excluded from every
-computation downstream. Rasters and stacks are immutable once built and can
-be shared freely across workers.
+computation downstream. Rasters and stacks are immutable once built.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
+    DataError,
     DimensionMismatch,
     MalformedHeader,
     NonNumericCell,
@@ -317,6 +317,10 @@ class CriterionWeights:
         v = np.ascontiguousarray(self.v, dtype=np.float64).reshape(-1)
         if v.size == 0:
             raise NonPositiveWeight("no weights given")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            every = ", ".join(f"weight {j} is {v[j]}" for j in bad)
+            raise DataError(f"{every}; all weights must be finite")
         if not (v > 0).all():
             j = int(np.argmax(~(v > 0)))
             raise NonPositiveWeight(f"weight {j} is {v[j]}; all weights must be > 0")

@@ -1,10 +1,11 @@
 """Flat binary store for batches of suitability maps.
 
-Layout: an 60-byte header (magic, format version, map count, valid-pixel
+Layout: a 60-byte header (magic, format version, map count, valid-pixel
 count, validity-mask digest) followed by one fixed-length record per map,
 64-bit little-endian floats for the valid pixels in row-major mask order.
-Records live at deterministic offsets, so concurrent writers never affect
-the output bytes. A side-car CSV maps record index to (r, t).
+Each record lives at an offset fixed by its index, so the bytes do not
+depend on the order the rows are written in. A side-car CSV maps record
+index to (r, t).
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ class MapStore:
         offset = _HEADER.size + i * data.nbytes
         if os.pwrite(self._fd, data, offset) != data.nbytes:
             raise OSError(f"{self.path}: short write of row {i}")
-
-    def row(self, i: int) -> np.ndarray:
-        return np.asarray(self._mm[i], dtype=np.float64)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         return np.asarray(self._mm[start:stop], dtype=np.float64)

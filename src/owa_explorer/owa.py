@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMismatch, InfeasibleStrategy, LengthMismatch, NoSolution
-from .grid import CriterionStack, CriterionWeights, Raster
+from .errors import InfeasibleStrategy, LengthMismatch, NoSolution
+from .grid import CriterionStack
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, rows_per_block
-from .strategy import DecisionPoint, ExperimentalDesign, OrderWeights, generate_weights_batch
+from .strategy import ExperimentalDesign, OrderWeights, generate_weights_batch
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
 from .strategy import generate_weights  # noqa: F401
@@ -30,54 +30,25 @@ from .strategy import generate_weights  # noqa: F401
 
 @dataclass(frozen=True)
 class PixelPermutationCache:
-    """Ascending criterion permutation per valid pixel, plus the gathered
-    sorted values/weights derived from it (ties broken by criterion index)."""
+    """Criterion values and weights of every valid pixel, each row sorted
+    by ascending value (ties broken by criterion index), and the digest of
+    the validity mask they were taken under."""
 
-    perm: np.ndarray  # (valid pixels, n) int32
-    z_sorted: np.ndarray
+    z_sorted: np.ndarray  # (valid pixels, n)
     v_sorted: np.ndarray
     digest: bytes
-    n: int
-
-
-@dataclass(frozen=True)
-class SuitabilityMap:
-    raster: Raster
-    provenance: DecisionPoint | OrderWeights | None = None
 
 
 def rank_pixels(stack: CriterionStack) -> PixelPermutationCache:
-    """Stable ascending argsort of the criterion values at every valid pixel."""
+    """The criterion values and weights of every valid pixel, sorted by a
+    stable ascending argsort of the values."""
     z = stack.value_matrix()
-    perm = np.argsort(z, axis=1, kind="stable").astype(np.int32)
-    z_sorted = np.take_along_axis(z, perm, axis=1)
-    v_sorted = stack.criterion_weights.v[perm]
+    perm = np.argsort(z, axis=1, kind="stable")
     return PixelPermutationCache(
-        perm=perm,
-        z_sorted=z_sorted,
-        v_sorted=v_sorted,
+        z_sorted=np.take_along_axis(z, perm, axis=1),
+        v_sorted=stack.criterion_weights.v[perm],
         digest=mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask),
-        n=stack.n,
     )
-
-
-def _as_weight_array(w, n: int, what: str) -> np.ndarray:
-    arr = w.w if isinstance(w, OrderWeights) else np.asarray(w, dtype=np.float64).reshape(-1)
-    if arr.size != n:
-        raise LengthMismatch(f"{what} has length {arr.size}, expected {n}")
-    return arr
-
-
-def owa_value(z, v, w) -> float:
-    """Aggregate one pixel's criterion values."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    varr = v.v if isinstance(v, CriterionWeights) else np.asarray(v, dtype=np.float64).reshape(-1)
-    warr = _as_weight_array(w, z.size, "order weights")
-    if varr.size != z.size:
-        raise LengthMismatch(f"criterion weights have length {varr.size}, expected {z.size}")
-    order = np.argsort(z, kind="stable")
-    coef = varr[order] * warr
-    return float((coef * z[order]).sum() / coef.sum())
 
 
 def _map_values(cache: PixelPermutationCache, W: np.ndarray) -> np.ndarray:
@@ -87,19 +58,6 @@ def _map_values(cache: PixelPermutationCache, W: np.ndarray) -> np.ndarray:
     out = np.einsum("ij,pj->ip", W, cache.v_sorted * cache.z_sorted)
     out /= np.einsum("ij,pj->ip", W, cache.v_sorted)
     return out
-
-
-def compute_map(stack: CriterionStack, cache: PixelPermutationCache, w: OrderWeights) -> SuitabilityMap:
-    """One suitability map for one order-weight vector; nodata preserved."""
-    if cache.n != stack.n or cache.digest != mask_digest(
-        stack.meta.ncols, stack.meta.nrows, stack.valid_mask
-    ):
-        raise CacheMismatch("permutation cache was built from a different stack")
-    warr = _as_weight_array(w, stack.n, "order weights")
-    values = np.full(stack.meta.size, stack.meta.nodata_value)
-    values[stack.valid_mask] = _map_values(cache, warr[None, :])[0]
-    provenance = w.provenance if isinstance(w, OrderWeights) and w.provenance is not None else w
-    return SuitabilityMap(raster=Raster(stack.meta, values), provenance=provenance)
 
 
 def batch_compute(
@@ -133,7 +91,7 @@ def batch_compute(
 
     cache = rank_pixels(stack)
     W = np.array([w.w for w in weights])
-    m, pixel_count = len(W), len(cache.perm)
+    m, pixel_count = W.shape[0], cache.z_sorted.shape[0]
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
     try:
         bs = rows_per_block(m, pixel_count, memory_budget)

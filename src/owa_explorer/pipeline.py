@@ -154,19 +154,35 @@ def _read_hashed(path: Path, digests: dict[str, str]) -> str:
     return data.decode()
 
 
+def _parse_weight(token: str) -> float | None:
+    """A number or a votes/total fraction like `7/13`; None unless it
+    parses to a finite value."""
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            weight = float(num) / float(den)
+        else:
+            weight = float(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return weight if math.isfinite(weight) else None
+
+
 def load_stack_manifest(path: str | Path):
     """Read the stack manifest: one `name path weight` row per criterion.
 
     The weight column accepts either a number or a votes/total fraction
-    like `7/13`. Paths are relative to the manifest file. Returns the
+    like `7/13`. Every weight is parsed before any grid is read; if any is
+    not a finite number, DataError names the line and the token of each.
+    Paths are relative to the manifest file. Returns the
     (name, raster) layers, their weights and the SHA-256 digests of the
     manifest and of each grid, keyed by path, taken from the very bytes
     that were parsed.
     """
     path = Path(path)
     base = path.parent
-    layers = []
-    weights = []
+    rows = []
+    bad = []
     digests: dict[str, str] = {}
     for lineno, line in enumerate(_read_hashed(path, digests).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -178,17 +194,22 @@ def load_stack_manifest(path: str | Path):
         name, grid_path, weight_s = (p.strip() for p in parts)
         if name == "name" and weight_s == "weight":
             continue  # header row
-        if "/" in weight_s:
-            num, den = weight_s.split("/", 1)
-            weight = float(num) / float(den)
-        else:
-            weight = float(weight_s)
-        grid_file = (base / grid_path).resolve()
-        layers.append((name, parse_ascii_grid(_read_hashed(grid_file, digests))))
-        weights.append(weight)
-    if not layers:
+        weight = _parse_weight(weight_s)
+        if weight is None:
+            bad.append(f"{path}:{lineno}: weight {weight_s!r}")
+        rows.append((name, grid_path, weight))
+    if bad:
+        raise DataError(
+            "criterion weights must be finite numbers or votes/total fractions with a "
+            "nonzero total: " + "; ".join(bad)
+        )
+    if not rows:
         raise DataError(f"{path}: empty stack manifest")
-    return layers, weights, digests
+    layers = [
+        (name, parse_ascii_grid(_read_hashed((base / grid_path).resolve(), digests)))
+        for name, grid_path, _ in rows
+    ]
+    return layers, [weight for _, _, weight in rows], digests
 
 
 def file_digest(path: Path) -> str:
@@ -295,8 +316,9 @@ def _write_design_csv(design: ExperimentalDesign, path: Path) -> None:
 
 def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
     """Parse the design `_write_design_csv` wrote; a wrong header, a row
-    that is not `index,r,t` with numbers, or no rows at all raises
-    DataError naming the file and the line."""
+    that is not `index,r,t` with numbers, an index that is not the row's
+    position (maps.bin records are matched to rows by position), or no
+    rows at all raises DataError naming the file and the line."""
     lines = path.read_text().splitlines()
     header = lines[0] if lines else ""
     if header != _DESIGN_HEADER:
@@ -307,9 +329,11 @@ def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
         if len(fields) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields, got {line!r}")
         try:
-            _, r, t = int(fields[0]), float(fields[1]), float(fields[2])
+            index, r, t = int(fields[0]), float(fields[1]), float(fields[2])
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
+        if index != len(points):
+            raise DataError(f"{path}:{lineno}: index {index}, expected {len(points)}")
         points.append(DecisionPoint(r, t))
     if not points:
         raise DataError(f"{path}: no design points")
@@ -395,12 +419,13 @@ def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
     return MergeTree(m=m, merges=tuple(merges))
 
 
-def _write_distances(dm, out_dir: Path) -> None:
-    tri = dm.d[np.tril_indices(dm.m, k=-1)]
+def _write_distances(d2: np.ndarray, out_dir: Path) -> None:
+    m = d2.shape[0]
+    tri = np.sqrt(d2[np.tril_indices(m, k=-1)])
     (out_dir / "distances.bin").write_bytes(tri.astype("<f8").tobytes())
     (out_dir / "distances_header.csv").write_text(
         "m,entries,dtype,order\n"
-        f"{dm.m},{tri.size},float64-le,row-major-lower-triangle\n"
+        f"{m},{tri.size},float64-le,row-major-lower-triangle\n"
     )
 
 
@@ -488,17 +513,17 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         durations["aggregate"] = time.perf_counter() - t0
 
         t0 = clock("distances")
-        dm = pairwise_euclidean(
+        d2, pairs_recomputed = pairwise_euclidean(
             store,
             expected_digest=mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask),
         )
         if config.write_distances:
-            _write_distances(dm, out_dir)
+            _write_distances(d2, out_dir)
         durations["distances"] = time.perf_counter() - t0
-        metrics = {"distance_pairs_recomputed": dm.pairs_recomputed}
+        metrics = {"distance_pairs_recomputed": pairs_recomputed}
 
         t0 = clock("cluster")
-        tree = ward_linkage(dm)
+        tree = ward_linkage(d2)
         _write_merge_tree_csv(tree, out_dir / "merge_tree.csv")
         curve = variance_ratio_curve(tree, min(config.k_max, config.m))
         _write_curve_csv(curve, out_dir / "variance_curve.csv")

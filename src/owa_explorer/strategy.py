@@ -226,16 +226,6 @@ def _moments(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return mean, std
 
 
-def truncnorm_moments(spec: TruncatedNormalSpec) -> tuple[float, float]:
-    """Exact mean and standard deviation of the [0, 1]-truncated normal.
-
-    Three evaluation regimes keep full precision everywhere the parameter
-    box can reach (see `_regime`).
-    """
-    mean, std = _moments(np.array([spec.mu]), np.array([spec.sigma]))
-    return float(mean[0]), float(std[0])
-
-
 def _solve_mu(
     sigma: np.ndarray, r: np.ndarray, mu: np.ndarray, max_iter: int = 200
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,14 +383,6 @@ def solve_generating_distributions(
     return out
 
 
-def solve_generating_distribution(p: DecisionPoint, max_iter: int = 200) -> TruncatedNormalSpec:
-    """`solve_generating_distributions` for one point; raises its error."""
-    spec = solve_generating_distributions([p], max_iter)[0]
-    if isinstance(spec, Exception):
-        raise spec
-    return spec
-
-
 def _bin_masses(spec: TruncatedNormalSpec, n: int) -> np.ndarray:
     """Unnormalized probability masses of the n equal bins of [0, 1]."""
     mu, sigma = spec.mu, spec.sigma
@@ -483,13 +465,6 @@ def generate_weights(p: DecisionPoint, n: int) -> OrderWeights:
     if isinstance(w, Exception):
         raise w
     return w
-
-
-def empirical_risk(weights: OrderWeights) -> float:
-    """Mass-weighted mean of the bin midpoints; diagnostic estimate of r."""
-    n = len(weights)
-    mids = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return float(weights.w @ mids)
 
 
 def sample_design(m: int, seed: int) -> ExperimentalDesign:

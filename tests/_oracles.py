@@ -73,9 +73,9 @@ def pairwise_euclidean_per_row(rows: np.ndarray) -> np.ndarray:
 
 
 def pairwise_euclidean_chunked(store) -> np.ndarray:
-    """Euclidean distances between the maps of a store from exact
-    differences, their squares summed over the library's fixed pixel
-    chunks, one chunk of every map at a time."""
+    """Squared Euclidean distances between the maps of a store from exact
+    differences, summed over the library's fixed pixel chunks, one chunk
+    of every map at a time."""
     m = store.m
     d2 = np.zeros((m, m))
     for start in range(0, store.pixel_count, cluster._PIXEL_CHUNK):
@@ -84,16 +84,16 @@ def pairwise_euclidean_chunked(store) -> np.ndarray:
         for i in range(m - 1):
             diff = np.subtract(cols[i + 1 :], cols[i], out=buf[i + 1 :])
             d2[i, i + 1 :] += np.einsum("ij,ij->i", diff, diff)
-    d = np.sqrt(d2)
-    return d + d.T
+    return d2 + d2.T
 
 
-def ward_linkage_scan(dm) -> "cluster.MergeTree":
-    """Ward agglomeration by a global scan: each step merges the pair of
-    live clusters with the smallest d^2, exact ties to the smallest (a, b)
-    id pair, and updates d^2 by Lance-Williams. O(m^3)."""
-    m = dm.m
-    d2 = np.square(dm.d)
+def ward_linkage_scan(d2: np.ndarray) -> "cluster.MergeTree":
+    """Ward agglomeration over the m x m squared distances d2 (left as they
+    are) by a global scan: each step merges the pair of live clusters with
+    the smallest d^2, exact ties to the smallest (a, b) id pair, and
+    updates d^2 by Lance-Williams. O(m^3)."""
+    m = d2.shape[0]
+    d2 = np.array(d2, dtype=np.float64)
     size = np.ones(m, dtype=np.int64)
     ids = np.arange(m, dtype=np.int64)
     active = np.ones(m, dtype=bool)
@@ -165,6 +165,14 @@ def merge_tree_members(tree) -> list[tuple[frozenset, frozenset, float]]:
         out.append((members[a], members[b], height))
         members[tree.m + step] = members[a] | members[b]
     return out
+
+
+def empirical_risk(weights) -> float:
+    """Mass-weighted mean of the bin midpoints of an OrderWeights; the
+    discretized estimate of its risk r."""
+    n = len(weights)
+    mids = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+    return float(weights.w @ mids)
 
 
 def owa_map_per_map(z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -20,12 +20,13 @@ import pytest
 
 from _oracles import (
     brute_force_ward,
+    empirical_risk,
     merge_tree_members,
     quad_truncnorm_moments,
     within_variance_via_between,
 )
+from owa_explorer import strategy
 from owa_explorer.cluster import (
-    DissimilarityMatrix,
     cut,
     pairwise_euclidean,
     variance_ratio_curve,
@@ -34,17 +35,16 @@ from owa_explorer.cluster import (
 )
 from owa_explorer.grid import parse_ascii_grid
 from owa_explorer.mapstore import MapStore
-from owa_explorer.owa import compute_map, rank_pixels
+from owa_explorer.owa import batch_compute
 from owa_explorer.pipeline import PipelineConfig, run_pipeline
 from owa_explorer.strategy import (
     SQRT12,
     DecisionPoint,
+    ExperimentalDesign,
     discretize,
-    empirical_risk,
     generate_weights,
     sample_design,
-    solve_generating_distribution,
-    truncnorm_moments,
+    solve_generating_distributions,
 )
 
 FIDELITY_SEED = 1
@@ -60,22 +60,19 @@ def criterion(number: int, title: str):
     print(f"\n[criterion {number}] PASS - {title}")
 
 
-def test_criterion_1_corner_strategy_exactness(synth_stack):
+def test_criterion_1_corner_strategy_exactness(synth_stack, tmp_path):
     with criterion(1, "corner strategies reproduce min / max / WLC within 1e-12"):
         _, stack = synth_stack
-        cache = rank_pixels(stack)
         z = stack.value_matrix()
         v = stack.criterion_weights.v
-        mask = stack.valid_mask
+        corners = (DecisionPoint(0.0, 0.0), DecisionPoint(1.0, 0.0), DecisionPoint(0.5, 1.0))
+        design = ExperimentalDesign(points=corners, seed=0, m=3)
+        store, _ = batch_compute(stack, design, stack.n, tmp_path / "maps.bin")
+        low, high, wlc = store.rows(0, 3)
 
-        low = compute_map(stack, cache, generate_weights(DecisionPoint(0.0, 0.0), stack.n))
-        assert np.abs(low.raster.values[mask] - z.min(axis=1)).max() <= 1e-12
-
-        high = compute_map(stack, cache, generate_weights(DecisionPoint(1.0, 0.0), stack.n))
-        assert np.abs(high.raster.values[mask] - z.max(axis=1)).max() <= 1e-12
-
-        wlc = compute_map(stack, cache, generate_weights(DecisionPoint(0.5, 1.0), stack.n))
-        assert np.abs(wlc.raster.values[mask] - z @ v).max() <= 1e-12
+        assert np.abs(low - z.min(axis=1)).max() <= 1e-12
+        assert np.abs(high - z.max(axis=1)).max() <= 1e-12
+        assert np.abs(wlc - z @ v).max() <= 1e-12
 
 
 def test_criterion_2_moment_fidelity():
@@ -89,9 +86,9 @@ def test_criterion_2_moment_fidelity():
 
         t0 = time.perf_counter()
         n = 10
-        for p in points:
-            spec = solve_generating_distribution(p)
-            mean, std = truncnorm_moments(spec)
+        specs = solve_generating_distributions(points)
+        means, stds = strategy._moments(np.array([s.mu for s in specs]), np.array([s.sigma for s in specs]))
+        for p, spec, mean, std in zip(points, specs, means, stds):
             assert abs(mean - p.r) <= 1e-6
             assert abs(std - p.t / SQRT12) <= 1e-6
             qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
@@ -118,7 +115,7 @@ def test_criterion_4_ward_oracle_equivalence():
             dim = int(rng.integers(1, 6))
             X = rng.random((m, dim))
             d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
-            tree = ward_linkage(DissimilarityMatrix(m=m, d=d))
+            tree = ward_linkage(np.square(d))
             for (ga, gb, gh), (ea, eb, eh) in zip(merge_tree_members(tree), brute_force_ward(X)):
                 assert {ga, gb} == {ea, eb}
                 assert abs(gh - eh) <= 1e-9
@@ -130,8 +127,7 @@ def test_criterion_5_variance_curve(pipeline_run):
     with criterion(5, "variance ratio: 1 at k=1, 0 at k=m, non-increasing, matches two routes that agree"):
         out, _, _ = pipeline_run
         store = MapStore.open(out / "maps.bin")
-        dm = pairwise_euclidean(store)
-        tree = ward_linkage(dm)
+        tree = ward_linkage(pairwise_euclidean(store)[0])
         curve = variance_ratio_curve(tree, store.m)
         assert curve[0] == (1, 1.0)
         assert curve[-1][1] == 0.0
@@ -157,13 +153,14 @@ def test_criterion_6_dissimilarity_properties(pipeline_run):
     with criterion(6, "distance matrix: exact symmetry/diagonal, triangle inequality on 1000 triples"):
         out, _, _ = pipeline_run
         store = MapStore.open(out / "maps.bin")
-        dm = pairwise_euclidean(store)
-        assert np.array_equal(dm.d, dm.d.T)
-        assert (np.diag(dm.d) == 0.0).all()
+        d2, _ = pairwise_euclidean(store)
+        assert np.array_equal(d2, d2.T)
+        assert (np.diag(d2) == 0.0).all()
+        d = np.sqrt(d2)
         rng = np.random.default_rng(66)
-        triples = rng.integers(0, dm.m, size=(1000, 3))
+        triples = rng.integers(0, store.m, size=(1000, 3))
         for a, b, c in triples:
-            assert dm.d[a, c] <= dm.d[a, b] + dm.d[b, c] + 1e-9
+            assert d[a, c] <= d[a, b] + d[b, c] + 1e-9
 
 
 def test_criterion_7_structural_reproduction(pipeline_run):

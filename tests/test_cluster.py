@@ -18,7 +18,6 @@ from _oracles import (
 )
 import owa_explorer
 from owa_explorer.cluster import (
-    DissimilarityMatrix,
     cluster_summaries,
     cut,
     export_segmentation,
@@ -54,20 +53,21 @@ def _design_of(m):
 
 def test_pairwise_examples(tmp_path):
     store = _store_from_rows(tmp_path, [[0.0, 0.0], [0.0, 0.0], [0.3, 0.4], [1.0, 0.0]])
-    dm = pairwise_euclidean(store)
-    assert dm.d[0, 1] == 0.0
-    assert dm.d[0, 3] == pytest.approx(1.0, abs=1e-15)
-    assert dm.d[0, 2] == pytest.approx(0.5, abs=1e-15)
+    d = np.sqrt(pairwise_euclidean(store)[0])
+    assert d[0, 1] == 0.0
+    assert d[0, 3] == pytest.approx(1.0, abs=1e-15)
+    assert d[0, 2] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pairwise_properties(tmp_path):
     rng = np.random.default_rng(8)
     store = _store_from_rows(tmp_path, rng.random((12, 30)))
-    dm = pairwise_euclidean(store)
-    assert np.array_equal(dm.d, dm.d.T)
-    assert (np.diag(dm.d) == 0.0).all()
+    d2, _ = pairwise_euclidean(store)
+    assert np.array_equal(d2, d2.T)
+    assert (np.diag(d2) == 0.0).all()
+    d = np.sqrt(d2)
     for a, b, c in rng.integers(0, 12, size=(200, 3)):
-        assert dm.d[a, c] <= dm.d[a, b] + dm.d[b, c] + 1e-9
+        assert d[a, c] <= d[a, b] + d[b, c] + 1e-9
 
 
 @pytest.mark.parametrize("pixels", [1, 1023, 1024, 1025, 3000])
@@ -77,7 +77,7 @@ def test_pairwise_matches_per_row_oracle(tmp_path, pixels):
     rng = np.random.default_rng(12 + pixels)
     rows = rng.random((9, pixels))
     rows[3], rows[7] = rows[0], rows[5]
-    d = pairwise_euclidean(_store_from_rows(tmp_path, rows)).d
+    d = np.sqrt(pairwise_euclidean(_store_from_rows(tmp_path, rows))[0])
     _check_against_per_row_oracle(d, rows)
     assert d[0, 3] == 0.0 and d[5, 7] == 0.0
 
@@ -85,7 +85,7 @@ def test_pairwise_matches_per_row_oracle(tmp_path, pixels):
 def test_pairwise_matches_per_row_oracle_on_acceptance_store(pipeline_run):
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
-    _check_against_per_row_oracle(pairwise_euclidean(store).d, store.rows(0, store.m))
+    _check_against_per_row_oracle(np.sqrt(pairwise_euclidean(store)[0]), store.rows(0, store.m))
 
 
 def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
@@ -93,11 +93,11 @@ def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
     # records that share in its manifest
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
-    dm = pairwise_euclidean(store)
+    _, recomputed = pairwise_euclidean(store)
     pairs = store.m * (store.m - 1) // 2
-    assert 0 < dm.pairs_recomputed <= 0.01 * pairs
+    assert 0 < recomputed <= 0.01 * pairs
     metrics = json.loads((out / "run_manifest.json").read_text())["metrics"]
-    assert metrics == {"distance_pairs_recomputed": dm.pairs_recomputed}
+    assert metrics == {"distance_pairs_recomputed": recomputed}
 
 
 def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run):
@@ -105,8 +105,8 @@ def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run
     # the same merges in the same order, heights to the last few digits
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
-    tree = ward_linkage(pairwise_euclidean(store))
-    exact = ward_linkage_scan(DissimilarityMatrix(m=store.m, d=pairwise_euclidean_chunked(store)))
+    tree = ward_linkage(pairwise_euclidean(store)[0])
+    exact = ward_linkage_scan(pairwise_euclidean_chunked(store))
     _check_same_tree(tree, exact, rel=1e-11)
     for k in range(1, 16):
         assert np.array_equal(cut(tree, k), cut(exact, k)), k
@@ -132,8 +132,7 @@ def test_pairwise_digest_check(tmp_path):
 
 
 def test_ward_two_points(tmp_path):
-    dm = DissimilarityMatrix(m=2, d=np.array([[0.0, 3.5], [3.5, 0.0]]))
-    tree = ward_linkage(dm)
+    tree = ward_linkage(np.array([[0.0, 3.5**2], [3.5**2, 0.0]]))
     assert len(tree.merges) == 1
     a, b, height, size = tree.merges[0]
     assert (a, b) == (0, 1) and size == 2
@@ -144,7 +143,7 @@ def test_ward_three_points_hand_computed(tmp_path):
     # 1-D maps at 0, 1, 5: merge {0,1} at height 1, then with {5} at sqrt(27)
     x = np.array([[0.0], [1.0], [5.0]])
     d = np.abs(x - x.T)
-    tree = ward_linkage(DissimilarityMatrix(m=3, d=d))
+    tree = ward_linkage(np.square(d))
     (a0, b0, h0, s0), (a1, b1, h1, s1) = tree.merges
     assert (a0, b0, s0) == (0, 1, 2)
     assert h0 == pytest.approx(1.0, abs=1e-12)
@@ -156,7 +155,7 @@ def test_ward_heights_non_decreasing(tmp_path):
     rng = np.random.default_rng(31)
     X = rng.random((40, 6))
     d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
-    tree = ward_linkage(DissimilarityMatrix(m=40, d=d))
+    tree = ward_linkage(np.square(d))
     heights = [m[2] for m in tree.merges]
     for a, b in zip(heights, heights[1:]):
         assert b >= a - 1e-12
@@ -169,7 +168,7 @@ def test_ward_matches_brute_force_oracle():
         dim = int(rng.integers(1, 5))
         X = rng.random((m, dim))
         d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
-        tree = ward_linkage(DissimilarityMatrix(m=m, d=d))
+        tree = ward_linkage(np.square(d))
         got = merge_tree_members(tree)
         expected = brute_force_ward(X)
         for (ga, gb, gh), (ea, eb, eh) in zip(got, expected):
@@ -181,7 +180,7 @@ def test_cut_extremes(tmp_path):
     rng = np.random.default_rng(4)
     X = rng.random((6, 3))
     d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
-    tree = ward_linkage(DissimilarityMatrix(m=6, d=d))
+    tree = ward_linkage(np.square(d))
     assert cut(tree, 1).tolist() == [1] * 6
     assert sorted(cut(tree, 6).tolist()) == [1, 2, 3, 4, 5, 6]
     with pytest.raises(BadK):
@@ -193,7 +192,7 @@ def test_cut_extremes(tmp_path):
 def test_cut_three_points():
     x = np.array([[0.0], [1.0], [5.0]])
     d = np.abs(x - x.T)
-    tree = ward_linkage(DissimilarityMatrix(m=3, d=d))
+    tree = ward_linkage(np.square(d))
     assert cut(tree, 2).tolist() == [1, 1, 2]
 
 
@@ -202,11 +201,11 @@ def test_ward_tie_break_smallest_pair():
     # take the lexicographically smallest id pair
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     d = np.abs(x - x.T)
-    tree = ward_linkage(DissimilarityMatrix(m=4, d=d))
+    tree = ward_linkage(np.square(d))
     assert tree.merges[0][:2] == (0, 1)
     # remaining exact tie between (2,3) and the updated pairs resolves the
     # same deterministic way on every run
-    again = ward_linkage(DissimilarityMatrix(m=4, d=d))
+    again = ward_linkage(np.square(d))
     assert tree.merges == again.merges
     assert tree.merges[1][:2] == (2, 3)
 
@@ -224,10 +223,10 @@ def test_ward_matches_scan_on_duplicate_maps(tmp_path, seed):
     groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
     for group in groups:
         rows[group[1:]] = rows[group[0]]
-    dm = pairwise_euclidean(_store_from_rows(tmp_path, rows))
-    tree = ward_linkage(dm)
+    d2, _ = pairwise_euclidean(_store_from_rows(tmp_path, rows))
+    tree = ward_linkage(d2.copy())
     assert sum(h == 0.0 for _, _, h, _ in tree.merges) == sum(len(g) - 1 for g in groups)
-    _check_same_tree(tree, ward_linkage_scan(dm), rel=1e-13)
+    _check_same_tree(tree, ward_linkage_scan(d2), rel=1e-13)
 
 
 _BLAS_SCRIPT = """
@@ -244,7 +243,7 @@ store = MapStore.create(path, m=300, pixel_count=16057, digest=mask_digest(16057
 for i, row in enumerate(rows):
     store.write_row(i, row)
 store.close()
-tree = ward_linkage(pairwise_euclidean(MapStore.open(path)))
+tree = ward_linkage(pairwise_euclidean(MapStore.open(path))[0])
 print(json.dumps({"merges": tree.merges, "cuts": [cut(tree, k).tolist() for k in (2, 3, 5, 8, 15)]}))
 """
 
@@ -272,7 +271,7 @@ def test_cut_labels_by_min_member():
     # two obvious pairs; labels must follow ascending smallest member index
     x = np.array([[10.0], [0.0], [10.1], [0.1]])
     d = np.abs(x - x.T)
-    tree = ward_linkage(DissimilarityMatrix(m=4, d=d))
+    tree = ward_linkage(np.square(d))
     labels = cut(tree, 2)
     assert labels.tolist() == [1, 2, 1, 2]
 
@@ -281,8 +280,7 @@ def test_variance_curve_endpoints(tmp_path):
     rng = np.random.default_rng(14)
     rows = rng.random((10, 25))
     store = _store_from_rows(tmp_path, rows)
-    dm = pairwise_euclidean(store)
-    tree = ward_linkage(dm)
+    tree = ward_linkage(pairwise_euclidean(store)[0])
     curve = variance_ratio_curve(tree, 10)
     assert curve[0] == (1, 1.0)
     assert curve[-1] == (10, 0.0)
@@ -294,14 +292,14 @@ def test_variance_curve_endpoints(tmp_path):
         assert abs(ratio - within_variance(store, cut(tree, k)) / total) <= 1e-12
     # identical maps: no variance at all, by convention 1 at k=1 and 0 beyond
     same = _store_from_rows(tmp_path, np.tile(rows[0], (10, 1)), name="same.bin")
-    flat = variance_ratio_curve(ward_linkage(pairwise_euclidean(same)), 10)
+    flat = variance_ratio_curve(ward_linkage(pairwise_euclidean(same)[0]), 10)
     assert flat == [(1, 1.0)] + [(k, 0.0) for k in range(2, 11)]
 
 
 def test_within_variance_two_routes_agree(tmp_path):
     rng = np.random.default_rng(15)
     store = _store_from_rows(tmp_path, rng.random((12, 30)))
-    tree = ward_linkage(pairwise_euclidean(store))
+    tree = ward_linkage(pairwise_euclidean(store)[0])
     for k in (1, 2, 3, 5, 8, 12):
         labels = cut(tree, k)
         w1 = within_variance(store, labels)
@@ -354,7 +352,7 @@ def test_summaries_mean_bounded_by_members(tmp_path):
     store = _store_from_rows(tmp_path, rows)
     meta = GridMeta(ncols=14, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
     mask = np.ones(14, dtype=bool)
-    tree = ward_linkage(pairwise_euclidean(store))
+    tree = ward_linkage(pairwise_euclidean(store)[0])
     labels = cut(tree, 3)
     summary = cluster_summaries(store, _design_of(9), labels, meta, mask)
     for info in summary.clusters:

@@ -7,6 +7,7 @@ import pytest
 from _oracles import write_ascii_grid_per_cell
 from owa_explorer.errors import (
     AlignmentError,
+    DataError,
     DimensionMismatch,
     MalformedHeader,
     NonNumericCell,
@@ -236,6 +237,12 @@ def test_criterion_weights_normalize():
     assert w.v.tolist() == [0.5, 0.5]
     with pytest.raises(NonPositiveWeight):
         CriterionWeights(np.array([1.0, 0.0]))
+
+
+def test_criterion_weights_reject_non_finite():
+    with pytest.raises(DataError) as err:
+        CriterionWeights(np.array([np.inf, 1.0, np.nan, 2.0]))
+    assert "weight 0 is inf, weight 2 is nan" in str(err.value)
 
 
 def test_build_stack_normalizes(meta_2x1):

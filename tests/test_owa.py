@@ -8,99 +8,78 @@ import pytest
 from _oracles import owa_map_per_map
 
 import owa_explorer
-from owa_explorer.errors import CacheMismatch, DataError, LengthMismatch, NoSolution
+from owa_explorer.errors import DataError, LengthMismatch, NoSolution
 from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer.mapstore import MapStore, mask_digest
-from owa_explorer.owa import batch_compute, compute_map, owa_value, rank_pixels
+from owa_explorer.owa import _map_values, batch_compute, rank_pixels
 from owa_explorer.strategy import (
     DecisionPoint,
     ExperimentalDesign,
-    OrderWeights,
     generate_weights,
     generate_weights_batch,
     sample_design,
 )
 
 
+_PIXEL = GridMeta(ncols=1, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
+
+
+def _one_pixel_stack(z, v):
+    return build_stack([(f"c{j}", Raster(_PIXEL, np.array([x]))) for j, x in enumerate(z)], v)
+
+
+def _owa_value(z, v, w) -> float:
+    """One pixel's OWA value, through the run's ranking and map kernel."""
+    cache = rank_pixels(_one_pixel_stack(z, v))
+    return float(_map_values(cache, np.asarray(w, dtype=np.float64)[None, :])[0, 0])
+
+
 def test_rank_pixels_examples():
-    meta = GridMeta(ncols=1, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
-    mk = lambda vals: build_stack(
-        [(f"c{j}", Raster(meta, np.array([v]))) for j, v in enumerate(vals)],
-        [1.0] * len(vals),
-    )
-    assert rank_pixels(mk([0.3, 0.1, 0.9])).perm[0].tolist() == [1, 0, 2]
+    def order(vals):
+        # distinct criterion weights: v_sorted names the criterion at each rank
+        stack = _one_pixel_stack(vals, [1.0, 2.0, 4.0])
+        cache = rank_pixels(stack)
+        assert cache.z_sorted[0].tolist() == sorted(vals)
+        return [int(np.flatnonzero(stack.criterion_weights.v == x)[0]) for x in cache.v_sorted[0]]
+
+    assert order([0.3, 0.1, 0.9]) == [1, 0, 2]
     # tie between criteria 0 and 2 broken by index
-    assert rank_pixels(mk([0.3, 0.1, 0.3])).perm[0].tolist() == [1, 0, 2]
-    assert rank_pixels(mk([0.1, 0.5, 0.9])).perm[0].tolist() == [0, 1, 2]
+    assert order([0.3, 0.1, 0.3]) == [1, 0, 2]
+    assert order([0.1, 0.5, 0.9]) == [0, 1, 2]
 
 
 def test_owa_value_min_corner():
-    assert owa_value([0.2, 0.8], [0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.2, abs=1e-15)
+    assert _owa_value([0.2, 0.8], [0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_owa_value_uniform_equals_wlc():
-    got = owa_value([0.2, 0.8], [0.75, 0.25], [0.5, 0.5])
+    got = _owa_value([0.2, 0.8], [0.75, 0.25], [0.5, 0.5])
     assert got == pytest.approx(0.75 * 0.2 + 0.25 * 0.8, abs=1e-15)
     assert got == pytest.approx(0.35, abs=1e-12)
 
 
 def test_owa_value_hand_computed():
-    got = owa_value([0.1, 0.5, 0.9], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2])
+    got = _owa_value([0.1, 0.5, 0.9], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2])
     assert got == pytest.approx(0.145 / 0.29, abs=1e-12)
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_owa_value_max_corner():
-    assert owa_value([0.6, 0.1, 0.9], [0.5, 0.3, 0.2], [0.0, 0.0, 1.0]) == pytest.approx(
+    assert _owa_value([0.6, 0.1, 0.9], [0.5, 0.3, 0.2], [0.0, 0.0, 1.0]) == pytest.approx(
         0.9, abs=1e-15
     )
 
 
-def test_owa_value_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        owa_value([0.1, 0.2], [0.5, 0.5], [1.0, 0.0, 0.0])
-    with pytest.raises(LengthMismatch):
-        owa_value([0.1, 0.2], [0.5, 0.3, 0.2], [1.0, 0.0])
-
-
-def test_compute_map_corners(small_stack):
-    cache = rank_pixels(small_stack)
-    n = small_stack.n
+def test_batch_corners_on_small_stack(tmp_path, small_stack):
+    store, _ = batch_compute(small_stack, _corner_design(), small_stack.n, tmp_path / "maps.bin")
+    # the store holds the valid pixels only: nodata cells never enter a map
+    assert store.pixel_count == int(small_stack.valid_mask.sum()) < small_stack.meta.size
     z = small_stack.value_matrix()
     v = small_stack.criterion_weights.v
-
-    w_min = OrderWeights(np.eye(n)[0])
-    got = compute_map(small_stack, cache, w_min).raster.values[small_stack.valid_mask]
-    assert np.abs(got - z.min(axis=1)).max() <= 1e-12
-
-    w_max = OrderWeights(np.eye(n)[-1])
-    got = compute_map(small_stack, cache, w_max).raster.values[small_stack.valid_mask]
-    assert np.abs(got - z.max(axis=1)).max() <= 1e-12
-
-    w_uni = OrderWeights(np.full(n, 1.0 / n))
-    got = compute_map(small_stack, cache, w_uni).raster.values[small_stack.valid_mask]
-    assert np.abs(got - z @ v).max() <= 1e-12
-
-
-def test_compute_map_preserves_nodata(small_stack):
-    cache = rank_pixels(small_stack)
-    m = compute_map(small_stack, cache, OrderWeights(np.full(small_stack.n, 0.25)))
-    assert np.array_equal(m.raster.valid_mask, small_stack.valid_mask)
-
-
-def test_compute_map_cache_mismatch(small_stack):
-    meta = small_stack.meta
-    rng = np.random.default_rng(0)
-    other = build_stack(
-        [(f"x{j}", Raster(meta, rng.random(meta.size))) for j in range(small_stack.n)],
-        np.ones(small_stack.n),
-    )
-    # different validity mask -> different digest
-    holed = [(f"x{j}", Raster(meta, np.where(np.arange(meta.size) == 0, meta.nodata_value, other.layers[j].values))) for j in range(small_stack.n)]
-    other_holed = build_stack(holed, np.ones(small_stack.n))
-    cache = rank_pixels(other_holed)
-    with pytest.raises(CacheMismatch):
-        compute_map(small_stack, cache, OrderWeights(np.full(small_stack.n, 0.25)))
+    low, high, wlc = store.rows(0, 3)
+    assert np.abs(low - z.min(axis=1)).max() <= 1e-12
+    assert np.abs(high - z.max(axis=1)).max() <= 1e-12
+    assert np.abs(wlc - z @ v).max() <= 1e-12
 
 
 def test_owa_bounded():
@@ -111,7 +90,7 @@ def test_owa_bounded():
         v = rng.random(n) + 0.05
         w = rng.random(n)
         w = w / w.sum()
-        val = owa_value(z, v, w)
+        val = _owa_value(z, v, w)
         assert z.min() - 1e-12 <= val <= z.max() + 1e-12
 
 
@@ -127,12 +106,12 @@ def test_owa_monotone_within_fixed_ordering():
         v = rng.random(n) + 0.05
         w = rng.random(n)
         w = w / w.sum()
-        val = owa_value(z, v, w)
+        val = _owa_value(z, v, w)
         j = int(rng.integers(n))
         ceiling = z[j + 1] if j + 1 < n else 1.0
         z_up = np.array(z)
         z_up[j] = z[j] + (ceiling - z[j]) * rng.random()  # stays below the next value
-        assert owa_value(z_up, v, w) >= val - 1e-12
+        assert _owa_value(z_up, v, w) >= val - 1e-12
 
 
 def test_owa_monotone_globally_for_uniform_criterion_weights():
@@ -143,11 +122,11 @@ def test_owa_monotone_globally_for_uniform_criterion_weights():
         v = np.full(n, 1.0 / n)
         w = rng.random(n)
         w = w / w.sum()
-        val = owa_value(z, v, w)
+        val = _owa_value(z, v, w)
         j = int(rng.integers(n))
         z_up = np.array(z)
         z_up[j] = min(1.0, z_up[j] + rng.uniform(0.0, 0.5))
-        assert owa_value(z_up, v, w) >= val - 1e-12
+        assert _owa_value(z_up, v, w) >= val - 1e-12
 
 
 def test_owa_scale_invariant_in_v():
@@ -156,15 +135,15 @@ def test_owa_scale_invariant_in_v():
     v = rng.random(5) + 0.1
     w = rng.random(5)
     w = w / w.sum()
-    a = owa_value(z, v, w)
-    b = owa_value(z, 7.5 * v, w)
+    a = _owa_value(z, v, w)
+    b = _owa_value(z, 7.5 * v, w)
     assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_owa_idempotent_on_constant():
     v = np.array([0.2, 0.3, 0.5])
     w = np.array([0.6, 0.3, 0.1])
-    assert owa_value([0.42, 0.42, 0.42], v, w) == pytest.approx(0.42, abs=1e-15)
+    assert _owa_value([0.42, 0.42, 0.42], v, w) == pytest.approx(0.42, abs=1e-15)
 
 
 def _corner_design():
@@ -181,10 +160,10 @@ def test_batch_corner_reductions(tmp_path, meta_2x1):
     stack = build_stack([("a", a), ("b", b)], [0.75, 0.25])
     store, weights = batch_compute(stack, _corner_design(), 2, tmp_path / "maps.bin")
     assert store.m == 3
-    np.testing.assert_allclose(store.row(0), [0.2, 0.1], atol=1e-15)  # min
-    np.testing.assert_allclose(store.row(1), [0.8, 0.9], atol=1e-15)  # max
+    np.testing.assert_allclose(store.rows(0, 1)[0], [0.2, 0.1], atol=1e-15)  # min
+    np.testing.assert_allclose(store.rows(1, 2)[0], [0.8, 0.9], atol=1e-15)  # max
     wlc = 0.75 * np.array([0.2, 0.9]) + 0.25 * np.array([0.8, 0.1])
-    np.testing.assert_allclose(store.row(2), wlc, atol=1e-12)
+    np.testing.assert_allclose(store.rows(2, 3)[0], wlc, atol=1e-12)
     assert [w.provenance for w in weights] == list(_corner_design().points)
 
 
@@ -242,7 +221,7 @@ def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):
     assert W.shape == (cfg.m, stack.n)
     z, v = stack.value_matrix(), stack.criterion_weights.v
     worst = max(
-        float(np.abs(store.row(i) - owa_map_per_map(z, v, W[i])).max()) for i in range(cfg.m)
+        float(np.abs(store.rows(i, i + 1)[0] - owa_map_per_map(z, v, W[i])).max()) for i in range(cfg.m)
     )
     assert worst <= 1e-12, worst
 

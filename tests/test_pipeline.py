@@ -14,7 +14,7 @@ import pytest
 from _oracles import verify_manifest
 from owa_explorer import pipeline
 from owa_explorer.cli import main
-from owa_explorer.cluster import DissimilarityMatrix, pairwise_euclidean, ward_linkage
+from owa_explorer.cluster import pairwise_euclidean, ward_linkage
 from owa_explorer.errors import ConfigError, DataError, NoSolution
 from owa_explorer.grid import GridMeta, Raster, parse_ascii_grid, write_ascii_grid
 from owa_explorer.mapstore import MapStore
@@ -132,6 +132,22 @@ def test_load_config_rejects_explicit_zero(tmp_path, key):
         load_config(tmp_path / "run.cfg", overrides={key: 0})
 
 
+@pytest.mark.parametrize("token", ["abc", "7/0", "inf"])
+def test_cli_run_rejects_bad_criterion_weight(tmp_path, capsys, token):
+    # every bad weight is named by line before any grid is read
+    manifest = synth_generate(16, 12, 3, seed=9, out_dir=tmp_path / "stack").resolve()
+    lines = manifest.read_text().splitlines()
+    for i in (1, 3):
+        lines[i] = lines[i].rsplit(",", 1)[0] + "," + token
+    manifest.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"stack_manifest = {manifest}\nm = 4\nk_max = 2\nout = out\n")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{manifest}:2: weight {token!r}; {manifest}:4: weight {token!r}" in err
+    assert not list(tmp_path.rglob("maps.bin"))
+
+
 def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("stack_manifest = x\nout = out\n")
@@ -242,7 +258,7 @@ def test_write_distances_lower_triangle(tmp_path, synth_dir):
         stack_manifest=synth_dir / "stack_manifest.csv", m=6, seed=1, k_max=4, out=out,
         write_distances=True,
     ))
-    d = pairwise_euclidean(MapStore.open(out / "maps.bin")).d
+    d = np.sqrt(pairwise_euclidean(MapStore.open(out / "maps.bin"))[0])
     raw = (out / "distances.bin").read_bytes()
     assert len(raw) == 8 * 15
     assert np.frombuffer(raw, dtype="<f8").tolist() == [d[i, j] for i in range(6) for j in range(i)]
@@ -298,7 +314,7 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     # directory with another memory budget writes the same count and every
     # other output byte for byte
     out, cfg, manifest = completed_run
-    recomputed = pairwise_euclidean(MapStore.open(out / "maps.bin")).pairs_recomputed
+    _, recomputed = pairwise_euclidean(MapStore.open(out / "maps.bin"))
     assert manifest.metrics == {"distance_pairs_recomputed": recomputed}
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"
@@ -421,8 +437,8 @@ def test_analyze_rejects_bad_k(completed_run, tmp_path):
 def test_merge_tree_csv_roundtrip(pipeline_run, tmp_path):
     # the acceptance fixture's tree, and an all-identical-maps tree (heights 0)
     out, _, _ = pipeline_run
-    acceptance = ward_linkage(pairwise_euclidean(MapStore.open(out / "maps.bin")))
-    identical = ward_linkage(DissimilarityMatrix(m=6, d=np.zeros((6, 6))))
+    acceptance = ward_linkage(pairwise_euclidean(MapStore.open(out / "maps.bin"))[0])
+    identical = ward_linkage(np.zeros((6, 6)))
     assert all(h == 0.0 for _, _, h, _ in identical.merges)
     for tree in (acceptance, identical):
         _write_merge_tree_csv(tree, tmp_path / "merge_tree.csv")
@@ -493,6 +509,7 @@ DESIGN_CORRUPTIONS = [
     ("four fields", lambda r: r.__setitem__(3, r[3] + ",1"), 4),
     ("non-numeric r", lambda r: r.__setitem__(5, "4,x,0.1"), 6),
     ("non-numeric index", lambda r: r.__setitem__(5, "four,0.5,0.1"), 6),
+    ("swapped rows", lambda r: r.__setitem__(slice(3, 5), r[4:2:-1]), 4),
 ]
 
 

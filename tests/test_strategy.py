@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    empirical_risk,
     quad_truncnorm_moments,
     scalar_moments,
     scalar_solve,
@@ -30,13 +31,11 @@ from owa_explorer.strategy import (
     OrderWeights,
     TruncatedNormalSpec,
     discretize,
-    empirical_risk,
     feasible,
     generate_weights,
     generate_weights_batch,
     sample_design,
-    solve_generating_distribution,
-    truncnorm_moments,
+    solve_generating_distributions,
 )
 
 UNIFORM_STD = 1.0 / SQRT12  # 0.288675...
@@ -55,19 +54,24 @@ def test_feasible_rejects_out_of_square():
         feasible(DecisionPoint(0.5, 1.1))
 
 
+def _moments_of(*specs):
+    """Truncated mean and std of each spec, from the array moments."""
+    return strategy._moments(np.array([s.mu for s in specs]), np.array([s.sigma for s in specs]))
+
+
 def test_moments_symmetric_mean():
     for sigma in (0.05, 0.3, 2.0, 1000.0):
-        mean, _ = truncnorm_moments(TruncatedNormalSpec(0.5, sigma))
+        (mean,), _ = _moments_of(TruncatedNormalSpec(0.5, sigma))
         assert mean == pytest.approx(0.5, abs=1e-14)
 
 
 def test_moments_uniform_limit():
-    _, std = truncnorm_moments(TruncatedNormalSpec(0.5, 1000.0))
+    _, (std,) = _moments_of(TruncatedNormalSpec(0.5, 1000.0))
     assert std == pytest.approx(UNIFORM_STD, abs=1e-6)
 
 
 def test_moments_standard_normal_case():
-    mean, _ = truncnorm_moments(TruncatedNormalSpec(0.0, 1.0))
+    (mean,), _ = _moments_of(TruncatedNormalSpec(0.0, 1.0))
     # (phi(0) - phi(1)) / (Phi(1) - Phi(0))
     phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
     Phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))
@@ -85,7 +89,7 @@ def test_moments_standard_normal_case():
     ],
 )
 def test_moments_match_quadrature(mu, sigma):
-    mean, std = truncnorm_moments(TruncatedNormalSpec(mu, sigma))
+    (mean,), (std,) = _moments_of(TruncatedNormalSpec(mu, sigma))
     qmean, qstd = quad_truncnorm_moments(mu, sigma)
     assert mean == pytest.approx(qmean, abs=1e-10)
     assert std == pytest.approx(qstd, abs=1e-10)
@@ -122,16 +126,16 @@ def test_degenerate_sigma():
 
 
 def test_solve_vertex_is_uniform_limit():
-    spec = solve_generating_distribution(DecisionPoint(0.5, 1.0))
+    (spec,) = solve_generating_distributions([DecisionPoint(0.5, 1.0)])
     assert spec.sigma >= 100.0
     assert spec.mu == pytest.approx(0.5, abs=1e-3)
-    mean, std = truncnorm_moments(spec)
+    (mean,), (std,) = _moments_of(spec)
     assert mean == pytest.approx(0.5, abs=1e-6)
     assert std == pytest.approx(UNIFORM_STD, abs=1e-6)
 
 
 def test_solve_half_tradeoff():
-    spec = solve_generating_distribution(DecisionPoint(0.5, 0.5))
+    (spec,) = solve_generating_distributions([DecisionPoint(0.5, 0.5)])
     qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
     assert qmean == pytest.approx(0.5, abs=1e-6)
     assert qstd == pytest.approx(0.5 / SQRT12, abs=1e-6)
@@ -139,7 +143,7 @@ def test_solve_half_tradeoff():
 
 
 def test_solve_point_three():
-    spec = solve_generating_distribution(DecisionPoint(0.3, 0.3))
+    (spec,) = solve_generating_distributions([DecisionPoint(0.3, 0.3)])
     qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
     assert qmean == pytest.approx(0.3, abs=1e-6)
     assert qstd == pytest.approx(0.08660, abs=1e-5)
@@ -152,8 +156,8 @@ def test_solve_point_three():
 def test_solve_interior_points_near_subnormal_mass(r, t):
     # the bisection passes parents so remote that the truncation mass is
     # subnormal; the mean must stay accurate there or the solve lands astray
-    spec = solve_generating_distribution(DecisionPoint(r, t))
-    mean, std = truncnorm_moments(spec)
+    (spec,) = solve_generating_distributions([DecisionPoint(r, t)])
+    (mean,), (std,) = _moments_of(spec)
     assert mean == pytest.approx(r, abs=1e-9)
     assert std == pytest.approx(t / SQRT12, abs=1e-9)
 
@@ -303,22 +307,20 @@ def test_solve_moment_evaluations_per_point(monkeypatch):
 
 
 def test_solve_refuses_infeasible():
-    with pytest.raises(InfeasibleStrategy):
-        solve_generating_distribution(DecisionPoint(0.1, 0.9))
-    with pytest.raises(InfeasibleStrategy):
-        solve_generating_distribution(DecisionPoint(0.5, 0.0))
+    refused = solve_generating_distributions([DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.0)])
+    assert [type(spec) for spec in refused] == [InfeasibleStrategy, InfeasibleStrategy]
 
 
 def test_solve_reports_no_solution_near_edge():
     # near the parabola boundary at small r the truncated-normal family
     # cannot reach the requested dispersion; this must surface, not clamp
-    with pytest.raises(NoSolution):
-        solve_generating_distribution(DecisionPoint(0.05, 0.18))
+    (spec,) = solve_generating_distributions([DecisionPoint(0.05, 0.18)])
+    assert isinstance(spec, NoSolution)
 
 
 def test_solve_unconverged_on_tiny_iteration_budget():
     with pytest.raises(Unconverged):
-        solve_generating_distribution(DecisionPoint(0.4, 0.5), max_iter=1)
+        solve_generating_distributions([DecisionPoint(0.4, 0.5)], max_iter=1)
 
 
 def _fidelity_sample(m, seed):
@@ -333,9 +335,8 @@ def _fidelity_sample(m, seed):
 
 
 def test_moment_fidelity_sampled():
-    for p in _fidelity_sample(40, seed=1):
-        spec = solve_generating_distribution(p)
-        mean, std = truncnorm_moments(spec)
+    points = _fidelity_sample(40, seed=1)
+    for p, mean, std in zip(points, *_moments_of(*solve_generating_distributions(points))):
         assert abs(mean - p.r) <= 1e-6
         assert abs(std - p.t / SQRT12) <= 1e-6
 
