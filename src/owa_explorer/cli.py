@@ -15,12 +15,14 @@ from .errors import ConfigError, DataError, NumericalError, OwaExplorerError
 from .grid import parse_ascii_grid
 from .pipeline import (
     analyze,
+    format_design_csv,
+    format_weights_csv,
     load_config,
     render_pgm,
     run_pipeline,
-    run_prep,
     synth_generate,
 )
+from .prep import run_prep
 from .strategy import DecisionPoint, generate_weights, sample_design
 
 
@@ -101,16 +103,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--m must be >= 1, got {args.m}")
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-            design = sample_design(args.m, args.seed)
-            print("index,r,t")
-            for i, p in enumerate(design.points):
-                print(f"{i},{p.r!r},{p.t!r}")
+            print(format_design_csv(sample_design(args.m, args.seed)), end="")
         elif args.command == "weights":
             if args.n < 2:
                 raise ConfigError(f"--n must be >= 2, got {args.n}")
             w = generate_weights(DecisionPoint(args.r, args.t), args.n)
-            print("index," + ",".join(f"w_{j + 1}" for j in range(args.n)))
-            print("0," + ",".join(repr(float(x)) for x in w.w))
+            print(format_weights_csv([w]), end="")
         elif args.command == "prep":
             manifest_path = run_prep(args.config, args.out)
             print(f"wrote criterion stack manifest {manifest_path}")

@@ -15,7 +15,7 @@ import re
 import shutil
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -173,7 +173,7 @@ def load_stack_manifest(path: str | Path):
 
     The weight column accepts either a number or a votes/total fraction
     like `7/13`. Every weight is parsed before any grid is read; if any is
-    not a finite number, DataError names the line and the token of each.
+    not a finite number > 0, DataError names the line and the token of each.
     Paths are relative to the manifest file. Returns the
     (name, raster) layers, their weights and the SHA-256 digests of the
     manifest and of each grid, keyed by path, taken from the very bytes
@@ -195,12 +195,12 @@ def load_stack_manifest(path: str | Path):
         if name == "name" and weight_s == "weight":
             continue  # header row
         weight = _parse_weight(weight_s)
-        if weight is None:
+        if weight is None or weight <= 0:
             bad.append(f"{path}:{lineno}: weight {weight_s!r}")
         rows.append((name, grid_path, weight))
     if bad:
         raise DataError(
-            "criterion weights must be finite numbers or votes/total fractions with a "
+            "criterion weights must be finite numbers > 0 or votes/total fractions with a "
             "nonzero total: " + "; ".join(bad)
         )
     if not rows:
@@ -307,15 +307,16 @@ def render_pgm(raster: Raster, out_path: str | Path) -> None:
 _DESIGN_HEADER = "index,r,t"
 
 
-def _write_design_csv(design: ExperimentalDesign, path: Path) -> None:
+def format_design_csv(design: ExperimentalDesign) -> str:
+    """The text of design.csv; `owa-explorer sample` prints it too."""
     lines = [_DESIGN_HEADER]
     for i, p in enumerate(design.points):
         lines.append(f"{i},{p.r!r},{p.t!r}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
-    """Parse the design `_write_design_csv` wrote; a wrong header, a row
+    """Parse the design `format_design_csv` wrote; a wrong header, a row
     that is not `index,r,t` with numbers, an index that is not the row's
     position (maps.bin records are matched to rows by position), or no
     rows at all raises DataError naming the file and the line."""
@@ -340,12 +341,13 @@ def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
     return ExperimentalDesign(points=tuple(points), seed=seed, m=len(points))
 
 
-def _write_weights_csv(weights, path: Path) -> None:
+def format_weights_csv(weights) -> str:
+    """The text of weights.csv; `owa-explorer weights` prints it too."""
     n = len(weights[0]) if weights else 0
     lines = ["index," + ",".join(f"w_{j + 1}" for j in range(n))]
     for i, w in enumerate(weights):
         lines.append(f"{i}," + ",".join(repr(float(x)) for x in w.w))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _write_curve_csv(curve, path: Path) -> None:
@@ -492,24 +494,17 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
         t0 = clock("sample")
         design = sample_design(config.m, config.seed)
-        _write_design_csv(design, out_dir / "design.csv")
+        (out_dir / "design.csv").write_text(format_design_csv(design))
         durations["sample"] = time.perf_counter() - t0
 
         t0 = clock("aggregate")
-        mask_meta = GridMeta(
-            ncols=stack.meta.ncols,
-            nrows=stack.meta.nrows,
-            xllcorner=stack.meta.xllcorner,
-            yllcorner=stack.meta.yllcorner,
-            cellsize=stack.meta.cellsize,
-            nodata_value=-9999.0,
-        )
+        mask_meta = replace(stack.meta, nodata_value=-9999.0)
         mask_raster = Raster(mask_meta, stack.valid_mask.astype(np.float64))
         (out_dir / "mask.asc").write_text(write_ascii_grid(mask_raster))
         store, all_weights = batch_compute(
             stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget
         )
-        _write_weights_csv(all_weights, out_dir / "weights.csv")
+        (out_dir / "weights.csv").write_text(format_weights_csv(all_weights))
         durations["aggregate"] = time.perf_counter() - t0
 
         t0 = clock("distances")
@@ -565,123 +560,6 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     )
     manifest.write(out_dir / "run_manifest.json")
     return manifest
-
-
-def run_prep(prep_config: str | Path, out_dir: str | Path | None = None) -> Path:
-    """Build criterion layers from a prep config (INI).
-
-    The [inputs] section names the land-cover grid, the capacity matrix CSV
-    and the votes CSV. Each [criterion:<name>] section either derives a
-    layer from a service (optionally through a modifier) or passes a ready
-    grid through unchanged:
-
-        [criterion:crops]
-        service = cultivated_crops
-        modifier = categorical:soil_quality   # builtin table, or "categorical" + table=
-        modifier_grid = soil.asc
-
-        [criterion:connectivity]
-        grid = connectivity.asc               # already normalized to [0, 1]
-
-    Writes one .asc per criterion plus a stack manifest whose weights come
-    from the votes CSV. Returns the manifest path.
-    """
-    import configparser
-
-    from .prep import (
-        CATEGORICAL_BUILTINS,
-        ModifierRule,
-        build_criterion,
-        criterion_weight_from_votes,
-        load_capacity_matrix,
-        load_expert_votes,
-    )
-
-    prep_config = Path(prep_config)
-    base = prep_config.parent
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep key case
-    parser.read_string(prep_config.read_text())
-    if "inputs" not in parser:
-        raise ConfigError(f"{prep_config}: missing [inputs] section")
-    inputs = parser["inputs"]
-    out = Path(out_dir) if out_dir is not None else base / inputs.get("out", "criteria")
-    out.mkdir(parents=True, exist_ok=True)
-
-    luc = None
-    matrix = None
-    if "luc" in inputs:
-        luc = parse_ascii_grid((base / inputs["luc"]).read_text())
-    if "capacity_matrix" in inputs:
-        matrix = load_capacity_matrix(
-            Path(base / inputs["capacity_matrix"]),
-            score_max=float(inputs.get("score_max", "5")),
-        )
-    votes = load_expert_votes(Path(base / inputs["votes"])) if "votes" in inputs else {}
-
-    manifest_lines = ["name,path,weight"]
-    for section in parser.sections():
-        if not section.startswith("criterion:"):
-            continue
-        name = section.split(":", 1)[1]
-        sec = parser[section]
-        if "grid" in sec:
-            raster = parse_ascii_grid((base / sec["grid"]).read_text())
-        else:
-            if luc is None or matrix is None:
-                raise ConfigError(
-                    f"criterion {name!r} derives from a service but [inputs] lacks luc/capacity_matrix"
-                )
-            service = sec.get("service", name)
-            modifier_kind = sec.get("modifier", "none").strip()
-            rule = None
-            modifier_raster = None
-            if modifier_kind not in ("", "none"):
-                if "modifier_grid" not in sec:
-                    raise ConfigError(f"criterion {name!r}: modifier set but no modifier_grid")
-                modifier_raster = parse_ascii_grid((base / sec["modifier_grid"]).read_text())
-                if modifier_kind.startswith("categorical"):
-                    if ":" in modifier_kind:
-                        builtin = modifier_kind.split(":", 1)[1]
-                        if builtin not in CATEGORICAL_BUILTINS:
-                            raise ConfigError(f"unknown builtin factor table {builtin!r}")
-                        table = CATEGORICAL_BUILTINS[builtin]
-                    elif "table" in sec:
-                        table = {}
-                        for item in sec["table"].split(","):
-                            code, factor = item.split(":")
-                            table[int(code)] = float(factor)
-                    else:
-                        raise ConfigError(f"criterion {name!r}: categorical modifier needs a table")
-                    rule = ModifierRule(kind="categorical", table=table)
-                elif modifier_kind == "continuous_98":
-                    rule = ModifierRule(kind="continuous_98")
-                elif modifier_kind == "piecewise_distance":
-                    rule = ModifierRule(
-                        kind="piecewise_distance",
-                        d1=float(sec.get("d1", "300")),
-                        d2=float(sec.get("d2", "1000")),
-                        floor=float(sec.get("floor", "0.5")),
-                    )
-                else:
-                    raise ConfigError(f"unknown modifier kind {modifier_kind!r}")
-            raster = build_criterion(luc, matrix, service, rule, modifier_raster)
-        (out / f"{name}.asc").write_text(write_ascii_grid(raster))
-
-        if "weight" in sec:
-            weight = float(sec["weight"])
-        else:
-            vote_key = sec.get("service", name)
-            if vote_key not in votes and name in votes:
-                vote_key = name
-            if vote_key not in votes:
-                raise ConfigError(f"criterion {name!r}: no weight and no votes entry")
-            weight = criterion_weight_from_votes(votes[vote_key])
-        manifest_lines.append(f"{name},{name}.asc,{weight!r}")
-
-    manifest_path = out / "stack_manifest.csv"
-    manifest_path.write_text("\n".join(manifest_lines) + "\n")
-    return manifest_path
 
 
 def _read_run_config(run_dir: Path) -> tuple[int, int]:

@@ -121,10 +121,6 @@ def feasible(p: DecisionPoint) -> bool:
     return p.t <= 4.0 * p.r * (1.0 - p.r) + FEAS_EPS
 
 
-def _ndtr(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def _log_ndtr_c(x: float) -> float:
     """log P(N(0,1) > x), valid for any x, asymptotic beyond erfc range."""
     if x < 36.0:
@@ -392,10 +388,8 @@ def _bin_masses(spec: TruncatedNormalSpec, n: int) -> np.ndarray:
         lo, hi = xi[j], xi[j + 1]
         if lo >= 0.0:
             masses[j] = 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
-        elif hi <= 0.0:
+        else:  # lower tail; exact for a bin straddling 0 too (halving is exact)
             masses[j] = 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
-        else:
-            masses[j] = _ndtr(hi) - _ndtr(lo)
     total = masses.sum()
     if total > 0.0 and math.isfinite(total):
         return masses

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
-from owa_explorer import cluster, pipeline, strategy
-from owa_explorer.errors import Unconverged
+from owa_explorer import cluster, pipeline, prep, strategy
+from owa_explorer.errors import NegativeDistance, Unconverged
 
 
 def quad_truncnorm_moments(mu: float, sigma: float) -> tuple[float, float]:
@@ -199,6 +199,20 @@ def write_ascii_grid_per_cell(raster) -> str:
     for row in raster.grid:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def road_distance_factor(
+    d: float, d1: float = prep.ROAD_NEAR_M, d2: float = prep.ROAD_FAR_M, floor: float = prep.ROAD_FLOOR
+) -> float:
+    """Accessibility ramp for one distance: 1 within d1 of a road, down to
+    `floor` at d2; the scalar reference for apply_modifier's ramp."""
+    if d < 0:
+        raise NegativeDistance(f"distance {d} is negative")
+    if d <= d1:
+        return 1.0
+    if d >= d2:
+        return floor
+    return 1.0 - (1.0 - floor) * (d - d1) / (d2 - d1)
 
 
 def verify_manifest(out_dir) -> bool:

@@ -28,9 +28,9 @@ from owa_explorer.pipeline import (
     load_stack_manifest,
     render_pgm,
     run_pipeline,
-    run_prep,
     synth_generate,
 )
+from owa_explorer.prep import run_prep
 
 DATA_OUTPUTS = [
     "design.csv", "weights.csv", "mask.asc", "maps.bin", "merge_tree.csv",
@@ -132,20 +132,38 @@ def test_load_config_rejects_explicit_zero(tmp_path, key):
         load_config(tmp_path / "run.cfg", overrides={key: 0})
 
 
-@pytest.mark.parametrize("token", ["abc", "7/0", "inf"])
-def test_cli_run_rejects_bad_criterion_weight(tmp_path, capsys, token):
+@pytest.mark.parametrize(
+    "first, second",
+    [("abc", "abc"), ("7/0", "7/0"), ("inf", "inf"), ("-1", "0")],
+    ids=["abc", "7/0", "inf", "-1,0"],
+)
+def test_cli_run_rejects_bad_criterion_weight(tmp_path, capsys, first, second):
     # every bad weight is named by line before any grid is read
     manifest = synth_generate(16, 12, 3, seed=9, out_dir=tmp_path / "stack").resolve()
     lines = manifest.read_text().splitlines()
-    for i in (1, 3):
+    for i, token in ((1, first), (3, second)):
         lines[i] = lines[i].rsplit(",", 1)[0] + "," + token
     manifest.write_text("\n".join(lines) + "\n")
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"stack_manifest = {manifest}\nm = 4\nk_max = 2\nout = out\n")
     assert main(["run", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
-    assert f"{manifest}:2: weight {token!r}; {manifest}:4: weight {token!r}" in err
+    assert f"{manifest}:2: weight {first!r}; {manifest}:4: weight {second!r}" in err
     assert not list(tmp_path.rglob("maps.bin"))
+
+
+def test_pipeline_import_leaves_prep_unloaded():
+    # perfbench's set-up imports owa_explorer.pipeline; prep and the
+    # INI and CSV parsers it needs stay off that path
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = (
+        "import sys, owa_explorer.pipeline; "
+        "print(sorted({'configparser', 'csv', 'owa_explorer.prep'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_run_rejects_zero_workers(tmp_path, capsys):
