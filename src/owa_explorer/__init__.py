@@ -23,8 +23,6 @@ from .strategy import (  # noqa: F401
     DecisionPoint,
     ExperimentalDesign,
     OrderWeights,
-    TruncatedNormalSpec,
-    discretize,
     feasible,
     generate_weights,
     generate_weights_batch,

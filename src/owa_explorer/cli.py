@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.n < 2:
                 raise ConfigError(f"--n must be >= 2, got {args.n}")
             w = generate_weights(DecisionPoint(args.r, args.t), args.n)
-            print(format_weights_csv([w]), end="")
+            print(format_weights_csv(w.w[None, :]), end="")
         elif args.command == "prep":
             manifest_path = run_prep(args.config, args.out)
             print(f"wrote criterion stack manifest {manifest_path}")

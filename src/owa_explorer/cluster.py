@@ -306,8 +306,6 @@ def cluster_summaries(
     infos = []
     for c in range(k):
         members = tuple(int(i) for i in np.nonzero(labels == c + 1)[0])
-        if not members:
-            raise EmptyCluster(f"cluster {c + 1} has no members")
         rs = [design.points[i].r for i in members]
         ts = [design.points[i].t for i in members]
         mean_vals = np.full(meta.size, meta.nodata_value)

@@ -89,10 +89,6 @@ class InfeasibleStrategy(DataError):
     """(risk, trade-off) point lies outside the parabolic strategy space."""
 
 
-class DegenerateSigma(NumericalError):
-    """Scale parameter outside (0, SIGMA_MAX]."""
-
-
 class NoSolution(NumericalError):
     """No generating distribution matches the requested moments.
 

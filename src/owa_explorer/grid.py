@@ -92,9 +92,6 @@ class Raster:
         """Values as a (nrows, ncols) view, row 0 northernmost."""
         return self.values.reshape(self.meta.nrows, self.meta.ncols)
 
-    def with_values(self, values: np.ndarray) -> "Raster":
-        return Raster(self.meta, values)
-
 
 def parse_ascii_grid(text: str | bytes) -> Raster:
     """Parse an ESRI ASCII grid.

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InfeasibleStrategy, LengthMismatch, NoSolution
 from .grid import CriterionStack
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, rows_per_block
-from .strategy import ExperimentalDesign, OrderWeights, generate_weights_batch
+from .strategy import ExperimentalDesign, generate_weights_batch
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
 from .strategy import generate_weights  # noqa: F401
@@ -66,8 +66,9 @@ def batch_compute(
     n: int,
     store_path: str | Path,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> tuple[MapStore, list[OrderWeights]]:
-    """Compute and persist one map per design point, in design order.
+) -> tuple[MapStore, np.ndarray]:
+    """Compute and persist one map per design point, in design order;
+    returns the store and the (m, n) order weights, one row per map.
 
     Every design point is solved first, in one array pass. If any has no
     order weights, the error of the smallest failing index is raised, naming
@@ -78,19 +79,17 @@ def batch_compute(
     """
     if n != stack.n:
         raise LengthMismatch(f"design expects {n} criteria, stack has {stack.n}")
-    weights = generate_weights_batch(design.points, n)
-    failures = [(i, w) for i, w in enumerate(weights) if isinstance(w, Exception)]
+    W, failures = generate_weights_batch(design.points, n)
     if failures:
-        i, exc = failures[0]
+        i, exc = next(iter(failures.items()))
         p = design.points[i]
-        every = ", ".join(str(j) for j, _ in failures)
+        every = ", ".join(map(str, failures))
         msg = f"design point {i} (r={p.r}, t={p.t}): {exc}; failing design indices: {every}"
         if isinstance(exc, NoSolution):
             raise NoSolution(msg, design_index=i) from exc
         raise InfeasibleStrategy(msg) from exc
 
     cache = rank_pixels(stack)
-    W = np.array([w.w for w in weights])
     m, pixel_count = W.shape[0], cache.z_sorted.shape[0]
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
     try:
@@ -98,6 +97,9 @@ def batch_compute(
         for a0 in range(0, m, bs):
             for i, row in enumerate(_map_values(cache, W[a0 : a0 + bs]), start=a0):
                 store.write_row(i, row)
+            # row views the block; the budget covers only the next block
+            # and its temporary, so this one must be gone before them
+            del row
     finally:
         store.close()
-    return MapStore.open(store_path), weights
+    return MapStore.open(store_path), W

@@ -341,12 +341,12 @@ def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
     return ExperimentalDesign(points=tuple(points), seed=seed, m=len(points))
 
 
-def format_weights_csv(weights) -> str:
-    """The text of weights.csv; `owa-explorer weights` prints it too."""
-    n = len(weights[0]) if weights else 0
-    lines = ["index," + ",".join(f"w_{j + 1}" for j in range(n))]
-    for i, w in enumerate(weights):
-        lines.append(f"{i}," + ",".join(repr(float(x)) for x in w.w))
+def format_weights_csv(W: np.ndarray) -> str:
+    """The text of weights.csv, one row per row of the (m, n) order weights
+    W; `owa-explorer weights` prints it too."""
+    lines = ["index," + ",".join(f"w_{j + 1}" for j in range(W.shape[1]))]
+    for i, w in enumerate(W.tolist()):
+        lines.append(f"{i}," + ",".join(map(repr, w)))
     return "\n".join(lines) + "\n"
 
 
@@ -501,10 +501,10 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         mask_meta = replace(stack.meta, nodata_value=-9999.0)
         mask_raster = Raster(mask_meta, stack.valid_mask.astype(np.float64))
         (out_dir / "mask.asc").write_text(write_ascii_grid(mask_raster))
-        store, all_weights = batch_compute(
+        store, W = batch_compute(
             stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget
         )
-        (out_dir / "weights.csv").write_text(format_weights_csv(all_weights))
+        (out_dir / "weights.csv").write_text(format_weights_csv(W))
         durations["aggregate"] = time.perf_counter() - t0
 
         t0 = clock("distances")
@@ -562,27 +562,28 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     return manifest
 
 
-def _read_run_config(run_dir: Path) -> tuple[int, int]:
-    """The design seed and k_max a finished run recorded in its manifest."""
+def _read_run_config(run_dir: Path) -> tuple[int, int, int]:
+    """The design seed, k_max and memory budget in bytes that a finished
+    run recorded in its manifest."""
     path = run_dir / "run_manifest.json"
     try:
         config = RunManifest.read(path).config
-        return int(config["seed"]), int(config["k_max"])
+        seed, k_max, budget_mib = (int(config[key]) for key in ("seed", "k_max", "memory_budget_mib"))
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise DataError(f"{path}: cannot read the run's seed and k_max: {exc!r}") from None
+        raise DataError(f"{path}: cannot read the run's seed, k_max and memory budget: {exc!r}") from None
+    return seed, k_max, budget_mib * 1024 * 1024
 
 
 def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None,
-            memory_budget: int = DEFAULT_MEMORY_BUDGET_MIB * 1024 * 1024,
             k_max: int | None = None, workers: int = 1) -> None:
     """Re-cut a finished run's Ward tree with a new k, without recomputing
     maps, distances or the linkage.
 
     Reads merge_tree.csv, design.csv, mask.asc, maps.bin and
     run_manifest.json from run_dir and checks them all before writing any
-    output. The design seed and k_max (the curve's range) come from the
-    run's manifest; an explicit k_max overrides the latter. `workers` is
-    deprecated and has no effect.
+    output. The design seed, k_max (the curve's range) and memory budget
+    come from the run's manifest; an explicit k_max overrides the run's.
+    `workers` is deprecated and has no effect.
     """
     if workers != 1:
         warnings.warn(
@@ -593,7 +594,7 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None,
         )
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else run_dir
-    seed, run_k_max = _read_run_config(run_dir)
+    seed, run_k_max, memory_budget = _read_run_config(run_dir)
     store = MapStore.open(run_dir / "maps.bin")
     design = _read_design_csv(run_dir / "design.csv", seed)
     if design.m != store.m:

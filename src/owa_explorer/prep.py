@@ -343,6 +343,11 @@ def _read_prep_config(path: Path) -> tuple[dict[str, str], list[tuple]]:
                     bad(section, key, "must be > 0")
         if section == "inputs":
             continue
+        if name != name.strip() or any(c in name for c in ",#/"):
+            errors.append(
+                f"[{section}]: a criterion name may not hold ',', '#' or '/', nor start or end with "
+                "whitespace: it names a file and a row of the stack manifest"
+            )
         modifier = keys.get("modifier", "none")
         builtin = modifier.removeprefix("categorical:") if modifier.startswith("categorical:") else ""
         kind = "categorical" if builtin else modifier
@@ -386,7 +391,9 @@ def _read_prep_config(path: Path) -> tuple[dict[str, str], list[tuple]]:
 
 def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[str, Raster, float]]:
     """(name, layer, weight) of each checked criterion, built in memory;
-    unknown services and missing votes are named in one DataError."""
+    unknown services, missing votes and ready grids whose frame differs
+    from luc (or, without luc, from the first ready grid) are named in one
+    DataError."""
     luc = parse_ascii_grid((base / inputs["luc"]).read_text()) if "luc" in inputs else None
     matrix = None
     if "capacity_matrix" in inputs:
@@ -395,6 +402,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
     votes = load_expert_votes(base / inputs["votes"]) if "votes" in inputs else {}
 
     layers, problems = [], []
+    frame = (luc.meta, inputs["luc"]) if luc is not None else None
     for name, keys, rule in criteria:
         service = keys.get("service", name)
         weight = float(keys["weight"]) if "weight" in keys else None
@@ -407,7 +415,12 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
             except ZeroWeight as exc:
                 problems.append(f"[criterion:{name}]: {exc}")
         if "grid" in keys:
-            layers.append((name, parse_ascii_grid((base / keys["grid"]).read_text()), weight))
+            grid = parse_ascii_grid((base / keys["grid"]).read_text())
+            if frame is None:
+                frame = (grid.meta, keys["grid"])
+            elif not grid.meta.aligned_with(frame[0]):
+                problems.append(f"[criterion:{name}]: grid {keys['grid']} is not aligned with {frame[1]}")
+            layers.append((name, grid, weight))
         elif service not in matrix.services:
             problems.append(f"[criterion:{name}]: service {service!r} not in {inputs['capacity_matrix']}")
         else:

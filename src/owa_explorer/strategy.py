@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSigma,
-    InfeasibleStrategy,
-    NoSolution,
-    OutOfUnitSquare,
-    Unconverged,
-)
+from .errors import InfeasibleStrategy, NoSolution, OutOfUnitSquare, Unconverged
 
 SIGMA_MIN = 1e-6
 SIGMA_MAX = 1e3
@@ -61,24 +55,11 @@ class DecisionPoint:
 
 
 @dataclass(frozen=True)
-class TruncatedNormalSpec:
-    """Parent normal location/scale for a distribution truncated to [0, 1]."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma <= SIGMA_MAX):
-            raise DegenerateSigma(f"sigma must be in (0, {SIGMA_MAX:g}], got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class OrderWeights:
     """Non-negative order weights summing to 1; first weight applies to the
     smallest criterion value at a pixel."""
 
     w: np.ndarray
-    provenance: DecisionPoint | None = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.w, dtype=np.float64).reshape(-1)
@@ -90,9 +71,6 @@ class OrderWeights:
             raise ValueError(f"order weights sum to {w.sum()!r}, expected 1")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-
-    def __len__(self) -> int:
-        return self.w.size
 
 
 @dataclass(frozen=True)
@@ -339,126 +317,99 @@ def _solve_sigma(
     return mu, sigma, mean, std
 
 
-def solve_generating_distributions(
-    points, max_iter: int = 200
-) -> list[TruncatedNormalSpec | NoSolution | InfeasibleStrategy]:
-    """Find (mu, sigma) whose truncated moments are (r, t/sqrt(12)), for
-    every point in one array pass (see `_solve_sigma`).
-
-    A point that needs no moment matching (infeasible, r not in (0, 1), or
-    t <= 0) gets an InfeasibleStrategy in place of its parameters; one where
-    no parameters inside the search box meet both targets within 1e-6 gets
-    a NoSolution. No result is clamped silently.
-    """
-    out: list = [None] * len(points)
-    solve = []
-    for i, p in enumerate(points):
-        if not feasible(p):
-            out[i] = InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
-        elif not (0.0 < p.r < 1.0) or p.t <= 0.0:
-            out[i] = InfeasibleStrategy(
-                f"moment matching needs 0 < r < 1 and t > 0, got ({p.r}, {p.t})"
-            )
-        else:
-            solve.append(i)
-    if not solve:
-        return out
-    r = np.array([points[i].r for i in solve])
-    t = np.array([points[i].t for i in solve])
-    mu, sigma, mean, std = _solve_sigma(r, t, max_iter)
-    target = t / SQRT12
-    for k, i in enumerate(solve):
-        if abs(mean[k] - r[k]) > MOMENT_TOL or abs(std[k] - target[k]) > MOMENT_TOL:
-            p = points[i]
-            out[i] = NoSolution(
-                f"(r, t) = ({p.r}, {p.t}): best match has mean {mean[k]:.8f} (target {p.r}), "
-                f"std {std[k]:.8f} (target {target[k]:.8f})"
-            )
-        else:
-            out[i] = TruncatedNormalSpec(float(mu[k]), float(sigma[k]))
-    return out
+# numpy's SIMD log and exp may differ from libm's in the last bit; these
+# keep the scalar functions, value for value
+_log_ndtr_c_array = np.frompyfunc(_log_ndtr_c, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
+_expm1 = np.frompyfunc(math.expm1, 1, 1)
 
 
-def _bin_masses(spec: TruncatedNormalSpec, n: int) -> np.ndarray:
-    """Unnormalized probability masses of the n equal bins of [0, 1]."""
-    mu, sigma = spec.mu, spec.sigma
-    xi = [((j / n) - mu) / sigma for j in range(n + 1)]
-    masses = np.empty(n)
-    for j in range(n):
-        lo, hi = xi[j], xi[j + 1]
-        if lo >= 0.0:
-            masses[j] = 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
-        else:  # lower tail; exact for a bin straddling 0 too (halving is exact)
-            masses[j] = 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
-    total = masses.sum()
-    if total > 0.0 and math.isfinite(total):
-        return masses
-    # whole support sits in one far tail of the parent: work with log tail
-    # probabilities relative to the heaviest bin boundary
-    if mu > 0.5:  # mass hugs 1: mirror, reuse the left-tail path
-        ls = [_log_ndtr_c(-x) for x in xi]  # log P(parent < boundary)
-        ref = ls[n]
-        for j in range(n):
-            masses[j] = math.exp(ls[j + 1] - ref) * -math.expm1(ls[j] - ls[j + 1])
-    else:
-        ls = [_log_ndtr_c(x) for x in xi]  # log P(parent > boundary)
-        ref = ls[0]
-        for j in range(n):
-            masses[j] = math.exp(ls[j] - ref) * -math.expm1(ls[j + 1] - ls[j])
+def _bin_masses(mu: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized probability masses of the n equal bins of [0, 1], one
+    row per element of the 1-D arrays mu and sigma."""
+    xi = (np.arange(n + 1) / n - mu[:, None]) / sigma[:, None]
+    lo, hi = xi[:, :-1], xi[:, 1:]
+    # each bin from the tail it lies in; a bin straddling 0 takes the lower
+    # tail (halving is exact either way)
+    upper = lo >= 0.0
+    near, far = np.where(upper, lo, -hi), np.where(upper, hi, -lo)
+    masses = 0.5 * (_erfc(near / _SQRT2).astype(np.float64) - _erfc(far / _SQRT2).astype(np.float64))
+    tail = masses.sum(axis=1) == 0.0
+    if tail.any():
+        # the whole support sits in one far tail of the parent: log tail
+        # probabilities relative to the heaviest bin boundary; a parent
+        # above 0.5 is mirrored, so its mass hugs 1 and the reference is the
+        # last boundary
+        mirror = (mu[tail] > 0.5)[:, None]
+        ls = _log_ndtr_c_array(np.where(mirror, -xi[tail], xi[tail])).astype(np.float64)
+        heavy = np.where(mirror, ls[:, 1:], ls[:, :-1])
+        light = np.where(mirror, ls[:, :-1], ls[:, 1:])
+        ref = np.where(mirror[:, 0], ls[:, -1], ls[:, 0])[:, None]
+        masses[tail] = _exp(heavy - ref).astype(np.float64) * -_expm1(light - heavy).astype(np.float64)
     return masses
 
 
-def discretize(spec: TruncatedNormalSpec, n: int, provenance: DecisionPoint | None = None) -> OrderWeights:
-    """Order weights as truncated-CDF increments over n equal bins."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 bins, got {n}")
-    masses = _bin_masses(spec, n)
-    return OrderWeights(masses / masses.sum(), provenance=provenance)
+def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NoSolution | InfeasibleStrategy]]:
+    """Order weights for every point, as the rows of one (len(points), n)
+    array, and the error of each point that has none, keyed by its index in
+    points and in ascending order; such a point's row holds nan.
 
-
-def _direct_weights(p: DecisionPoint, n: int) -> OrderWeights | None:
-    """Weights of the points that need no moment matching, else None.
-
-    The three corner strategies are exact: (0, 0) puts all weight on the
-    worst criterion, (1, 0) on the best, and (0.5, 1) is exactly uniform
-    (order weights cancel there, so any deviation would be noise). Other
-    zero-trade-off points get a unit mass on the bin containing r.
+    A point outside the unit square raises OutOfUnitSquare. A point above
+    the parabola gets an InfeasibleStrategy. The zero-trade-off points and
+    the vertex need no moment matching: (0, 0) puts all weight on the worst
+    criterion, (1, 0) on the best, and (0.5, 1) is exactly uniform (order
+    weights cancel there, so any deviation would be noise); other points
+    with t <= T_DEGENERATE get a unit mass on the bin containing r. The
+    rest are solved in one array pass (see `_solve_sigma`); a point whose
+    solved moments miss (r, t/sqrt(12)) by more than MOMENT_TOL gets a
+    NoSolution. No result is clamped silently.
     """
-    w = np.zeros(n)
-    if p.r == 0.0:
-        w[0] = 1.0
-    elif p.r == 1.0:
-        w[-1] = 1.0
-    elif p.r == 0.5 and p.t == 1.0:
-        w[:] = 1.0 / n
-    elif p.t <= T_DEGENERATE:
-        w[min(int(p.r * n) + 1, n) - 1] = 1.0
-    else:
-        return None
-    return OrderWeights(w, provenance=p)
-
-
-def generate_weights_batch(points, n: int) -> list[OrderWeights | NoSolution | InfeasibleStrategy]:
-    """Order weights for every point, with one array solve for all that need
-    moment matching (see `_direct_weights` for the rest). A point that has
-    no weights gets its NoSolution or InfeasibleStrategy in their place."""
     if n < 2:
         raise ValueError(f"need n >= 2 weights, got {n}")
-    out: list = [_direct_weights(p, n) if feasible(p) else None for p in points]
-    solve = [i for i, w in enumerate(out) if w is None]
-    specs = solve_generating_distributions([points[i] for i in solve])
-    for i, spec in zip(solve, specs):
-        out[i] = spec if isinstance(spec, Exception) else discretize(spec, n, provenance=points[i])
-    return out
+    r = np.array([p.r for p in points], dtype=np.float64)
+    t = np.array([p.t for p in points], dtype=np.float64)
+    outside = ~((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0))
+    if outside.any():
+        p = points[int(np.argmax(outside))]
+        raise OutOfUnitSquare(f"(r, t) = ({p.r}, {p.t}) outside the unit square")
+    W = np.full((len(points), n), np.nan)
+    failures = {}
+    under = t <= 4.0 * r * (1.0 - r) + FEAS_EPS
+    for i in np.flatnonzero(~under):
+        p = points[i]
+        failures[int(i)] = InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
+
+    # a feasible point with r = 0 or r = 1 has t <= FEAS_EPS, so the
+    # corners take the unit-mass rule too
+    flat = np.flatnonzero(under & (t <= T_DEGENERATE))
+    W[flat] = 0.0
+    W[flat, np.minimum((r[flat] * n).astype(np.int64), n - 1)] = 1.0
+    vertex = (r == 0.5) & (t == 1.0)
+    W[vertex] = 1.0 / n
+
+    solve = np.flatnonzero(under & (t > T_DEGENERATE) & ~vertex)
+    if solve.size:
+        mu, sigma, mean, std = _solve_sigma(r[solve], t[solve])
+        target = t[solve] / SQRT12
+        missed = (np.abs(mean - r[solve]) > MOMENT_TOL) | (np.abs(std - target) > MOMENT_TOL)
+        for k in np.flatnonzero(missed):
+            p = points[solve[k]]
+            failures[int(solve[k])] = NoSolution(
+                f"(r, t) = ({p.r}, {p.t}): best match has mean {mean[k]:.8f} (target {p.r}), "
+                f"std {std[k]:.8f} (target {target[k]:.8f})"
+            )
+        masses = _bin_masses(mu[~missed], sigma[~missed], n)
+        W[solve[~missed]] = masses / masses.sum(axis=1, keepdims=True)
+    return W, dict(sorted(failures.items()))
 
 
 def generate_weights(p: DecisionPoint, n: int) -> OrderWeights:
     """Order weights for a feasible (risk, trade-off) point: the batch of one
     of `generate_weights_batch`, raising its error."""
-    w = generate_weights_batch([p], n)[0]
-    if isinstance(w, Exception):
-        raise w
-    return w
+    W, failures = generate_weights_batch([p], n)
+    if failures:
+        raise failures[0]
+    return OrderWeights(W[0])
 
 
 def sample_design(m: int, seed: int) -> ExperimentalDesign:

@@ -167,12 +167,12 @@ def merge_tree_members(tree) -> list[tuple[frozenset, frozenset, float]]:
     return out
 
 
-def empirical_risk(weights) -> float:
-    """Mass-weighted mean of the bin midpoints of an OrderWeights; the
-    discretized estimate of its risk r."""
-    n = len(weights)
+def empirical_risk(w: np.ndarray) -> float:
+    """Mass-weighted mean of the bin midpoints of an order-weight vector;
+    the discretized estimate of its risk r."""
+    n = len(w)
     mids = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return float(weights.w @ mids)
+    return float(w @ mids)
 
 
 def owa_map_per_map(z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -388,3 +388,42 @@ def solve_bisect(r: np.ndarray, t: np.ndarray, max_iter: int = 200):
     mu = solve_mu_bisect(sigma, r, max_iter)
     mean, std = strategy._moments(mu, sigma)
     return mu, sigma, mean, std
+
+
+def bin_masses_scalar(mu: float, sigma: float, n: int) -> np.ndarray:
+    """Unnormalized masses of the n equal bins of [0, 1] for one (mu, sigma),
+    bin by bin with math.erfc, and through log tail probabilities when every
+    mass underflows: the reference for the array `strategy._bin_masses`,
+    which must equal it bit for bit."""
+    xi = [((j / n) - mu) / sigma for j in range(n + 1)]
+    masses = np.empty(n)
+    for j in range(n):
+        lo, hi = xi[j], xi[j + 1]
+        if lo >= 0.0:
+            masses[j] = 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
+        else:  # lower tail; exact for a bin straddling 0 too (halving is exact)
+            masses[j] = 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
+    total = masses.sum()
+    if total > 0.0 and math.isfinite(total):
+        return masses
+    # whole support sits in one far tail of the parent: work with log tail
+    # probabilities relative to the heaviest bin boundary
+    if mu > 0.5:  # mass hugs 1: mirror, reuse the left-tail path
+        ls = [strategy._log_ndtr_c(-x) for x in xi]  # log P(parent < boundary)
+        ref = ls[n]
+        for j in range(n):
+            masses[j] = math.exp(ls[j + 1] - ref) * -math.expm1(ls[j] - ls[j + 1])
+    else:
+        ls = [strategy._log_ndtr_c(x) for x in xi]  # log P(parent > boundary)
+        ref = ls[0]
+        for j in range(n):
+            masses[j] = math.exp(ls[j] - ref) * -math.expm1(ls[j + 1] - ls[j])
+    return masses
+
+
+def discretize_scalar(mu: float, sigma: float, n: int) -> np.ndarray:
+    """Order weights of one (mu, sigma) as `bin_masses_scalar` over their
+    sum, as the solve turned each parameter pair into weights before it
+    took arrays."""
+    masses = bin_masses_scalar(mu, sigma, n)
+    return masses / masses.sum()

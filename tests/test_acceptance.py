@@ -41,10 +41,9 @@ from owa_explorer.strategy import (
     SQRT12,
     DecisionPoint,
     ExperimentalDesign,
-    discretize,
     generate_weights,
+    generate_weights_batch,
     sample_design,
-    solve_generating_distributions,
 )
 
 FIDELITY_SEED = 1
@@ -86,15 +85,16 @@ def test_criterion_2_moment_fidelity():
 
         t0 = time.perf_counter()
         n = 10
-        specs = solve_generating_distributions(points)
-        means, stds = strategy._moments(np.array([s.mu for s in specs]), np.array([s.sigma for s in specs]))
-        for p, spec, mean, std in zip(points, specs, means, stds):
+        mu, sigma, _, _ = strategy._solve_sigma(np.array([p.r for p in points]), np.array([p.t for p in points]))
+        means, stds = strategy._moments(mu, sigma)
+        W, failures = generate_weights_batch(points, n)
+        assert failures == {}
+        for p, m, s, mean, std, w in zip(points, mu, sigma, means, stds, W):
             assert abs(mean - p.r) <= 1e-6
             assert abs(std - p.t / SQRT12) <= 1e-6
-            qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
+            qmean, qstd = quad_truncnorm_moments(m, s)
             assert abs(qmean - p.r) <= 1e-6
             assert abs(qstd - p.t / SQRT12) <= 1e-6
-            w = discretize(spec, n, provenance=p)
             assert abs(empirical_risk(w) - p.r) <= 1.0 / (2 * n) + 1e-6
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"took {elapsed:.1f}s"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from _oracles import owa_map_per_map
 import owa_explorer
 from owa_explorer.errors import DataError, LengthMismatch, NoSolution
 from owa_explorer.grid import GridMeta, Raster, build_stack
-from owa_explorer.mapstore import MapStore, mask_digest
+from owa_explorer.mapstore import MapStore, mask_digest, rows_per_block
 from owa_explorer.owa import _map_values, batch_compute, rank_pixels
 from owa_explorer.strategy import (
     DecisionPoint,
@@ -158,13 +159,13 @@ def test_batch_corner_reductions(tmp_path, meta_2x1):
     a = Raster(meta_2x1, np.array([0.2, 0.9]))
     b = Raster(meta_2x1, np.array([0.8, 0.1]))
     stack = build_stack([("a", a), ("b", b)], [0.75, 0.25])
-    store, weights = batch_compute(stack, _corner_design(), 2, tmp_path / "maps.bin")
+    store, W = batch_compute(stack, _corner_design(), 2, tmp_path / "maps.bin")
     assert store.m == 3
     np.testing.assert_allclose(store.rows(0, 1)[0], [0.2, 0.1], atol=1e-15)  # min
     np.testing.assert_allclose(store.rows(1, 2)[0], [0.8, 0.9], atol=1e-15)  # max
     wlc = 0.75 * np.array([0.2, 0.9]) + 0.25 * np.array([0.8, 0.1])
     np.testing.assert_allclose(store.rows(2, 3)[0], wlc, atol=1e-12)
-    assert [w.provenance for w in weights] == list(_corner_design().points)
+    assert W.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
 
 
 def test_batch_values_in_range(tmp_path, small_stack):
@@ -212,6 +213,25 @@ def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, syn
         assert out.read_bytes() == expected, f"OPENBLAS_NUM_THREADS={threads}"
 
 
+def test_batch_peak_memory_within_budget(tmp_path):
+    # three blocks of 32 maps: the budget covers the block being computed
+    # and its temporary, so no earlier block may still be alive; the rest
+    # of the peak is the sorted values and weights and their product
+    meta = GridMeta(ncols=128, nrows=128, xllcorner=0, yllcorner=0, cellsize=1)
+    rng = np.random.default_rng(5)
+    stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(2)], [0.5, 0.5])
+    design = ExperimentalDesign(points=_corner_design().points * 32, seed=0, m=96)
+    budget = 8 << 20
+    assert rows_per_block(96, meta.size, budget) == 32
+    tracemalloc.start()
+    try:
+        batch_compute(stack, design, 2, tmp_path / "maps.bin", memory_budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + 3 * meta.size * 2 * 8, peak / budget
+
+
 def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):
     _, stack = synth_stack
     out, cfg, _ = pipeline_run
@@ -238,15 +258,13 @@ def test_batch_weights_do_not_depend_on_the_batch(synth_stack, pipeline_run):
         assert np.array_equal(generate_weights(p, stack.n).w, w), p
 
     points = sample_design(300, 12).points  # some lie beyond the frontier
-    alone = generate_weights_batch(points, 10)
+    W, failures = generate_weights_batch(points, 10)
     order = np.random.default_rng(3).permutation(len(points))
-    permuted = generate_weights_batch([points[i] for i in order], 10)
-    assert any(isinstance(w, NoSolution) for w in alone)
-    for i, w in zip(order, permuted):
-        if isinstance(alone[i], NoSolution):
-            assert isinstance(w, NoSolution) and str(w) == str(alone[i])
-        else:
-            assert np.array_equal(w.w, alone[i].w), points[i]
+    W_permuted, failures_permuted = generate_weights_batch([points[i] for i in order], 10)
+    assert failures and all(isinstance(e, NoSolution) for e in failures.values())
+    assert {int(order[k]): str(e) for k, e in failures_permuted.items()} == {i: str(e) for i, e in failures.items()}
+    assert all(isinstance(e, NoSolution) for e in failures_permuted.values())
+    assert np.array_equal(W_permuted, W[order], equal_nan=True)
 
 
 def test_batch_reports_design_index(tmp_path, small_stack):

@@ -327,7 +327,7 @@ def test_run_manifest_verifies(completed_run):
     assert manifest.config["m"] == 14
 
 
-def test_run_manifest_records_metrics(completed_run, tmp_path):
+def test_run_manifest_records_metrics(completed_run, tmp_path, monkeypatch):
     # the recompute count rides in the manifest alone: a rerun into another
     # directory with another memory budget writes the same count and every
     # other output byte for byte
@@ -343,12 +343,15 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     for name in names:
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
     # a manifest written before the metrics existed still reads, and
-    # analyze still takes the run's seed and k_max from it
+    # analyze still takes the run's seed, k_max and memory budget from it
     old = json.loads((again / "run_manifest.json").read_text())
     del old["metrics"]
     (again / "run_manifest.json").write_text(json.dumps(old))
     assert RunManifest.read(again / "run_manifest.json").metrics == {}
+    budgets, summaries = [], pipeline.cluster_summaries
+    monkeypatch.setattr(pipeline, "cluster_summaries", lambda *args: budgets.append(args[-1]) or summaries(*args))
     analyze(again, k=2, out_dir=tmp_path / "re")
+    assert budgets == [1 << 20]
     assert (tmp_path / "re" / "variance_curve.csv").read_bytes() == (out / "variance_curve.csv").read_bytes()
 
 

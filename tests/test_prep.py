@@ -355,6 +355,17 @@ _MALFORMED_PREP = {
     "unknown_service": (
         [("prep.cfg", "service = fun\n", "service = nofun\n")], 3, ["[criterion:fun]", "'nofun'"],
     ),
+    "name_separator": (
+        [("prep.cfg", "[criterion:fun]", "[criterion:fun,x]"), ("prep.cfg", "[criterion:ready]", "[criterion:re#ady]")],
+        2, ["[criterion:fun,x]", "[criterion:re#ady]"],
+    ),
+    "name_path": (
+        [("prep.cfg", "[criterion:crops]", "[criterion:cr/ops]"), ("prep.cfg", "[criterion:fun]", "[criterion: fun]")],
+        2, ["[criterion:cr/ops]", "[criterion: fun]"],
+    ),
+    "grid_frame": (
+        [("ready.asc", "xllcorner 0\n", "xllcorner 5\n")], 3, ["[criterion:ready]", "ready.asc", "luc.asc"],
+    ),
 }
 
 
@@ -368,9 +379,8 @@ def test_cli_prep_rejects_malformed_input(tmp_path, capsys, case):
         "soil.asc": [1, 16, 1, 16, 1, 1, 16, 1],
         "ready.asc": np.linspace(0.0, 1.0, 8),
     }
-    for name, values in grids.items():
-        (tmp_path / name).write_text(write_ascii_grid(Raster(meta, np.asarray(values, dtype=float))))
-    files = {
+    files = {name: write_ascii_grid(Raster(meta, np.asarray(values, dtype=float))) for name, values in grids.items()}
+    files |= {
         "cap.csv": "expert_id,luc_class,service,score\n"
         "e1,1,crops,4\ne2,1,crops,2\ne1,2,crops,5\ne2,2,crops,5\n"
         "e1,1,fun,1\ne2,1,fun,3\ne1,2,fun,0\ne2,2,fun,0\n",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    bin_masses_scalar,
+    discretize_scalar,
     empirical_risk,
     quad_truncnorm_moments,
     scalar_moments,
@@ -13,7 +15,6 @@ from _oracles import (
 )
 from owa_explorer import strategy
 from owa_explorer.errors import (
-    DegenerateSigma,
     InfeasibleStrategy,
     NoSolution,
     OutOfUnitSquare,
@@ -29,13 +30,10 @@ from owa_explorer.strategy import (
     SQRT12,
     DecisionPoint,
     OrderWeights,
-    TruncatedNormalSpec,
-    discretize,
     feasible,
     generate_weights,
     generate_weights_batch,
     sample_design,
-    solve_generating_distributions,
 )
 
 UNIFORM_STD = 1.0 / SQRT12  # 0.288675...
@@ -54,24 +52,37 @@ def test_feasible_rejects_out_of_square():
         feasible(DecisionPoint(0.5, 1.1))
 
 
-def _moments_of(*specs):
-    """Truncated mean and std of each spec, from the array moments."""
-    return strategy._moments(np.array([s.mu for s in specs]), np.array([s.sigma for s in specs]))
+def _moments_of(*pairs):
+    """Truncated mean and std of each (mu, sigma), from the array moments."""
+    return strategy._moments(np.array([mu for mu, _ in pairs]), np.array([sigma for _, sigma in pairs]))
+
+
+def _solve(*points):
+    """(mu, sigma) of each point, from the array solve."""
+    mu, sigma, _, _ = strategy._solve_sigma(np.array([p.r for p in points]), np.array([p.t for p in points]))
+    return list(zip(mu.tolist(), sigma.tolist()))
+
+
+def _weights_of(mu, sigma, n):
+    """Order weights of one (mu, sigma): its array bin masses over their
+    sum, as generate_weights_batch forms every solved row."""
+    masses = strategy._bin_masses(np.array([mu]), np.array([sigma]), n)
+    return (masses / masses.sum(axis=1, keepdims=True))[0]
 
 
 def test_moments_symmetric_mean():
     for sigma in (0.05, 0.3, 2.0, 1000.0):
-        (mean,), _ = _moments_of(TruncatedNormalSpec(0.5, sigma))
+        (mean,), _ = _moments_of((0.5, sigma))
         assert mean == pytest.approx(0.5, abs=1e-14)
 
 
 def test_moments_uniform_limit():
-    _, (std,) = _moments_of(TruncatedNormalSpec(0.5, 1000.0))
+    _, (std,) = _moments_of((0.5, 1000.0))
     assert std == pytest.approx(UNIFORM_STD, abs=1e-6)
 
 
 def test_moments_standard_normal_case():
-    (mean,), _ = _moments_of(TruncatedNormalSpec(0.0, 1.0))
+    (mean,), _ = _moments_of((0.0, 1.0))
     # (phi(0) - phi(1)) / (Phi(1) - Phi(0))
     phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
     Phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))
@@ -89,7 +100,7 @@ def test_moments_standard_normal_case():
     ],
 )
 def test_moments_match_quadrature(mu, sigma):
-    (mean,), (std,) = _moments_of(TruncatedNormalSpec(mu, sigma))
+    (mean,), (std,) = _moments_of((mu, sigma))
     qmean, qstd = quad_truncnorm_moments(mu, sigma)
     assert mean == pytest.approx(qmean, abs=1e-10)
     assert std == pytest.approx(qstd, abs=1e-10)
@@ -116,35 +127,26 @@ def test_moments_deep_tail_against_mpmath():
         assert std == pytest.approx(rstd, rel=1e-6, abs=1e-12)
 
 
-def test_degenerate_sigma():
-    with pytest.raises(DegenerateSigma):
-        TruncatedNormalSpec(0.5, 0.0)
-    with pytest.raises(DegenerateSigma):
-        TruncatedNormalSpec(0.5, -1.0)
-    with pytest.raises(DegenerateSigma):
-        TruncatedNormalSpec(0.5, 1001.0)
-
-
 def test_solve_vertex_is_uniform_limit():
-    (spec,) = solve_generating_distributions([DecisionPoint(0.5, 1.0)])
-    assert spec.sigma >= 100.0
-    assert spec.mu == pytest.approx(0.5, abs=1e-3)
-    (mean,), (std,) = _moments_of(spec)
+    ((mu, sigma),) = _solve(DecisionPoint(0.5, 1.0))
+    assert sigma >= 100.0
+    assert mu == pytest.approx(0.5, abs=1e-3)
+    (mean,), (std,) = _moments_of((mu, sigma))
     assert mean == pytest.approx(0.5, abs=1e-6)
     assert std == pytest.approx(UNIFORM_STD, abs=1e-6)
 
 
 def test_solve_half_tradeoff():
-    (spec,) = solve_generating_distributions([DecisionPoint(0.5, 0.5)])
-    qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
+    (spec,) = _solve(DecisionPoint(0.5, 0.5))
+    qmean, qstd = quad_truncnorm_moments(*spec)
     assert qmean == pytest.approx(0.5, abs=1e-6)
     assert qstd == pytest.approx(0.5 / SQRT12, abs=1e-6)
     assert qstd == pytest.approx(0.14434, abs=1e-5)
 
 
 def test_solve_point_three():
-    (spec,) = solve_generating_distributions([DecisionPoint(0.3, 0.3)])
-    qmean, qstd = quad_truncnorm_moments(spec.mu, spec.sigma)
+    (spec,) = _solve(DecisionPoint(0.3, 0.3))
+    qmean, qstd = quad_truncnorm_moments(*spec)
     assert qmean == pytest.approx(0.3, abs=1e-6)
     assert qstd == pytest.approx(0.08660, abs=1e-5)
 
@@ -156,8 +158,7 @@ def test_solve_point_three():
 def test_solve_interior_points_near_subnormal_mass(r, t):
     # the bisection passes parents so remote that the truncation mass is
     # subnormal; the mean must stay accurate there or the solve lands astray
-    (spec,) = solve_generating_distributions([DecisionPoint(r, t)])
-    (mean,), (std,) = _moments_of(spec)
+    (mean,), (std,) = _moments_of(*_solve(DecisionPoint(r, t)))
     assert mean == pytest.approx(r, abs=1e-9)
     assert std == pytest.approx(t / SQRT12, abs=1e-9)
 
@@ -261,12 +262,13 @@ def test_generate_weights_matches_bisection_oracle():
     t = np.array([p.t for p in _ORACLE_POINTS])
     mu, sigma, mean, std = solve_bisect(r, t)
     solved = (np.abs(mean - r) <= MOMENT_TOL) & (np.abs(std - t / SQRT12) <= MOMENT_TOL)
-    weights = generate_weights_batch(_ORACLE_POINTS, 10)
-    assert [isinstance(w, OrderWeights) for w in weights] == solved.tolist()
-    assert all(isinstance(w, (OrderWeights, NoSolution)) for w in weights)
+    W, failures = generate_weights_batch(_ORACLE_POINTS, 10)
+    assert sorted(failures) == np.flatnonzero(~solved).tolist()
+    assert all(isinstance(e, NoSolution) for e in failures.values())
+    assert np.isnan(W[~solved]).all()
     worst = max(
-        np.abs(w.w - discretize(TruncatedNormalSpec(m, s), 10).w).max()
-        for w, m, s, ok in zip(weights, mu, sigma, solved) if ok
+        np.abs(w - discretize_scalar(m, s, 10)).max()
+        for w, m, s, ok in zip(W, mu, sigma, solved) if ok
     )
     print(f"largest weight difference to the bisection oracle: {worst:.3g}")
     assert worst <= 1e-10
@@ -277,13 +279,13 @@ def test_generate_weights_matches_scalar_solve():
     # before it took arrays; near the uniform limit std is flat to the last
     # bit over a range of sigma, where regula falsi must not crawl
     points = _ORACLE_POINTS[::15] + [DecisionPoint(0.5, 0.999999), DecisionPoint(0.5, 1.0 - 1e-12)]
-    weights = generate_weights_batch(points, 10)
+    W, failures = generate_weights_batch(points, 10)
     worst = 0.0
-    for p, w in zip(points, weights):
+    for i, (p, w) in enumerate(zip(points, W)):
         spec = scalar_solve(p.r, p.t)
-        assert isinstance(w, NoSolution) == (spec is None), p
+        assert isinstance(failures.get(i), NoSolution) == (spec is None), p
         if spec is not None:
-            worst = max(worst, np.abs(w.w - discretize(TruncatedNormalSpec(*spec), 10).w).max())
+            worst = max(worst, np.abs(w - discretize_scalar(*spec, 10)).max())
     assert worst <= 1e-10
 
 
@@ -307,20 +309,26 @@ def test_solve_moment_evaluations_per_point(monkeypatch):
 
 
 def test_solve_refuses_infeasible():
-    refused = solve_generating_distributions([DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.0)])
-    assert [type(spec) for spec in refused] == [InfeasibleStrategy, InfeasibleStrategy]
+    # a point above the parabola has no weights; a zero trade-off needs no
+    # moment matching and gets its unit bin
+    W, failures = generate_weights_batch([DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.0)], 10)
+    assert [(i, type(e)) for i, e in failures.items()] == [(0, InfeasibleStrategy)]
+    assert str(failures[0]) == "(r, t) = (0.1, 0.9) outside the strategy space"
+    assert np.isnan(W[0]).all()
+    assert W[1].tolist() == [0.0] * 5 + [1.0] + [0.0] * 4
 
 
 def test_solve_reports_no_solution_near_edge():
     # near the parabola boundary at small r the truncated-normal family
     # cannot reach the requested dispersion; this must surface, not clamp
-    (spec,) = solve_generating_distributions([DecisionPoint(0.05, 0.18)])
-    assert isinstance(spec, NoSolution)
+    _, failures = generate_weights_batch([DecisionPoint(0.05, 0.18)], 10)
+    assert isinstance(failures[0], NoSolution)
+    assert str(failures[0]).startswith("(r, t) = (0.05, 0.18): best match has mean ")
 
 
 def test_solve_unconverged_on_tiny_iteration_budget():
     with pytest.raises(Unconverged):
-        solve_generating_distributions([DecisionPoint(0.4, 0.5)], max_iter=1)
+        strategy._solve_sigma(np.array([0.4]), np.array([0.5]), max_iter=1)
 
 
 def _fidelity_sample(m, seed):
@@ -336,20 +344,20 @@ def _fidelity_sample(m, seed):
 
 def test_moment_fidelity_sampled():
     points = _fidelity_sample(40, seed=1)
-    for p, mean, std in zip(points, *_moments_of(*solve_generating_distributions(points))):
+    for p, mean, std in zip(points, *_moments_of(*_solve(*points))):
         assert abs(mean - p.r) <= 1e-6
         assert abs(std - p.t / SQRT12) <= 1e-6
 
 
 def test_discretize_uniform_limit():
-    w = discretize(TruncatedNormalSpec(0.5, 1000.0), 10)
-    assert np.abs(w.w - 0.1).max() <= 1e-3
+    w = _weights_of(0.5, 1000.0, 10)
+    assert np.abs(w - 0.1).max() <= 1e-3
 
 
 def test_discretize_concentrated():
-    w = discretize(TruncatedNormalSpec(0.05, 0.01), 10)
-    assert w.w[0] >= 0.999999
-    assert w.w[1:].sum() <= 1e-6
+    w = _weights_of(0.05, 0.01, 10)
+    assert w[0] >= 0.999999
+    assert w[1:].sum() <= 1e-6
 
 
 def test_discretize_sums_to_one():
@@ -357,19 +365,35 @@ def test_discretize_sums_to_one():
     for _ in range(50):
         mu = rng.uniform(-3.0, 4.0)
         sigma = rng.uniform(1e-3, 50.0)
-        w = discretize(TruncatedNormalSpec(mu, sigma), int(rng.integers(2, 15)))
-        assert abs(w.w.sum() - 1.0) <= 1e-12
-        assert (w.w >= 0).all()
+        w = _weights_of(mu, sigma, int(rng.integers(2, 15)))
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert (w >= 0).all()
 
 
 def test_discretize_deep_tail():
     # parent far below the interval: nearly all mass in the first bin,
     # still normalized and finite
-    w = discretize(TruncatedNormalSpec(-40.0, 0.8), 10)
-    assert abs(w.w.sum() - 1.0) <= 1e-12
-    assert w.w[0] > 0.9
-    w = discretize(TruncatedNormalSpec(41.0, 0.8), 10)
-    assert w.w[-1] > 0.9
+    w = _weights_of(-40.0, 0.8, 10)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert w[0] > 0.9
+    w = _weights_of(41.0, 0.8, 10)
+    assert w[-1] > 0.9
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 17])
+def test_bin_masses_match_scalar_reference(n):
+    # bit for bit against the bin-by-bin loop, over the whole search box
+    # and the box's edges; about half the pairs sit so far out that every
+    # erfc mass underflows and the log-tail path runs
+    rng = np.random.default_rng(40 + n)
+    mu = np.concatenate([[-40.0, 41.0, MU_LO, MU_HI, 0.5, 0.0, 1.0], rng.uniform(MU_LO, MU_HI, 3000)])
+    log_sigma = rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 3000)
+    sigma = np.concatenate([[0.8, 0.8, 0.5, 0.5, SIGMA_MAX, SIGMA_MIN, SIGMA_MIN], np.exp(log_sigma)])
+    ref = np.array([bin_masses_scalar(m, s, n) for m, s in zip(mu.tolist(), sigma.tolist())])
+    assert strategy._bin_masses(mu, sigma, n).tobytes() == ref.tobytes()
+    near = np.minimum(np.abs(mu), np.abs(mu - 1.0)) / sigma
+    outside = (mu < 0.0) | (mu > 1.0)
+    assert (outside & (near > 40.0)).sum() >= 1000
 
 
 def test_generate_weights_corners():
@@ -399,17 +423,12 @@ def test_generate_weights_degenerate_bin():
 def test_generate_weights_infeasible():
     with pytest.raises(InfeasibleStrategy):
         generate_weights(DecisionPoint(0.2, 0.65), 10)
-
-
-def test_generate_weights_provenance():
-    p = DecisionPoint(0.4, 0.3)
-    assert generate_weights(p, 10).provenance == p
+    with pytest.raises(OutOfUnitSquare, match=r"^\(r, t\) = \(0.5, 1.5\) outside the unit square$"):
+        generate_weights_batch([DecisionPoint(0.4, 0.3), DecisionPoint(0.5, 1.5), DecisionPoint(-1.0, 0.0)], 10)
 
 
 def test_empirical_risk_extremes():
-    e1 = OrderWeights(np.eye(10)[0])
-    en = OrderWeights(np.eye(10)[9])
-    uniform = OrderWeights(np.full(10, 0.1))
+    e1, en, uniform = np.eye(10)[0], np.eye(10)[9], np.full(10, 0.1)
     assert empirical_risk(e1) == pytest.approx(0.05, abs=1e-15)
     assert empirical_risk(en) == pytest.approx(0.95, abs=1e-15)
     assert empirical_risk(uniform) == pytest.approx(0.5, abs=1e-12)
@@ -419,7 +438,7 @@ def test_discretization_mean_bound():
     n = 10
     for p in _fidelity_sample(25, seed=3):
         w = generate_weights(p, n)
-        assert abs(empirical_risk(w) - p.r) <= 1.0 / (2 * n) + 1e-6
+        assert abs(empirical_risk(w.w) - p.r) <= 1.0 / (2 * n) + 1e-6
 
 
 def test_symmetry_mirrored_weights():
