@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericalError, OwaExplorerError
-from .grid import parse_ascii_grid
+from .grid import parse_ascii_grid, read_text
 from .pipeline import (
     analyze,
     format_design_csv,
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                 analyze(args.run_dir, args.k, args.out, workers=args.workers)
             print(f"re-clustered {args.run_dir} with k={args.k}")
         elif args.command == "render":
-            raster = parse_ascii_grid(args.grid.read_text())
+            raster = parse_ascii_grid(read_text(args.grid))
             render_pgm(raster, args.out)
             print(f"wrote {args.out}")
     except ConfigError as exc:

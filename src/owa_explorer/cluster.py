@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadK, DataError, EmptyCluster
 from .grid import GridMeta, Raster
-from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, rows_per_block
+from .mapstore import MapStore
 from .strategy import ExperimentalDesign
 
 # Pixels per chunk of the distance sums. The summation order, and so the
@@ -60,7 +60,7 @@ class ClusterSummary:
     clusters: tuple[ClusterInfo, ...]
 
 
-def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) -> tuple[np.ndarray, int]:
+def pairwise_euclidean(store: MapStore) -> tuple[np.ndarray, int]:
     """Squared Euclidean distances over all map pairs, from a Gram matrix
     with close pairs recomputed from exact differences.
 
@@ -75,8 +75,6 @@ def pairwise_euclidean(store: MapStore, expected_digest: bytes | None = None) ->
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
-    if expected_digest is not None:
-        store.check_digest(expected_digest)
     m = store.m
     gram = np.zeros((m, m))
     for cols in _column_chunks(store):
@@ -220,33 +218,26 @@ def cut(tree: MergeTree, k: int) -> np.ndarray:
     return labels
 
 
-def _each_row(store: MapStore, memory_budget: int):
-    """(index, row) over the whole store, read in budget-sized blocks."""
-    bs = rows_per_block(store.m, store.pixel_count, memory_budget)
-    for a0 in range(0, store.m, bs):
-        yield from enumerate(store.rows(a0, min(a0 + bs, store.m)), start=a0)
-
-
-def _cluster_means(store: MapStore, labels: np.ndarray, memory_budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_means(store: MapStore, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = int(labels.max())
     sums = np.zeros((k, store.pixel_count))
     counts = np.bincount(labels - 1, minlength=k).astype(np.int64)
     if (counts == 0).any():
         raise EmptyCluster(f"cluster {int(np.argmax(counts == 0)) + 1} has no members")
-    for i, row in _each_row(store, memory_budget):
+    for i, row in enumerate(store.rows(0, store.m)):
         sums[labels[i] - 1] += row
     return sums / counts[:, None], counts
 
 
-def within_variance(store: MapStore, labels: np.ndarray, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
+def within_variance(store: MapStore, labels: np.ndarray) -> float:
     """Sum over maps of the squared distance to their cluster mean.
 
     The direct route, off the run path: tests check the variance curve
     against it.
     """
-    means, _ = _cluster_means(store, labels, memory_budget)
+    means, _ = _cluster_means(store, labels)
     return sum(
-        float(np.square(row - means[labels[i] - 1]).sum()) for i, row in _each_row(store, memory_budget)
+        float(np.square(row - means[labels[i] - 1]).sum()) for i, row in enumerate(store.rows(0, store.m))
     )
 
 
@@ -287,7 +278,6 @@ def cluster_summaries(
     labels: np.ndarray,
     meta: GridMeta,
     valid_mask: np.ndarray,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> ClusterSummary:
     """Cellwise mean and population standard deviation per cluster, plus the
     (r, t) centroid of the member design points."""
@@ -295,10 +285,10 @@ def cluster_summaries(
         raise DataError(
             f"labels ({len(labels)}), design ({len(design.points)}) and store ({store.m}) disagree"
         )
-    means, counts = _cluster_means(store, labels, memory_budget)
+    means, counts = _cluster_means(store, labels)
     k = means.shape[0]
     sq = np.zeros_like(means)
-    for i, row in _each_row(store, memory_budget):
+    for i, row in enumerate(store.rows(0, store.m)):
         c = labels[i] - 1
         sq[c] += np.square(row - means[c])
     stds = np.sqrt(sq / counts[:, None])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -91,6 +92,20 @@ class Raster:
     def grid(self) -> np.ndarray:
         """Values as a (nrows, ncols) view, row 0 northernmost."""
         return self.values.reshape(self.meta.nrows, self.meta.ncols)
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """The bytes read from path as UTF-8 text; a byte that is not raises
+    DataError naming the file and the byte's offset."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of an input file (see decode_text)."""
+    return decode_text(Path(path).read_bytes(), path)
 
 
 def parse_ascii_grid(text: str | bytes) -> Raster:

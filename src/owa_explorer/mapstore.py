@@ -112,6 +112,7 @@ class MapStore:
             raise OSError(f"{self.path}: short write of row {i}")
 
     def rows(self, start: int, stop: int) -> np.ndarray:
+        """Maps start..stop-1 as a read-only view of the mapping: no copy."""
         return np.asarray(self._mm[start:stop], dtype=np.float64)
 
     def columns(self, start: int, stop: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import re
 import shutil
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,12 +33,10 @@ from .cluster import (
     cut,
 )
 from .errors import ConfigError, DataError
-from .grid import GridMeta, Raster, build_stack, parse_ascii_grid, write_ascii_grid
-from .mapstore import MapStore, mask_digest
+from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_text, write_ascii_grid
+from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest
 from .owa import batch_compute
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
-
-DEFAULT_MEMORY_BUDGET_MIB = 512
 
 
 @dataclass
@@ -49,9 +47,8 @@ class PipelineConfig:
     k: int | None = None  # None = emit the curve and a suggestion only
     k_max: int = 15
     out: Path = Path("out")
-    memory_budget_mib: int = DEFAULT_MEMORY_BUDGET_MIB
+    memory_budget_mib: int = DEFAULT_MEMORY_BUDGET >> 20
     workers: int | None = None  # deprecated: no stage uses threads
-    criteria: int | None = None
     write_distances: bool = False
 
     def __post_init__(self):
@@ -70,79 +67,60 @@ class PipelineConfig:
                 raise ConfigError(f"workers must be >= 1, got {self.workers}")
             msg = "config key 'workers' is deprecated and has no effect: every stage runs on one thread"
             warnings.warn(msg, DeprecationWarning, stacklevel=3)
-        if self.criteria is not None and self.criteria < 2:
-            raise ConfigError(f"criteria must be >= 2, got {self.criteria}")
         if self.memory_budget_mib < 1:
             raise ConfigError(f"memory budget must be >= 1 MiB, got {self.memory_budget_mib}")
 
-    @property
-    def memory_budget(self) -> int:
-        return self.memory_budget_mib * 1024 * 1024
 
-
-_CONFIG_KEYS = {
-    "stack_manifest", "m", "seed", "k", "k_max", "out",
-    "memory_budget_mib", "workers", "criteria", "write_distances",
-}
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _parse_value(f: Field, text: str, base: Path):
+    """The value of config key f.name, parsed by the type of its field;
+    paths are relative to base."""
+    if f.type == "Path":
+        return (base / text).resolve()
+    if f.type == "bool":
+        value = _BOOLEANS.get(text.strip().lower())
+        if value is None:
+            raise ConfigError(f"config key {f.name!r} must be true/false/yes/no/1/0, got {text!r}")
+        return value
+    expected = "an integer"
+    if f.name == "k":
+        text, expected = text.strip().lower(), "an integer or 'auto'"
+        if text in ("auto", "auto-suggest", ""):
+            return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"config key {f.name!r} must be {expected}, got {text!r}") from None
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Parse a flat `key = value` config file; overrides (from flags) win."""
+    """Parse a flat `key = value` config file whose keys are the fields of
+    PipelineConfig; an omitted key takes its field's default, and overrides
+    (from flags) win."""
     path = Path(path)
+    schema = {f.name: f for f in fields(PipelineConfig)}
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in schema:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
-    if "stack_manifest" not in raw:
-        raise ConfigError(f"{path}: missing required key 'stack_manifest'")
-
-    def as_bool(key: str) -> bool:
-        value = raw.get(key, "false").strip().lower()
-        if value not in _BOOLEANS:
-            raise ConfigError(f"config key {key!r} must be true/false/yes/no/1/0, got {raw[key]!r}")
-        return _BOOLEANS[value]
-
-    def as_int(key: str, default: int | None) -> int | None:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be an integer, got {raw[key]!r}") from None
-
-    k_raw = raw.get("k", "auto").strip().lower()
-    if k_raw in ("auto", "auto-suggest", ""):
-        k = None
-    else:
-        try:
-            k = int(k_raw)
-        except ValueError:
-            raise ConfigError(f"config key 'k' must be an integer or 'auto', got {k_raw!r}") from None
-
-    base = path.parent
+    for f in schema.values():
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
     return PipelineConfig(
-        stack_manifest=(base / raw["stack_manifest"]).resolve(),
-        m=as_int("m", 1000),
-        seed=as_int("seed", 0),
-        k=k,
-        k_max=as_int("k_max", 15),
-        out=(base / raw["out"]).resolve() if "out" in raw else Path("out").resolve(),
-        memory_budget_mib=as_int("memory_budget_mib", DEFAULT_MEMORY_BUDGET_MIB),
-        workers=as_int("workers", None),
-        criteria=as_int("criteria", None),
-        write_distances=as_bool("write_distances"),
+        **{name: _parse_value(f, raw[name], path.parent) for name, f in schema.items() if name in raw}
     )
 
 
@@ -151,7 +129,7 @@ def _read_hashed(path: Path, digests: dict[str, str]) -> str:
     under its path. The bytes are dropped before the text is parsed."""
     data = path.read_bytes()
     digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return data.decode()
+    return decode_text(data, path)
 
 
 def _parse_weight(token: str) -> float | None:
@@ -169,7 +147,8 @@ def _parse_weight(token: str) -> float | None:
 
 
 def load_stack_manifest(path: str | Path):
-    """Read the stack manifest: one `name path weight` row per criterion.
+    """Read the stack manifest: one `name,path,weight` row per criterion,
+    split on commas, or on whitespace when the row holds no comma.
 
     The weight column accepts either a number or a votes/total fraction
     like `7/13`. Every weight is parsed before any grid is read; if any is
@@ -315,12 +294,12 @@ def format_design_csv(design: ExperimentalDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
+def _read_design_csv(path: Path) -> ExperimentalDesign:
     """Parse the design `format_design_csv` wrote; a wrong header, a row
     that is not `index,r,t` with numbers, an index that is not the row's
     position (maps.bin records are matched to rows by position), or no
     rows at all raises DataError naming the file and the line."""
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     header = lines[0] if lines else ""
     if header != _DESIGN_HEADER:
         raise DataError(f"{path}:1: header {header!r}, expected {_DESIGN_HEADER!r}")
@@ -338,7 +317,7 @@ def _read_design_csv(path: Path, seed: int) -> ExperimentalDesign:
         points.append(DecisionPoint(r, t))
     if not points:
         raise DataError(f"{path}: no design points")
-    return ExperimentalDesign(points=tuple(points), seed=seed, m=len(points))
+    return ExperimentalDesign(points=tuple(points))
 
 
 def format_weights_csv(W: np.ndarray) -> str:
@@ -348,13 +327,6 @@ def format_weights_csv(W: np.ndarray) -> str:
     for i, w in enumerate(W.tolist()):
         lines.append(f"{i}," + ",".join(map(repr, w)))
     return "\n".join(lines) + "\n"
-
-
-def _write_curve_csv(curve, path: Path) -> None:
-    lines = ["k,variance_ratio"]
-    for k, ratio in curve:
-        lines.append(f"{k},{ratio!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 _MERGE_TREE_HEADER = "step,cluster_a,cluster_b,height,new_size"
@@ -367,6 +339,17 @@ def _write_merge_tree_csv(tree, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_tree_outputs(tree: MergeTree, k_max: int, out_dir: Path) -> None:
+    """merge_tree.csv, the variance curve over k = 1..k_max (at most m) and
+    the suggested k of one tree; a bad k_max raises before out_dir is made."""
+    curve = variance_ratio_curve(tree, min(k_max, tree.m))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_merge_tree_csv(tree, out_dir / "merge_tree.csv")
+    lines = ["k,variance_ratio", *(f"{k},{ratio!r}" for k, ratio in curve)]
+    (out_dir / "variance_curve.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
+
+
 def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
     """Parse the merge tree of m maps that `_write_merge_tree_csv` wrote.
 
@@ -376,7 +359,7 @@ def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
     DataError naming the file and the step.
     """
     try:
-        lines = path.read_text().splitlines()
+        lines = read_text(path).splitlines()
     except FileNotFoundError:
         raise DataError(f"{path}: missing; analyze re-cuts the merge tree a run writes") from None
     header = lines[0] if lines else ""
@@ -448,9 +431,9 @@ def _remove_stale_cut(out_dir: Path, k: int) -> None:
             (out_dir / name).unlink(missing_ok=True)
 
 
-def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir, memory_budget):
+def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir):
     labels = cut(tree, k)
-    summary = cluster_summaries(store, design, labels, meta, valid_mask, memory_budget)
+    summary = cluster_summaries(store, design, labels, meta, valid_mask)
     _remove_stale_cut(out_dir, k)
     (out_dir / "segmentation.csv").write_text(export_segmentation(design, labels))
     for info in summary.clusters:
@@ -485,10 +468,6 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     try:
         t0 = clock("load")
         layers, weights, inputs = load_stack_manifest(config.stack_manifest)
-        if config.criteria is not None and len(layers) != config.criteria:
-            raise ConfigError(
-                f"config says {config.criteria} criteria, manifest has {len(layers)}"
-            )
         stack = build_stack(layers, weights)
         durations["load"] = time.perf_counter() - t0
 
@@ -502,16 +481,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         mask_raster = Raster(mask_meta, stack.valid_mask.astype(np.float64))
         (out_dir / "mask.asc").write_text(write_ascii_grid(mask_raster))
         store, W = batch_compute(
-            stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget
+            stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget_mib << 20
         )
         (out_dir / "weights.csv").write_text(format_weights_csv(W))
         durations["aggregate"] = time.perf_counter() - t0
 
         t0 = clock("distances")
-        d2, pairs_recomputed = pairwise_euclidean(
-            store,
-            expected_digest=mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask),
-        )
+        d2, pairs_recomputed = pairwise_euclidean(store)
         if config.write_distances:
             _write_distances(d2, out_dir)
         durations["distances"] = time.perf_counter() - t0
@@ -519,18 +495,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
         t0 = clock("cluster")
         tree = ward_linkage(d2)
-        _write_merge_tree_csv(tree, out_dir / "merge_tree.csv")
-        curve = variance_ratio_curve(tree, min(config.k_max, config.m))
-        _write_curve_csv(curve, out_dir / "variance_curve.csv")
-        (out_dir / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
+        _write_tree_outputs(tree, config.k_max, out_dir)
         durations["cluster"] = time.perf_counter() - t0
 
         if config.k is not None:
             t0 = clock("summaries")
-            _cluster_outputs(
-                store, design, tree, config.k, stack.meta, stack.valid_mask,
-                out_dir, config.memory_budget,
-            )
+            _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
             durations["summaries"] = time.perf_counter() - t0
         else:
             _remove_stale_cut(out_dir, 0)
@@ -562,27 +532,22 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     return manifest
 
 
-def _read_run_config(run_dir: Path) -> tuple[int, int, int]:
-    """The design seed, k_max and memory budget in bytes that a finished
-    run recorded in its manifest."""
+def _read_run_k_max(run_dir: Path) -> int:
+    """The k_max that a finished run recorded in its manifest."""
     path = run_dir / "run_manifest.json"
     try:
-        config = RunManifest.read(path).config
-        seed, k_max, budget_mib = (int(config[key]) for key in ("seed", "k_max", "memory_budget_mib"))
+        return int(RunManifest.read(path).config["k_max"])
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise DataError(f"{path}: cannot read the run's seed, k_max and memory budget: {exc!r}") from None
-    return seed, k_max, budget_mib * 1024 * 1024
+        raise DataError(f"{path}: cannot read the run's k_max: {exc!r}") from None
 
 
-def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None,
-            k_max: int | None = None, workers: int = 1) -> None:
+def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, workers: int = 1) -> None:
     """Re-cut a finished run's Ward tree with a new k, without recomputing
     maps, distances or the linkage.
 
     Reads merge_tree.csv, design.csv, mask.asc, maps.bin and
     run_manifest.json from run_dir and checks them all before writing any
-    output. The design seed, k_max (the curve's range) and memory budget
-    come from the run's manifest; an explicit k_max overrides the run's.
+    output. The curve's range, k_max, comes from the run's manifest.
     `workers` is deprecated and has no effect.
     """
     if workers != 1:
@@ -594,20 +559,16 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None,
         )
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else run_dir
-    seed, run_k_max, memory_budget = _read_run_config(run_dir)
+    k_max = _read_run_k_max(run_dir)
     store = MapStore.open(run_dir / "maps.bin")
-    design = _read_design_csv(run_dir / "design.csv", seed)
-    if design.m != store.m:
-        raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
-    mask_raster = parse_ascii_grid((run_dir / "mask.asc").read_text())
-    valid_mask = mask_raster.values == 1.0
-    store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
     if not (1 <= k <= store.m):
         raise ConfigError(f"k must be in [1, {store.m}], got {k}")
+    design = _read_design_csv(run_dir / "design.csv")
+    if design.m != store.m:
+        raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
+    mask_raster = parse_ascii_grid(read_text(run_dir / "mask.asc"))
+    valid_mask = mask_raster.values == 1.0
+    store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
     tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
-    curve = variance_ratio_curve(tree, min(run_k_max if k_max is None else k_max, store.m))
-    out.mkdir(parents=True, exist_ok=True)
-    _write_merge_tree_csv(tree, out / "merge_tree.csv")
-    _write_curve_csv(curve, out / "variance_curve.csv")
-    (out / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
-    _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, out, memory_budget)
+    _write_tree_outputs(tree, k_max, out)
+    _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import (
     UnknownService,
     ZeroWeight,
 )
-from .grid import Raster, parse_ascii_grid, write_ascii_grid
+from .grid import Raster, parse_ascii_grid, read_text, write_ascii_grid
 
 DEFAULT_SCORE_MAX = 5.0
 
@@ -240,7 +241,7 @@ def _read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
     """parse(row) for each row of a CSV whose header names every column;
     every row with a missing field, or that parse rejects, is named by
     file:line in one DataError."""
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         absent = [c for c in columns if c not in (reader.fieldnames or ())]
         if absent:
@@ -312,7 +313,7 @@ def _read_prep_config(path: Path) -> tuple[dict[str, str], list[tuple]]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(read_text(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(" ".join(str(exc).split())) from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
@@ -394,7 +395,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
     unknown services, missing votes and ready grids whose frame differs
     from luc (or, without luc, from the first ready grid) are named in one
     DataError."""
-    luc = parse_ascii_grid((base / inputs["luc"]).read_text()) if "luc" in inputs else None
+    luc = parse_ascii_grid(read_text(base / inputs["luc"])) if "luc" in inputs else None
     matrix = None
     if "capacity_matrix" in inputs:
         score_max = float(inputs.get("score_max", DEFAULT_SCORE_MAX))
@@ -415,7 +416,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
             except ZeroWeight as exc:
                 problems.append(f"[criterion:{name}]: {exc}")
         if "grid" in keys:
-            grid = parse_ascii_grid((base / keys["grid"]).read_text())
+            grid = parse_ascii_grid(read_text(base / keys["grid"]))
             if frame is None:
                 frame = (grid.meta, keys["grid"])
             elif not grid.meta.aligned_with(frame[0]):
@@ -424,7 +425,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
         elif service not in matrix.services:
             problems.append(f"[criterion:{name}]: service {service!r} not in {inputs['capacity_matrix']}")
         else:
-            modifier = None if rule is None else parse_ascii_grid((base / keys["modifier_grid"]).read_text())
+            modifier = None if rule is None else parse_ascii_grid(read_text(base / keys["modifier_grid"]))
             layers.append((name, build_criterion(luc, matrix, service, rule, modifier), weight))
     if problems:
         raise DataError("; ".join(problems))

@@ -78,18 +78,20 @@ class ExperimentalDesign:
     """A reproducible set of feasible decision points."""
 
     points: tuple[DecisionPoint, ...]
-    seed: int
-    m: int
     n_proposals: int = 0
 
     def __post_init__(self):
-        if self.m != len(self.points) or self.m < 1:
-            raise ValueError(f"m={self.m} but {len(self.points)} points")
+        if not self.points:
+            raise ValueError("a design needs at least one point")
         for i, p in enumerate(self.points):
             if not feasible(p):
                 raise InfeasibleStrategy(
                     f"design point {i} (r={p.r}, t={p.t}) outside the strategy space"
                 )
+
+    @property
+    def m(self) -> int:
+        return len(self.points)
 
 
 def feasible(p: DecisionPoint) -> bool:
@@ -271,10 +273,9 @@ def _solve_sigma(
         mu[idx], mean[idx], std[idx] = _solve_mu(s, r[idx], mu[idx], max_iter)
         return std[idx] - target[idx]
 
+    # from 2 SIGMA_MIN, x4 reaches SIGMA_MAX within 16 passes
     grow = np.flatnonzero(f_lo < 0.0)
-    for _ in range(max_iter):
-        if not grow.size:
-            break
+    while grow.size:
         f = f_hi[grow] = evaluate(grow, hi[grow])
         short = f < 0.0
         capped = short & (hi[grow] == SIGMA_MAX)
@@ -283,8 +284,6 @@ def _solve_sigma(
         lo[up], f_lo[up] = hi[up], f_hi[up]
         hi[up] = np.minimum(4.0 * hi[up], SIGMA_MAX)
         grow = up
-    if grow.size:
-        raise Unconverged(f"sigma bracket did not close for (r, t) = ({r[grow[0]]}, {t[grow[0]]})")
 
     live = bracketed = np.flatnonzero(np.isnan(sigma))
     kept = np.zeros(r.shape, dtype=np.int8)  # +1: hi kept last step, -1: lo kept
@@ -429,4 +428,4 @@ def sample_design(m: int, seed: int) -> ExperimentalDesign:
         proposals += 1
         if t <= 4.0 * r * (1.0 - r) + FEAS_EPS:
             points.append(DecisionPoint(r, t))
-    return ExperimentalDesign(points=tuple(points), seed=seed, m=m, n_proposals=proposals)
+    return ExperimentalDesign(points=tuple(points), n_proposals=proposals)

@@ -65,7 +65,7 @@ def test_criterion_1_corner_strategy_exactness(synth_stack, tmp_path):
         z = stack.value_matrix()
         v = stack.criterion_weights.v
         corners = (DecisionPoint(0.0, 0.0), DecisionPoint(1.0, 0.0), DecisionPoint(0.5, 1.0))
-        design = ExperimentalDesign(points=corners, seed=0, m=3)
+        design = ExperimentalDesign(points=corners)
         store, _ = batch_compute(stack, design, stack.n, tmp_path / "maps.bin")
         low, high, wlc = store.rows(0, 3)
 

@@ -46,8 +46,6 @@ def _store_from_rows(tmp_path, rows, name="maps.bin"):
 def _design_of(m):
     return ExperimentalDesign(
         points=tuple(DecisionPoint(0.1 + 0.8 * i / max(m - 1, 1), 0.1) for i in range(m)),
-        seed=0,
-        m=m,
     )
 
 
@@ -128,7 +126,7 @@ def _check_against_per_row_oracle(d, rows):
 def test_pairwise_digest_check(tmp_path):
     store = _store_from_rows(tmp_path, np.zeros((3, 4)))
     with pytest.raises(MaskMismatch):
-        pairwise_euclidean(store, expected_digest=b"\x00" * 32)
+        store.check_digest(b"\x00" * 32)
 
 
 def test_ward_two_points(tmp_path):
@@ -369,7 +367,6 @@ def test_summaries_centroid(tmp_path):
             DecisionPoint(0.1, 0.2), DecisionPoint(0.3, 0.4),
             DecisionPoint(0.5, 0.6), DecisionPoint(0.7, 0.8),
         ),
-        seed=0, m=4,
     )
     summary = cluster_summaries(
         store, design, np.array([1, 1, 2, 2]), meta, np.ones(6, dtype=bool)

@@ -150,8 +150,6 @@ def test_owa_idempotent_on_constant():
 def _corner_design():
     return ExperimentalDesign(
         points=(DecisionPoint(0.0, 0.0), DecisionPoint(1.0, 0.0), DecisionPoint(0.5, 1.0)),
-        seed=0,
-        m=3,
     )
 
 
@@ -220,7 +218,7 @@ def test_batch_peak_memory_within_budget(tmp_path):
     meta = GridMeta(ncols=128, nrows=128, xllcorner=0, yllcorner=0, cellsize=1)
     rng = np.random.default_rng(5)
     stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(2)], [0.5, 0.5])
-    design = ExperimentalDesign(points=_corner_design().points * 32, seed=0, m=96)
+    design = ExperimentalDesign(points=_corner_design().points * 32)
     budget = 8 << 20
     assert rows_per_block(96, meta.size, budget) == 32
     tracemalloc.start()
@@ -269,9 +267,7 @@ def test_batch_weights_do_not_depend_on_the_batch(synth_stack, pipeline_run):
 
 def test_batch_reports_design_index(tmp_path, small_stack):
     # (0.05, 0.18) sits in the unreachable sliver near the parabola edge
-    design = ExperimentalDesign(
-        points=(DecisionPoint(0.4, 0.4), DecisionPoint(0.05, 0.18)), seed=0, m=2
-    )
+    design = ExperimentalDesign(points=(DecisionPoint(0.4, 0.4), DecisionPoint(0.05, 0.18)))
     with pytest.raises(NoSolution) as err:
         batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
     assert err.value.design_index == 1
@@ -287,8 +283,6 @@ def test_batch_names_every_unreachable_point_before_any_map(tmp_path, small_stac
             DecisionPoint(0.5, 0.2),
             DecisionPoint(0.95, 0.18),
         ),
-        seed=0,
-        m=4,
     )
     with pytest.raises(NoSolution) as err:
         batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")

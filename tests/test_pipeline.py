@@ -119,12 +119,55 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(p)
 
 
-@pytest.mark.parametrize("key", ["workers", "criteria"])
+def test_config_keys_are_the_dataclass_fields(tmp_path, capsys):
+    # every PipelineConfig field is a key, an omitted key takes its field's
+    # default, and a name that is no field is an unknown key
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("stack_manifest = x\n")
+    cfg = load_config(cfg_path)
+    for f in dataclasses.fields(PipelineConfig):
+        if f.name != "stack_manifest":
+            assert getattr(cfg, f.name) == f.default, f.name
+    values = {
+        "stack_manifest": "x", "m": "20", "seed": "3", "k": "4", "k_max": "6", "out": "res",
+        "memory_budget_mib": "8", "workers": "2", "write_distances": "yes",
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    with pytest.warns(DeprecationWarning, match="'workers'"):
+        cfg = load_config(cfg_path)
+    assert dataclasses.asdict(cfg) == {
+        "stack_manifest": (tmp_path / "x").resolve(), "m": 20, "seed": 3, "k": 4, "k_max": 6,
+        "out": (tmp_path / "res").resolve(), "memory_budget_mib": 8, "workers": 2, "write_distances": True,
+    }
+    cfg_path.write_text("stack_manifest = x\ncriteria = 3\n")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"{cfg_path}:2: unknown key 'criteria'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("k = Five", "config key 'k' must be an integer or 'auto', got 'five'"),
+        ("write_distances = On", "config key 'write_distances' must be true/false/yes/no/1/0, got 'On'"),
+        ("m = 1.5", "config key 'm' must be an integer, got '1.5'"),
+        ("memory_budget_mib = lots", "config key 'memory_budget_mib' must be an integer, got 'lots'"),
+    ],
+)
+def test_load_config_value_messages(tmp_path, line, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"stack_manifest = x\n{line}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", ["workers"])
 def test_load_config_rejects_explicit_zero(tmp_path, key):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("stack_manifest = x\n")
     cfg = load_config(cfg_path)  # an omitted key keeps its default
-    assert cfg.workers is None and cfg.criteria is None
+    assert cfg.workers is None
     cfg_path.write_text(f"stack_manifest = x\n{key} = 0\n")
     with pytest.raises(ConfigError, match=key):
         load_config(cfg_path)
@@ -327,7 +370,7 @@ def test_run_manifest_verifies(completed_run):
     assert manifest.config["m"] == 14
 
 
-def test_run_manifest_records_metrics(completed_run, tmp_path, monkeypatch):
+def test_run_manifest_records_metrics(completed_run, tmp_path):
     # the recompute count rides in the manifest alone: a rerun into another
     # directory with another memory budget writes the same count and every
     # other output byte for byte
@@ -343,15 +386,13 @@ def test_run_manifest_records_metrics(completed_run, tmp_path, monkeypatch):
     for name in names:
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
     # a manifest written before the metrics existed still reads, and
-    # analyze still takes the run's seed, k_max and memory budget from it
+    # analyze takes only the run's k_max from its config
     old = json.loads((again / "run_manifest.json").read_text())
     del old["metrics"]
+    old["config"] = {"k_max": old["config"]["k_max"]}
     (again / "run_manifest.json").write_text(json.dumps(old))
     assert RunManifest.read(again / "run_manifest.json").metrics == {}
-    budgets, summaries = [], pipeline.cluster_summaries
-    monkeypatch.setattr(pipeline, "cluster_summaries", lambda *args: budgets.append(args[-1]) or summaries(*args))
     analyze(again, k=2, out_dir=tmp_path / "re")
-    assert budgets == [1 << 20]
     assert (tmp_path / "re" / "variance_curve.csv").read_bytes() == (out / "variance_curve.csv").read_bytes()
 
 
@@ -581,8 +622,64 @@ def test_analyze_in_place_keeps_run_k_max(completed_run, tmp_path):
     for name in ["variance_curve.csv", "suggested_k.txt", "merge_tree.csv"]:
         assert (run / name).read_bytes() == (out / name).read_bytes(), name
     assert len((run / "variance_curve.csv").read_text().splitlines()) == 1 + cfg.k_max
-    analyze(run, k=2, k_max=5)  # an explicit k_max still wins
-    assert len((run / "variance_curve.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_cli_analyze_checks_k_then_the_mask_digest(completed_run, tmp_path, capsys):
+    # k is checked against the store header before design.csv is parsed,
+    # and a mask.asc whose digest differs from the store's is a data error
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "design.csv").write_text("not a design\n")
+    args = ["analyze", "--run-dir", str(run), "--out", str(tmp_path / "re")]
+    assert main(args + ["--k", "99"]) == 2
+    assert "k must be in [1, 14], got 99" in capsys.readouterr().err
+    shutil.copy(out / "design.csv", run / "design.csv")
+    mask = parse_ascii_grid((run / "mask.asc").read_text())
+    values = mask.values.copy()
+    values[np.argmax(values == 1.0)] = 0.0
+    (run / "mask.asc").write_text(write_ascii_grid(Raster(mask.meta, values)))
+    assert main(args + ["--k", "2"]) == 3
+    assert "different validity mask" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
+def _put_byte(path: Path, byte: bytes = b"\xff") -> None:
+    """Replace the first byte of path's second line with one that is not UTF-8 text."""
+    data = path.read_bytes()
+    at = data.index(b"\n") + 1
+    path.write_bytes(data[:at] + byte + data[at + 1:])
+
+
+def test_cli_run_input_not_text(tmp_path, synth_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    _put_byte(data / "criterion_02.asc")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"stack_manifest = {data}/stack_manifest.csv\nm = 6\nk_max = 4\nout = out\n")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert f"{(data / 'criterion_02.asc').resolve()}: byte 0xff" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("maps.bin"))
+
+
+def test_cli_analyze_input_not_text(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    _put_byte(run / "mask.asc")
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(tmp_path / "re")]) == 3
+    assert f"{run / 'mask.asc'}: byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
+def test_cli_render_input_not_text(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    grid = tmp_path / "mean.asc"
+    shutil.copy(out / "cluster1_mean.asc", grid)
+    _put_byte(grid)
+    assert main(["render", str(grid), str(tmp_path / "mean.pgm")]) == 3
+    assert f"{grid}: byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "mean.pgm").exists()
 
 
 def test_analyze_removes_stale_cluster_grids(completed_run, tmp_path):

@@ -366,6 +366,8 @@ _MALFORMED_PREP = {
     "grid_frame": (
         [("ready.asc", "xllcorner 0\n", "xllcorner 5\n")], 3, ["[criterion:ready]", "ready.asc", "luc.asc"],
     ),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8 text
+    "luc_not_text": ([("luc.asc", "nrows 2\n", "nrows \udcff\n")], 3, ["luc.asc: byte 0xff"]),
 }
 
 
@@ -400,7 +402,7 @@ def test_cli_prep_rejects_malformed_input(tmp_path, capsys, case):
         assert old in files[name]
         files[name] = files[name].replace(old, new, 1)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text.encode(errors="surrogateescape"))
     assert main(args) == code
     err = capsys.readouterr().err
     for item in named:
