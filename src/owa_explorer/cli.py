@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericalError, OwaExplorerError
-from .grid import parse_ascii_grid, read_text
+from .grid import read_grid
 from .pipeline import (
     analyze,
     format_design_csv,
@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
                 "m": args.m,
                 "k": args.k,
                 "workers": args.workers,
-                "out": args.out,
+                "out": args.out and args.out.resolve(),  # flag paths are relative to the working directory
             }
             with warnings.catch_warnings():
                 warnings.simplefilter("always", DeprecationWarning)  # show it on stderr
@@ -118,8 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                 analyze(args.run_dir, args.k, args.out, workers=args.workers)
             print(f"re-clustered {args.run_dir} with k={args.k}")
         elif args.command == "render":
-            raster = parse_ascii_grid(read_text(args.grid))
-            render_pgm(raster, args.out)
+            render_pgm(read_grid(args.grid), args.out)
             print(f"wrote {args.out}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

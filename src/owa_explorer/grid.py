@@ -108,13 +108,27 @@ def read_text(path: str | Path) -> str:
     return decode_text(Path(path).read_bytes(), path)
 
 
-def parse_ascii_grid(text: str | bytes) -> Raster:
-    """Parse an ESRI ASCII grid.
+def read_grid(path: str | Path) -> Raster:
+    """The grid in the file at path; a DataError names the file."""
+    return parse_ascii_grid(read_text(path), path)
+
+
+def parse_ascii_grid(text: str | bytes, path: str | Path | None = None) -> Raster:
+    """Parse an ESRI ASCII grid; a DataError names path when it is given.
 
     Header keys are case-insensitive; NODATA_value is optional and defaults
     to -9999. The body must hold exactly ncols*nrows whitespace-separated
     numbers in row-major order.
     """
+    try:
+        return _parse_ascii_grid(text)
+    except DataError as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_ascii_grid(text: str | bytes) -> Raster:
     if isinstance(text, bytes):
         text = text.decode("ascii")
     tokens = text.split()

@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -153,10 +155,10 @@ def load_stack_manifest(path: str | Path):
     The weight column accepts either a number or a votes/total fraction
     like `7/13`. Every weight is parsed before any grid is read; if any is
     not a finite number > 0, DataError names the line and the token of each.
-    Paths are relative to the manifest file. Returns the
-    (name, raster) layers, their weights and the SHA-256 digests of the
-    manifest and of each grid, keyed by path, taken from the very bytes
-    that were parsed.
+    Paths are relative to the manifest file, and a grid's DataError names
+    its file. Returns the (name, raster) layers, their weights and the
+    SHA-256 digests of the manifest and of each grid, keyed by path, taken
+    from the very bytes that were parsed.
     """
     path = Path(path)
     base = path.parent
@@ -184,10 +186,8 @@ def load_stack_manifest(path: str | Path):
         )
     if not rows:
         raise DataError(f"{path}: empty stack manifest")
-    layers = [
-        (name, parse_ascii_grid(_read_hashed((base / grid_path).resolve(), digests)))
-        for name, grid_path, _ in rows
-    ]
+    paths = [(base / grid_path).resolve() for _, grid_path, _ in rows]
+    layers = [(name, parse_ascii_grid(_read_hashed(p, digests), p)) for (name, _, _), p in zip(rows, paths)]
     return layers, [weight for _, _, weight in rows], digests
 
 
@@ -339,11 +339,8 @@ def _write_merge_tree_csv(tree, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_tree_outputs(tree: MergeTree, k_max: int, out_dir: Path) -> None:
-    """merge_tree.csv, the variance curve over k = 1..k_max (at most m) and
-    the suggested k of one tree; a bad k_max raises before out_dir is made."""
-    curve = variance_ratio_curve(tree, min(k_max, tree.m))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_tree_outputs(tree: MergeTree, curve: list[tuple[int, float]], out_dir: Path) -> None:
+    """merge_tree.csv, the variance curve and the suggested k of one tree."""
     _write_merge_tree_csv(tree, out_dir / "merge_tree.csv")
     lines = ["k,variance_ratio", *(f"{k},{ratio!r}" for k, ratio in curve)]
     (out_dir / "variance_curve.csv").write_text("\n".join(lines) + "\n")
@@ -414,48 +411,56 @@ def _write_distances(d2: np.ndarray, out_dir: Path) -> None:
     )
 
 
-_CLUSTER_GRID = re.compile(r"cluster([1-9][0-9]*)_(?:mean|std)\.asc")
-
-
-def _remove_stale_cut(out_dir: Path, k: int) -> None:
-    """Remove the outputs an earlier cut left in out_dir that a cut into k
-    clusters does not overwrite: its cluster<i>_{mean,std}.asc with i > k
-    and, for k = 0 (no cut), its segmentation.csv and
-    cluster_centroids.csv. No other file is touched."""
-    for path in out_dir.glob("cluster*.asc"):
-        match = _CLUSTER_GRID.fullmatch(path.name)
-        if match and int(match.group(1)) > k:
-            path.unlink()
-    if k == 0:
-        for name in ("segmentation.csv", "cluster_centroids.csv"):
-            (out_dir / name).unlink(missing_ok=True)
-
-
 def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir):
     labels = cut(tree, k)
     summary = cluster_summaries(store, design, labels, meta, valid_mask)
-    _remove_stale_cut(out_dir, k)
     (out_dir / "segmentation.csv").write_text(export_segmentation(design, labels))
     for info in summary.clusters:
         (out_dir / f"cluster{info.label}_mean.asc").write_text(write_ascii_grid(info.mean_map))
         (out_dir / f"cluster{info.label}_std.asc").write_text(write_ascii_grid(info.std_map))
     centroid_lines = ["label,members,centroid_r,centroid_t"]
     for info in summary.clusters:
-        centroid_lines.append(
-            f"{info.label},{len(info.members)},{info.centroid_r!r},{info.centroid_t!r}"
-        )
+        centroid_lines.append(f"{info.label},{len(info.members)},{info.centroid_r!r},{info.centroid_t!r}")
     (out_dir / "cluster_centroids.csv").write_text("\n".join(centroid_lines) + "\n")
-    return summary
+
+
+# The names each writer owns in its output directory; no other file there is touched.
+_ANALYZE_OWNS = re.compile(
+    r"(merge_tree|variance_curve|segmentation|cluster_centroids)\.csv|suggested_k\.txt"
+    r"|cluster[1-9]\d*_(mean|std)\.asc"
+)
+_RUN_OWNS = re.compile(
+    rf"{_ANALYZE_OWNS.pattern}|(design|weights|distances_header)\.csv"
+    r"|(maps|distances)\.bin|mask\.asc|run_manifest\.json"
+)
+
+
+@contextmanager
+def _staged(out: Path, owned: re.Pattern):
+    """A fresh out/incomplete to write into. On success, the owned files in
+    out that were not written this time are removed, and the staged files
+    replace theirs, run_manifest.json last (an old one goes first), so a
+    manifest always sits beside a complete run. On failure nothing moves,
+    and out/incomplete keeps the partial outputs."""
+    stage = out / "incomplete"
+    shutil.rmtree(stage, ignore_errors=True)
+    stage.mkdir(parents=True)
+    yield stage
+    written = sorted(os.listdir(stage), key=lambda name: name == "run_manifest.json")
+    replaced = set(written) - {"run_manifest.json"}
+    for path in out.iterdir():
+        if owned.fullmatch(path.name) and path.name not in replaced:
+            path.unlink()
+    for name in written:
+        os.replace(stage / name, out / name)
+    stage.rmdir()
 
 
 def run_pipeline(config: PipelineConfig) -> RunManifest:
-    """Sample, aggregate, cluster; write every output under config.out.
-
-    On a stage failure, whatever was produced moves to out/incomplete and
-    the error propagates with the stage name attached.
+    """Sample, aggregate, cluster; stage every output and publish it in
+    config.out (see _staged). A stage failure propagates with the stage
+    name attached.
     """
-    out_dir = config.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     durations: dict[str, float] = {}
     stage = "load"
@@ -465,70 +470,58 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         stage = name
         return time.perf_counter()
 
-    try:
-        t0 = clock("load")
-        layers, weights, inputs = load_stack_manifest(config.stack_manifest)
-        stack = build_stack(layers, weights)
-        durations["load"] = time.perf_counter() - t0
+    with _staged(config.out, _RUN_OWNS) as out_dir:
+        try:
+            t0 = clock("load")
+            layers, weights, inputs = load_stack_manifest(config.stack_manifest)
+            stack = build_stack(layers, weights)
+            durations["load"] = time.perf_counter() - t0
 
-        t0 = clock("sample")
-        design = sample_design(config.m, config.seed)
-        (out_dir / "design.csv").write_text(format_design_csv(design))
-        durations["sample"] = time.perf_counter() - t0
+            t0 = clock("sample")
+            design = sample_design(config.m, config.seed)
+            (out_dir / "design.csv").write_text(format_design_csv(design))
+            durations["sample"] = time.perf_counter() - t0
 
-        t0 = clock("aggregate")
-        mask_meta = replace(stack.meta, nodata_value=-9999.0)
-        mask_raster = Raster(mask_meta, stack.valid_mask.astype(np.float64))
-        (out_dir / "mask.asc").write_text(write_ascii_grid(mask_raster))
-        store, W = batch_compute(
-            stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget_mib << 20
+            t0 = clock("aggregate")
+            mask = Raster(replace(stack.meta, nodata_value=-9999.0), stack.valid_mask.astype(np.float64))
+            (out_dir / "mask.asc").write_text(write_ascii_grid(mask))
+            store, W = batch_compute(
+                stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget_mib << 20
+            )
+            (out_dir / "weights.csv").write_text(format_weights_csv(W))
+            durations["aggregate"] = time.perf_counter() - t0
+
+            t0 = clock("distances")
+            d2, pairs_recomputed = pairwise_euclidean(store)
+            if config.write_distances:
+                _write_distances(d2, out_dir)
+            durations["distances"] = time.perf_counter() - t0
+
+            t0 = clock("cluster")
+            tree = ward_linkage(d2)
+            curve = variance_ratio_curve(tree, min(config.k_max, tree.m))
+            _write_tree_outputs(tree, curve, out_dir)
+            durations["cluster"] = time.perf_counter() - t0
+
+            if config.k is not None:
+                t0 = clock("summaries")
+                _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
+                durations["summaries"] = time.perf_counter() - t0
+        except Exception as exc:
+            staged = type(exc)(f"stage {stage!r}: {exc}")
+            staged.__dict__.update(exc.__dict__)  # keeps e.g. NoSolution.design_index
+            raise staged.with_traceback(exc.__traceback__) from exc
+
+        manifest = RunManifest(
+            config={k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(config).items()},
+            inputs=inputs,
+            version=__version__,
+            started=started,
+            finished=datetime.now(timezone.utc).isoformat(),
+            durations=durations,
+            metrics={"distance_pairs_recomputed": pairs_recomputed},
         )
-        (out_dir / "weights.csv").write_text(format_weights_csv(W))
-        durations["aggregate"] = time.perf_counter() - t0
-
-        t0 = clock("distances")
-        d2, pairs_recomputed = pairwise_euclidean(store)
-        if config.write_distances:
-            _write_distances(d2, out_dir)
-        durations["distances"] = time.perf_counter() - t0
-        metrics = {"distance_pairs_recomputed": pairs_recomputed}
-
-        t0 = clock("cluster")
-        tree = ward_linkage(d2)
-        _write_tree_outputs(tree, config.k_max, out_dir)
-        durations["cluster"] = time.perf_counter() - t0
-
-        if config.k is not None:
-            t0 = clock("summaries")
-            _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
-            durations["summaries"] = time.perf_counter() - t0
-        else:
-            _remove_stale_cut(out_dir, 0)
-    except Exception as exc:
-        incomplete = out_dir / "incomplete"
-        incomplete.mkdir(parents=True, exist_ok=True)
-        for item in sorted(out_dir.iterdir()):
-            if item.name != "incomplete":
-                target = incomplete / item.name
-                if target.exists():
-                    target.unlink() if target.is_file() else shutil.rmtree(target)
-                shutil.move(str(item), str(target))
-        staged = type(exc)(f"stage {stage!r}: {exc}")
-        staged.__dict__.update(exc.__dict__)  # keeps e.g. NoSolution.design_index
-        raise staged.with_traceback(exc.__traceback__) from exc
-
-    manifest = RunManifest(
-        config={
-            **{k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(config).items()},
-        },
-        inputs=inputs,
-        version=__version__,
-        started=started,
-        finished=datetime.now(timezone.utc).isoformat(),
-        durations=durations,
-        metrics=metrics,
-    )
-    manifest.write(out_dir / "run_manifest.json")
+        manifest.write(out_dir / "run_manifest.json")
     return manifest
 
 
@@ -545,10 +538,10 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
     """Re-cut a finished run's Ward tree with a new k, without recomputing
     maps, distances or the linkage.
 
-    Reads merge_tree.csv, design.csv, mask.asc, maps.bin and
-    run_manifest.json from run_dir and checks them all before writing any
-    output. The curve's range, k_max, comes from the run's manifest.
-    `workers` is deprecated and has no effect.
+    Reads merge_tree.csv, design.csv, mask.asc, maps.bin and run_manifest.json
+    from run_dir and checks them all before it creates any directory, then
+    stages the outputs (see _staged). The curve's range, k_max, comes from
+    the run's manifest. `workers` is deprecated and has no effect.
     """
     if workers != 1:
         warnings.warn(
@@ -566,9 +559,12 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
     design = _read_design_csv(run_dir / "design.csv")
     if design.m != store.m:
         raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
-    mask_raster = parse_ascii_grid(read_text(run_dir / "mask.asc"))
+    # parsed here, not by grid.read_grid: the traced benchmark times parse_ascii_grid as pipeline calls it
+    mask_raster = parse_ascii_grid(read_text(run_dir / "mask.asc"), run_dir / "mask.asc")
     valid_mask = mask_raster.values == 1.0
     store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
     tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
-    _write_tree_outputs(tree, k_max, out)
-    _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, out)
+    curve = variance_ratio_curve(tree, min(k_max, store.m))
+    with _staged(out, _ANALYZE_OWNS) as stage:
+        _write_tree_outputs(tree, curve, stage)
+        _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, stage)

@@ -31,7 +31,7 @@ from .errors import (
     UnknownService,
     ZeroWeight,
 )
-from .grid import Raster, parse_ascii_grid, read_text, write_ascii_grid
+from .grid import Raster, read_grid, read_text, write_ascii_grid
 
 DEFAULT_SCORE_MAX = 5.0
 
@@ -395,7 +395,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
     unknown services, missing votes and ready grids whose frame differs
     from luc (or, without luc, from the first ready grid) are named in one
     DataError."""
-    luc = parse_ascii_grid(read_text(base / inputs["luc"])) if "luc" in inputs else None
+    luc = read_grid(base / inputs["luc"]) if "luc" in inputs else None
     matrix = None
     if "capacity_matrix" in inputs:
         score_max = float(inputs.get("score_max", DEFAULT_SCORE_MAX))
@@ -416,7 +416,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
             except ZeroWeight as exc:
                 problems.append(f"[criterion:{name}]: {exc}")
         if "grid" in keys:
-            grid = parse_ascii_grid(read_text(base / keys["grid"]))
+            grid = read_grid(base / keys["grid"])
             if frame is None:
                 frame = (grid.meta, keys["grid"])
             elif not grid.meta.aligned_with(frame[0]):
@@ -425,7 +425,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
         elif service not in matrix.services:
             problems.append(f"[criterion:{name}]: service {service!r} not in {inputs['capacity_matrix']}")
         else:
-            modifier = None if rule is None else parse_ascii_grid(read_text(base / keys["modifier_grid"]))
+            modifier = None if rule is None else read_grid(base / keys["modifier_grid"])
             layers.append((name, build_criterion(luc, matrix, service, rule, modifier), weight))
     if problems:
         raise DataError("; ".join(problems))

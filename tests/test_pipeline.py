@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -644,6 +645,80 @@ def test_cli_analyze_checks_k_then_the_mask_digest(completed_run, tmp_path, caps
     assert not (tmp_path / "re").exists()
 
 
+@pytest.mark.parametrize(
+    "defect, message", [("k_max", "k_max must be in [1, 14], got 0"), ("mask", "different validity mask")]
+)
+def test_cli_analyze_checks_before_any_directory(completed_run, tmp_path, capsys, defect, message):
+    # a manifest whose k_max the curve cannot take, or a mask whose digest
+    # differs from the store's, exits 3 before --out or incomplete/ exists
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    if defect == "k_max":
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        manifest["config"]["k_max"] = 0
+        (run / "run_manifest.json").write_text(json.dumps(manifest))
+    else:
+        mask = parse_ascii_grid((run / "mask.asc").read_text())
+        values = mask.values.copy()
+        values[np.argmax(values == 1.0)] = 0.0
+        (run / "mask.asc").write_text(write_ascii_grid(Raster(mask.meta, values)))
+    re_out = tmp_path / "re"
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(re_out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not re_out.exists()
+    assert main(["analyze", "--run-dir", str(run), "--k", "2"]) == 3
+    assert not (run / "incomplete").exists()
+    capsys.readouterr()
+
+
+_NO_CORNER = "ncols 2\nnrows 1\ncellsize 5\n0.2 0.8\n"
+
+
+def test_cli_render_names_the_bad_grid(tmp_path, capsys):
+    grid = tmp_path / "bad.asc"
+    grid.write_text(_NO_CORNER)
+    assert main(["render", str(grid), str(tmp_path / "bad.pgm")]) == 3
+    assert f"{grid}: missing header keys: xllcorner, yllcorner" in capsys.readouterr().err
+
+
+def test_cli_analyze_names_the_bad_mask(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    text = (run / "mask.asc").read_text()
+    (run / "mask.asc").write_text("".join(line for line in text.splitlines(True) if "llcorner" not in line))
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(tmp_path / "re")]) == 3
+    assert f"{run / 'mask.asc'}: missing header keys: xllcorner, yllcorner" in capsys.readouterr().err
+
+
+def test_cli_run_names_the_bad_grid(tmp_path, synth_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    grid = data / "criterion_01.asc"
+    grid.write_text(grid.read_text().replace("cellsize 5\n", "cellsize 0\n"))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"stack_manifest = {data}/stack_manifest.csv\nm = 6\nk_max = 4\nout = out\n")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert f"{grid.resolve()}: cellsize must be positive, got 0.0" in capsys.readouterr().err
+
+
+def test_cli_run_out_flag_is_relative_to_the_working_directory(tmp_path, synth_dir, monkeypatch, capsys):
+    # --out resolves against the working directory like every other flag;
+    # the out key resolves against the config file
+    cfg_path = _small_run_cfg(tmp_path, synth_dir)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", "--config", str(cfg_path), "--out", "rel"]) == 0
+    assert (cwd / "rel" / "run_manifest.json").exists()
+    assert not (tmp_path / "rel").exists()
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "run_manifest.json").exists()
+    assert not (cwd / "out").exists()
+    capsys.readouterr()
+
+
 def _put_byte(path: Path, byte: bytes = b"\xff") -> None:
     """Replace the first byte of path's second line with one that is not UTF-8 text."""
     data = path.read_bytes()
@@ -739,6 +814,85 @@ def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
     assert not (out / "incomplete" / "maps.bin").exists()
     assert not (out / "design.csv").exists()
     assert not (out / "run_manifest.json").exists()
+
+
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def test_failed_rerun_leaves_out_untouched(tmp_path, synth_dir):
+    # a complete run plus an unrelated file stay byte-identical under a
+    # rerun that fails in the aggregate stage; incomplete/ is replaced and
+    # then holds only what the failed run wrote
+    out = tmp_path / "out"
+    cfg = PipelineConfig(
+        stack_manifest=synth_dir / "stack_manifest.csv", m=8, seed=2, k=3, k_max=5, out=out,
+        write_distances=True,
+    )
+    run_pipeline(cfg)
+    (out / "NOTES.txt").write_text("not the run's\n")
+    (out / "incomplete").mkdir()
+    (out / "incomplete" / "maps.bin").write_text("an older failure\n")
+    before = _snapshot(out)
+    with pytest.raises(NoSolution):
+        run_pipeline(dataclasses.replace(cfg, m=110, seed=0, write_distances=False))
+    assert _snapshot(out) == before
+    assert {p.name for p in out.iterdir()} == {*before, "incomplete"}
+    assert {p.name for p in (out / "incomplete").iterdir()} == {"design.csv", "mask.asc"}
+
+
+def test_rerun_removes_outputs_it_no_longer_writes(tmp_path, synth_dir):
+    out = tmp_path / "out"
+    cfg = PipelineConfig(
+        stack_manifest=synth_dir / "stack_manifest.csv", m=6, seed=1, k=2, k_max=4, out=out,
+        write_distances=True,
+    )
+    run_pipeline(cfg)
+    assert (out / "distances.bin").exists() and (out / "distances_header.csv").exists()
+    run_pipeline(dataclasses.replace(cfg, m=8, write_distances=False))
+    names = {p.name for p in out.iterdir()}
+    assert not names & {"distances.bin", "distances_header.csv", "incomplete"}
+    assert MapStore.open(out / "maps.bin").m == 8
+    assert verify_manifest(out)
+
+
+def _fill_disk_at_cluster_grids(monkeypatch):
+    # the grid write of the summaries stage runs out of space halfway
+    write_text = Path.write_text
+
+    def full(path, text, *args, **kwargs):
+        if path.name.startswith("cluster") and path.suffix == ".asc":
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full)
+
+
+def test_full_disk_in_summaries_leaves_run_untouched(completed_run, tmp_path, monkeypatch):
+    out, cfg, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "NOTES.txt").write_text("not the run's\n")
+    before = _snapshot(run)
+    _fill_disk_at_cluster_grids(monkeypatch)
+    with pytest.raises(OSError, match="stage 'summaries'"):
+        run_pipeline(dataclasses.replace(cfg, seed=3, k=4, out=run))
+    assert _snapshot(run) == before
+    assert (run / "incomplete" / "maps.bin").exists()
+
+
+def test_full_disk_in_analyze_leaves_run_untouched(completed_run, tmp_path, monkeypatch):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    before = _snapshot(run)
+    _fill_disk_at_cluster_grids(monkeypatch)
+    with pytest.raises(OSError) as err:
+        analyze(run, k=2)
+    assert err.value.errno == errno.ENOSPC
+    assert _snapshot(run) == before
+    assert {"merge_tree.csv", "segmentation.csv"} <= {p.name for p in (run / "incomplete").iterdir()}
 
 
 def test_default_config_fails_fast(tmp_path, synth_stack, capsys):

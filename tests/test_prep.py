@@ -366,6 +366,10 @@ _MALFORMED_PREP = {
     "grid_frame": (
         [("ready.asc", "xllcorner 0\n", "xllcorner 5\n")], 3, ["[criterion:ready]", "ready.asc", "luc.asc"],
     ),
+    # a grid's header error names the grid's file
+    "luc_header": ([("luc.asc", "xllcorner 0\n", "")], 3, ["luc.asc: missing header keys: xllcorner"]),
+    "grid_header": ([("ready.asc", "cellsize 1\n", "")], 3, ["ready.asc: missing header keys: cellsize"]),
+    "modifier_header": ([("soil.asc", "nrows 2\n", "")], 3, ["soil.asc: missing header keys: nrows"]),
     # "\udcff" is written as the byte 0xff, which is not UTF-8 text
     "luc_not_text": ([("luc.asc", "nrows 2\n", "nrows \udcff\n")], 3, ["luc.asc: byte 0xff"]),
 }
