@@ -30,6 +30,8 @@ _PIXEL_CHUNK = 1024
 # Gram form's absolute error scales with g_i + g_j, so its relative error
 # grows as d^2 shrinks against them.
 _RECOMPUTE_BELOW = 1e-3
+# Rows of d^2 formed, and close pairs recomputed, at a time; no distance depends on it.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -64,49 +66,42 @@ def pairwise_euclidean(store: MapStore) -> tuple[np.ndarray, int]:
     """Squared Euclidean distances over all map pairs, from a Gram matrix
     with close pairs recomputed from exact differences.
 
-    Each fixed chunk of _PIXEL_CHUNK pixels of every map is centred by its
-    per-pixel mean, which moves no distance, and its Gram matrix G is
-    summed; then d_ij^2 = g_i + g_j - 2 G_ij with g the diagonal of G.
-    Every pair with d_ij^2 below _RECOMPUTE_BELOW (g_i + g_j) is summed
-    again from exact differences over the same chunks, so tiny distances
-    stay accurate and identical maps exactly 0 apart. Returns the
-    symmetric m x m array of d^2 (zero diagonal, no square root taken) and
-    the number of pairs recomputed.
+    Each fixed chunk of _PIXEL_CHUNK pixels of every map, read through one
+    view of the store, is centred by its per-pixel mean, which moves no
+    distance, and its Gram matrix G is summed into the buffer returned. In
+    place, _BLOCK rows at a time, that becomes d_ij^2 = -2 G_ij + (g_i + g_j)
+    with g the diagonal of G, in both triangles alike (G is symmetric). Every
+    pair with d_ij^2 below _RECOMPUTE_BELOW (g_i + g_j) is summed again from
+    exact differences over the same chunks, _BLOCK pairs at a time, so tiny
+    distances stay accurate and identical maps exactly 0 apart. Returns the
+    symmetric m x m d^2 (zero diagonal, unrooted) and the number recomputed.
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
-    m = store.m
-    gram = np.zeros((m, m))
-    for cols in _column_chunks(store):
-        cols -= cols.mean(axis=0)
-        gram += cols @ cols.T
-    g = np.diag(gram)
-    norms = g[:, None] + g[None, :]
-    d2 = np.triu(norms - 2.0 * gram, 1)
-    close_i, close_j = np.nonzero(np.triu(d2 < _RECOMPUTE_BELOW * norms, 1))
-    if close_i.size:
-        d2[close_i, close_j] = _exact_sq_distances(store, close_i, close_j)
-    d2 += d2.T
-    return d2, int(close_i.size)
-
-
-def _column_chunks(store: MapStore):
-    """Every map's pixels in fixed chunks of _PIXEL_CHUNK, as m x width arrays."""
-    for start in range(0, store.pixel_count, _PIXEL_CHUNK):
-        yield store.columns(start, min(start + _PIXEL_CHUNK, store.pixel_count))
-
-
-def _exact_sq_distances(store: MapStore, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Sum of squared differences of each map pair (first[p], second[p]),
-    first sorted, over the fixed pixel chunks."""
-    out = np.zeros(first.size)
-    maps, starts = np.unique(first, return_index=True)
-    ends = [*starts[1:], first.size]
-    for chunk in _column_chunks(store):
-        for i, a, b in zip(maps, starts, ends):
-            diff = chunk[second[a:b]] - chunk[i]
-            out[a:b] += np.einsum("ij,ij->i", diff, diff)
-    return out
+    m, pixels, maps = store.m, store.pixel_count, store.rows(0, store.m)
+    chunks = [slice(s, min(s + _PIXEL_CHUNK, pixels)) for s in range(0, pixels, _PIXEL_CHUNK)]
+    d2 = np.zeros((m, m))
+    for chunk in chunks:
+        cols = maps[:, chunk] - maps[:, chunk].mean(axis=0)
+        d2 += cols @ cols.T
+    g = d2.diagonal().copy()
+    close = []
+    for start in range(0, m, _BLOCK):
+        block = d2[start : start + _BLOCK]
+        norms = g[start : start + _BLOCK, None] + g
+        block *= -2.0
+        block += norms
+        i, j = np.nonzero(np.triu(block < _RECOMPUTE_BELOW * norms, start + 1))
+        close.append((i + start, j))
+    first, second = (np.concatenate(ij) for ij in zip(*close))
+    for start in range(0, first.size, _BLOCK):
+        i, j = first[start : start + _BLOCK], second[start : start + _BLOCK]
+        sums = np.zeros(i.size)
+        for chunk in chunks:
+            diff = maps[j, chunk] - maps[i, chunk]
+            sums += np.einsum("ij,ij->i", diff, diff)
+        d2[i, j] = d2[j, i] = sums
+    return d2, int(first.size)
 
 
 def ward_linkage(d2: np.ndarray) -> MergeTree:

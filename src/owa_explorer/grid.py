@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
+    AllInvalid,
     DataError,
     DimensionMismatch,
     MalformedHeader,
@@ -387,6 +388,9 @@ class CriterionStack:
         mask = np.ones(self.meta.size, dtype=bool)
         for layer in self.layers:
             mask &= layer.valid_mask
+        if not mask.any():
+            counts = ", ".join(f"{n!r} {int(r.valid_mask.sum())}" for n, r in zip(self.names, self.layers))
+            raise AllInvalid(f"no cell is valid in every layer; valid cells per layer: {counts}")
 
         checked = []
         for name, layer in zip(self.names, self.layers):

@@ -115,10 +115,6 @@ class MapStore:
         """Maps start..stop-1 as a read-only view of the mapping: no copy."""
         return np.asarray(self._mm[start:stop], dtype=np.float64)
 
-    def columns(self, start: int, stop: int) -> np.ndarray:
-        """Pixels start..stop-1 of every map, as one new m x width array."""
-        return np.array(self._mm[:, start:stop], dtype=np.float64, order="C")
-
     def close(self) -> None:
         """Release the write descriptor and the mapping (which holds its
         own descriptor until dropped)."""

@@ -402,12 +402,14 @@ def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
 
 
 def _write_distances(d2: np.ndarray, out_dir: Path) -> None:
+    """The lower triangle of sqrt(d2), streamed row by row from d2."""
     m = d2.shape[0]
-    tri = np.sqrt(d2[np.tril_indices(m, k=-1)])
-    (out_dir / "distances.bin").write_bytes(tri.astype("<f8").tobytes())
+    with open(out_dir / "distances.bin", "wb") as fh:
+        for i in range(1, m):
+            fh.write(np.sqrt(d2[i, :i]).astype("<f8", copy=False))
     (out_dir / "distances_header.csv").write_text(
         "m,entries,dtype,order\n"
-        f"{m},{tri.size},float64-le,row-major-lower-triangle\n"
+        f"{m},{m * (m - 1) // 2},float64-le,row-major-lower-triangle\n"
     )
 
 
@@ -507,10 +509,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                 t0 = clock("summaries")
                 _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
                 durations["summaries"] = time.perf_counter() - t0
-        except Exception as exc:
-            staged = type(exc)(f"stage {stage!r}: {exc}")
-            staged.__dict__.update(exc.__dict__)  # keeps e.g. NoSolution.design_index
-            raise staged.with_traceback(exc.__traceback__) from exc
+        except Exception as exc:  # named in place: keeps its type and fields (errno, design_index)
+            if isinstance(exc, OSError) and exc.strerror is not None:
+                exc.strerror = f"stage {stage!r}: {exc.strerror}"  # str() is built from it
+            else:
+                exc.args = (f"stage {stage!r}: {exc}",)
+            raise
 
         manifest = RunManifest(
             config={k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(config).items()},

@@ -79,7 +79,7 @@ def pairwise_euclidean_chunked(store) -> np.ndarray:
     m = store.m
     d2 = np.zeros((m, m))
     for start in range(0, store.pixel_count, cluster._PIXEL_CHUNK):
-        cols = store.columns(start, min(start + cluster._PIXEL_CHUNK, store.pixel_count))
+        cols = store.rows(0, m)[:, start : min(start + cluster._PIXEL_CHUNK, store.pixel_count)]
         buf = np.empty_like(cols)
         for i in range(m - 1):
             diff = np.subtract(cols[i + 1 :], cols[i], out=buf[i + 1 :])

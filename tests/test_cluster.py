@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from _oracles import (
     within_variance_via_between,
 )
 import owa_explorer
+from owa_explorer import cluster
 from owa_explorer.cluster import (
     cluster_summaries,
     cut,
@@ -108,6 +110,38 @@ def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run
     _check_same_tree(tree, exact, rel=1e-11)
     for k in range(1, 16):
         assert np.array_equal(cut(tree, k), cut(exact, k)), k
+
+
+def test_pairwise_recomputes_across_row_and_pair_blocks(tmp_path):
+    # 30 copies of one map, spread over more than one row block, give 435
+    # close pairs, more than one pair block, over two pixel chunks: every
+    # copy pair must come out exactly 0 apart in both triangles
+    m = cluster._BLOCK + 44
+    copies = np.linspace(0, m - 1, 30).astype(np.int64)  # the last ones past the first row block
+    assert 435 > cluster._BLOCK
+    rows = np.random.default_rng(30).random((m, cluster._PIXEL_CHUNK + 76))
+    rows[copies] = rows[copies[0]]
+    store = _store_from_rows(tmp_path, rows)
+    d2, recomputed = pairwise_euclidean(store)
+    assert recomputed == 435
+    assert (d2[np.ix_(copies, copies)] == 0.0).all()
+    assert np.array_equal(d2, d2.T) and (np.diag(d2) == 0.0).all()
+    np.testing.assert_allclose(d2, pairwise_euclidean_chunked(store), rtol=1e-12, atol=0.0)
+
+
+def test_pairwise_peak_memory_is_two_d2_and_one_chunk(tmp_path):
+    # d^2, one chunk's Gram product and the chunk itself; the store is read
+    # through its mapping, which tracemalloc does not count
+    m = 1000
+    store = _store_from_rows(tmp_path, np.random.default_rng(31).random((m, 1500)))
+    tracemalloc.start()
+    try:
+        d2, _ = pairwise_euclidean(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * d2.nbytes + m * cluster._PIXEL_CHUNK * 8 + (4 << 20)
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def _check_same_tree(tree, reference, rel):

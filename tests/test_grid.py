@@ -7,6 +7,7 @@ import pytest
 from _oracles import write_ascii_grid_per_cell
 from owa_explorer.errors import (
     AlignmentError,
+    AllInvalid,
     DataError,
     DimensionMismatch,
     MalformedHeader,
@@ -266,6 +267,13 @@ def test_build_stack_mask_intersection(meta_2x1):
     b = Raster(meta_2x1, np.array([0.2, 0.8]))
     stack = build_stack([("a", a), ("b", b)], [1.0, 1.0])
     assert stack.valid_mask.tolist() == [True, False]
+
+
+def test_build_stack_needs_a_cell_valid_in_every_layer(meta_2x1):
+    a = Raster(meta_2x1, np.array([0.1, -9999.0]))
+    b = Raster(meta_2x1, np.array([-9999.0, 0.8]))
+    with pytest.raises(AllInvalid, match="valid cells per layer: 'a' 1, 'b' 1"):
+        build_stack([("a", a), ("b", b)], [1.0, 1.0])
 
 
 def test_build_stack_value_range(meta_2x1):

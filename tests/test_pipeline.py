@@ -876,10 +876,50 @@ def test_full_disk_in_summaries_leaves_run_untouched(completed_run, tmp_path, mo
     (run / "NOTES.txt").write_text("not the run's\n")
     before = _snapshot(run)
     _fill_disk_at_cluster_grids(monkeypatch)
-    with pytest.raises(OSError, match="stage 'summaries'"):
+    with pytest.raises(OSError, match="stage 'summaries'") as err:
         run_pipeline(dataclasses.replace(cfg, seed=3, k=4, out=run))
+    assert err.value.errno == errno.ENOSPC
     assert _snapshot(run) == before
     assert (run / "incomplete" / "maps.bin").exists()
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("load", "load_stack_manifest"), ("sample", "sample_design"), ("aggregate", "batch_compute"),
+    ("distances", "pairwise_euclidean"), ("cluster", "ward_linkage"), ("summaries", "cluster_summaries"),
+])
+def test_fault_in_each_stage_leaves_run_untouched(completed_run, tmp_path, monkeypatch, stage, name):
+    # the error names its stage and keeps its fields; a complete run plus an
+    # unrelated file stay byte-identical
+    out, cfg, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / "NOTES.txt").write_text("not the run's\n")
+    before = _snapshot(run)
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), name)
+
+    monkeypatch.setattr(pipeline, name, fail)
+    with pytest.raises(OSError, match=f"stage '{stage}'") as err:
+        run_pipeline(dataclasses.replace(cfg, seed=3, k=4, out=run))
+    assert (err.value.errno, err.value.filename) == (errno.EIO, name)
+    assert _snapshot(run) == before
+
+
+def test_cli_run_stack_without_valid_cell_fails_at_load(tmp_path, capsys):
+    # no cell is valid in every layer: the run stops before sampling and
+    # names each layer's valid-cell count
+    manifest = synth_generate(8, 8, 3, seed=0, out_dir=tmp_path / "data")
+    grid = tmp_path / "data" / "criterion_00.asc"
+    meta = parse_ascii_grid(grid.read_text()).meta
+    grid.write_text(write_ascii_grid(Raster(meta, np.full(meta.size, meta.nodata_value))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"stack_manifest = {manifest}\nout = {tmp_path / 'out'}\nm = 6\nk_max = 3\n")
+    assert main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err
+    assert "'criterion_00' 0, 'criterion_01' 64, 'criterion_02' 63" in err
+    assert [p.name for p in (tmp_path / "out").rglob("*") if p.is_file()] == []  # no design.csv, no maps.bin
 
 
 def test_full_disk_in_analyze_leaves_run_untouched(completed_run, tmp_path, monkeypatch):
