@@ -22,8 +22,9 @@ from .grid import GridMeta, Raster
 from .mapstore import MapStore
 from .strategy import ExperimentalDesign
 
-# Pixels per chunk of the distance sums. The summation order, and so the
-# bytes of every distance, depend on it: it must stay a constant.
+# Pixels per chunk of the distance sums, and the unit of the map pass's
+# chunks. The summation order, and so the bytes of every distance, depend
+# on it: it must stay a constant.
 _PIXEL_CHUNK = 1024
 # A pair whose Gram-form d^2 is below this share of g_i + g_j (the squared
 # norms of the centred maps) is recomputed from exact differences: the
@@ -62,28 +63,33 @@ class ClusterSummary:
     clusters: tuple[ClusterInfo, ...]
 
 
-def pairwise_euclidean(store: MapStore) -> tuple[np.ndarray, int]:
-    """Squared Euclidean distances over all map pairs, from a Gram matrix
-    with close pairs recomputed from exact differences.
+def add_gram(gram: np.ndarray, cols: np.ndarray, product: np.ndarray) -> None:
+    """Add to the m x m gram the Gram sums of cols, all maps over pixels from
+    a _PIXEL_CHUNK boundary on: in order, each fixed chunk of _PIXEL_CHUNK
+    pixels, centred by its per-pixel mean (which moves no distance), times
+    its transpose, formed in the m x m scratch buffer product."""
+    for start in range(0, cols.shape[1], _PIXEL_CHUNK):
+        part = cols[:, start : start + _PIXEL_CHUNK]
+        part = part - part.mean(axis=0)
+        gram += np.matmul(part, part.T, out=product)
 
-    Each fixed chunk of _PIXEL_CHUNK pixels of every map, read through one
-    view of the store, is centred by its per-pixel mean, which moves no
-    distance, and its Gram matrix G is summed into the buffer returned. In
-    place, _BLOCK rows at a time, that becomes d_ij^2 = -2 G_ij + (g_i + g_j)
-    with g the diagonal of G, in both triangles alike (G is symmetric). Every
+
+def pairwise_euclidean(store: MapStore, gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """Squared Euclidean distances over all map pairs from the Gram sums of
+    the store's maps (see add_gram), close pairs recomputed from exact
+    differences.
+
+    In place, _BLOCK rows at a time, gram becomes d_ij^2 = -2 G_ij + (g_i + g_j)
+    with g its diagonal, in both triangles alike (G is symmetric). Every
     pair with d_ij^2 below _RECOMPUTE_BELOW (g_i + g_j) is summed again from
-    exact differences over the same chunks, _BLOCK pairs at a time, so tiny
-    distances stay accurate and identical maps exactly 0 apart. Returns the
-    symmetric m x m d^2 (zero diagonal, unrooted) and the number recomputed.
+    exact differences over the same chunks, read through one view of the
+    store, _BLOCK pairs at a time, so tiny distances stay accurate and
+    identical maps exactly 0 apart. Returns the symmetric m x m d^2 (gram
+    itself; zero diagonal, unrooted) and the number recomputed.
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
-    m, pixels, maps = store.m, store.pixel_count, store.rows(0, store.m)
-    chunks = [slice(s, min(s + _PIXEL_CHUNK, pixels)) for s in range(0, pixels, _PIXEL_CHUNK)]
-    d2 = np.zeros((m, m))
-    for chunk in chunks:
-        cols = maps[:, chunk] - maps[:, chunk].mean(axis=0)
-        d2 += cols @ cols.T
+    m, pixels, maps, d2 = store.m, store.pixel_count, store.rows(0, store.m), gram
     g = d2.diagonal().copy()
     close = []
     for start in range(0, m, _BLOCK):
@@ -97,8 +103,8 @@ def pairwise_euclidean(store: MapStore) -> tuple[np.ndarray, int]:
     for start in range(0, first.size, _BLOCK):
         i, j = first[start : start + _BLOCK], second[start : start + _BLOCK]
         sums = np.zeros(i.size)
-        for chunk in chunks:
-            diff = maps[j, chunk] - maps[i, chunk]
+        for chunk in range(0, pixels, _PIXEL_CHUNK):
+            diff = maps[j, chunk : chunk + _PIXEL_CHUNK] - maps[i, chunk : chunk + _PIXEL_CHUNK]
             sums += np.einsum("ij,ij->i", diff, diff)
         d2[i, j] = d2[j, i] = sums
     return d2, int(first.size)

@@ -26,13 +26,6 @@ _DTYPE = np.dtype("<f8")
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 
-def rows_per_block(m: int, pixel_count: int, memory_budget: int) -> int:
-    """How many of m map rows a block may hold: the budget covers two
-    float64 arrays of that many rows, at least one row and at most m."""
-    rows = memory_budget // (pixel_count * _DTYPE.itemsize * 2)
-    return max(1, min(m, int(rows)))
-
-
 def mask_digest(ncols: int, nrows: int, mask: np.ndarray) -> bytes:
     """SHA-256 over the grid dimensions and the row-major validity mask."""
     h = hashlib.sha256()
@@ -99,15 +92,17 @@ class MapStore:
         if digest != self.digest:
             raise MaskMismatch(f"{self.path}: store was built over a different validity mask")
 
-    def write_row(self, i: int, values: np.ndarray) -> None:
+    def write_row(self, i: int, values: np.ndarray, start: int | None = None) -> None:
+        """Write map i's values: its whole row, or its pixels from start on."""
         if self._fd is None:
             raise DataError(f"{self.path}: store is not open for writing")
         if not 0 <= i < self.m:
             raise DataError(f"{self.path}: row {i} outside 0..{self.m - 1}")
         data = np.ascontiguousarray(values, dtype=_DTYPE)
-        if data.shape != (self.pixel_count,):
-            raise DataError(f"{self.path}: row of shape {data.shape}, expected ({self.pixel_count},)")
-        offset = _HEADER.size + i * data.nbytes
+        first, last = (0, self.pixel_count) if start is None else (start, start + data.size)
+        if data.shape != (last - first,) or not 0 <= first <= last <= self.pixel_count:
+            raise DataError(f"{self.path}: {data.shape} values for pixels {first}..{last - 1} of row {i}")
+        offset = _HEADER.size + (i * self.pixel_count + first) * data.itemsize
         if os.pwrite(self._fd, data, offset) != data.nbytes:
             raise OSError(f"{self.path}: short write of row {i}")
 

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleStrategy, LengthMismatch, NoSolution
+from .cluster import _PIXEL_CHUNK, add_gram
+from .errors import ConfigError, InfeasibleStrategy, LengthMismatch, NoSolution
 from .grid import CriterionStack
-from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, rows_per_block
+from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest
 from .strategy import ExperimentalDesign, generate_weights_batch
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
@@ -51,13 +52,28 @@ def rank_pixels(stack: CriterionStack) -> PixelPermutationCache:
     )
 
 
-def _map_values(cache: PixelPermutationCache, W: np.ndarray) -> np.ndarray:
-    """One map per row of the (maps x n) order weights W, as (W (V*Z)^T) / (W V^T).
-    einsum, unlike a BLAS product, sums each value in the same order for any
-    number of rows, so the bytes do not depend on the block size."""
-    out = np.einsum("ij,pj->ip", W, cache.v_sorted * cache.z_sorted)
-    out /= np.einsum("ij,pj->ip", W, cache.v_sorted)
+def _map_values(cache: PixelPermutationCache, W: np.ndarray, pixels: slice) -> np.ndarray:
+    """One map per row of the (maps x n) order weights W over some pixels, as
+    (W (V*Z)^T) / (W V^T). einsum, unlike a BLAS product, sums each value in
+    the same order for any number of rows or pixels, so no byte depends on the chunk."""
+    out = np.einsum("ij,pj->ip", W, cache.v_sorted[pixels] * cache.z_sorted[pixels])
+    out /= np.einsum("ij,pj->ip", W, cache.v_sorted[pixels])
     return out
+
+
+def chunk_width(m: int, pixel_count: int, n: int, memory_budget: int) -> int:
+    """Pixels per chunk of the map pass: the most whole _PIXEL_CHUNKs, or all
+    pixels, that memory_budget holds beside d^2 and its Gram temporary, the
+    sorted cache and the weights, each chunk with its divisor temporary (all
+    float64). Raises ConfigError, naming the need, if not one chunk fits."""
+    held, per_pixel = 8 * (2 * m * m + 2 * pixel_count * n + m * n), 8 * 2 * m
+    need = held + per_pixel * min(pixel_count, _PIXEL_CHUNK)
+    if need > memory_budget:
+        raise ConfigError(
+            f"{m} maps over {pixel_count} pixels need memory_budget_mib >= {-(-need >> 20)}, "
+            f"got {memory_budget / 2**20:g}"
+        )
+    return min(pixel_count, max(1, (memory_budget - held) // (per_pixel * _PIXEL_CHUNK)) * _PIXEL_CHUNK)
 
 
 def batch_compute(
@@ -66,19 +82,22 @@ def batch_compute(
     n: int,
     store_path: str | Path,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> tuple[MapStore, np.ndarray]:
+) -> tuple[MapStore, np.ndarray, np.ndarray]:
     """Compute and persist one map per design point, in design order;
-    returns the store and the (m, n) order weights, one row per map.
+    returns the store, the (m, n) order weights (one row per map) and the
+    maps' m x m Gram sums (see cluster.add_gram).
 
-    Every design point is solved first, in one array pass. If any has no
-    order weights, the error of the smallest failing index is raised, naming
-    every failing index, before the pixels are ranked or the store is
-    created. The maps are then evaluated in blocks sized by the memory
-    budget and streamed to a binary store; the bytes do not depend on the
-    block size.
+    After the budget check (see chunk_width), every design point is solved
+    in one array pass. If any has no order weights, the error of the
+    smallest failing index is raised, naming every failing index, before
+    the pixels are ranked or the store is created. One pass over chunks of
+    pixels then evaluates all maps, writes each map's segment to the store
+    and adds the chunk's Gram sums; no byte depends on the chunk width.
     """
     if n != stack.n:
         raise LengthMismatch(f"design expects {n} criteria, stack has {stack.n}")
+    m, pixel_count = design.m, int(stack.valid_mask.sum())
+    width = chunk_width(m, pixel_count, n, memory_budget)
     W, failures = generate_weights_batch(design.points, n)
     if failures:
         i, exc = next(iter(failures.items()))
@@ -90,16 +109,15 @@ def batch_compute(
         raise InfeasibleStrategy(msg) from exc
 
     cache = rank_pixels(stack)
-    m, pixel_count = W.shape[0], cache.z_sorted.shape[0]
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
+    gram, product = np.zeros((m, m)), np.empty((m, m))
     try:
-        bs = rows_per_block(m, pixel_count, memory_budget)
-        for a0 in range(0, m, bs):
-            for i, row in enumerate(_map_values(cache, W[a0 : a0 + bs]), start=a0):
-                store.write_row(i, row)
-            # row views the block; the budget covers only the next block
-            # and its temporary, so this one must be gone before them
-            del row
+        for start in range(0, pixel_count, width):
+            cols = _map_values(cache, W, slice(start, start + width))
+            for i in range(m):
+                store.write_row(i, cols[i], start)
+            add_gram(gram, cols, product)
+            del cols  # the budget holds one chunk: this one goes before the next
     finally:
         store.close()
-    return MapStore.open(store_path), W
+    return MapStore.open(store_path), W, gram

@@ -37,7 +37,7 @@ from .cluster import (
 from .errors import ConfigError, DataError
 from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_text, write_ascii_grid
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest
-from .owa import batch_compute
+from .owa import batch_compute, chunk_width
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
 
 
@@ -477,6 +477,8 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             t0 = clock("load")
             layers, weights, inputs = load_stack_manifest(config.stack_manifest)
             stack = build_stack(layers, weights)
+            budget = config.memory_budget_mib << 20
+            chunk_width(config.m, int(stack.valid_mask.sum()), stack.n, budget)  # before the solve
             durations["load"] = time.perf_counter() - t0
 
             t0 = clock("sample")
@@ -487,14 +489,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             t0 = clock("aggregate")
             mask = Raster(replace(stack.meta, nodata_value=-9999.0), stack.valid_mask.astype(np.float64))
             (out_dir / "mask.asc").write_text(write_ascii_grid(mask))
-            store, W = batch_compute(
-                stack, design, stack.n, out_dir / "maps.bin", memory_budget=config.memory_budget_mib << 20
-            )
+            store, W, gram = batch_compute(stack, design, stack.n, out_dir / "maps.bin", memory_budget=budget)
             (out_dir / "weights.csv").write_text(format_weights_csv(W))
             durations["aggregate"] = time.perf_counter() - t0
 
             t0 = clock("distances")
-            d2, pairs_recomputed = pairwise_euclidean(store)
+            d2, pairs_recomputed = pairwise_euclidean(store, gram)
             if config.write_distances:
                 _write_distances(d2, out_dir)
             durations["distances"] = time.perf_counter() - t0

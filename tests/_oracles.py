@@ -8,7 +8,8 @@ before it took arrays, as the reference for the array one; the chunked
 exact-difference distances and the O(m^3) Ward scan keep those stages as
 they were before the Gram form and the nearest-neighbour chain. The bisection
 oracles are the exception: they reuse the library's array moments on
-purpose, because they check the root finders alone.
+purpose, because they check the root finders alone. `pairwise_from_store`
+is no oracle: it gives tests the run's own distances over a store.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def pairwise_euclidean_per_row(rows: np.ndarray) -> np.ndarray:
         diff = X[i + 1 :] - X[i]
         d[i, i + 1 :] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return d + d.T
+
+
+def pairwise_from_store(store) -> tuple[np.ndarray, int]:
+    """The run's squared distances over a store's maps and the number of
+    pairs recomputed: the Gram sums added by the library's own
+    `cluster.add_gram` over a read of every row, as the map pass adds them
+    while it writes, then `cluster.pairwise_euclidean`."""
+    gram = np.zeros((store.m, store.m))
+    cluster.add_gram(gram, store.rows(0, store.m), np.empty_like(gram))
+    return cluster.pairwise_euclidean(store, gram)
 
 
 def pairwise_euclidean_chunked(store) -> np.ndarray:

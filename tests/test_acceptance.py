@@ -22,13 +22,13 @@ from _oracles import (
     brute_force_ward,
     empirical_risk,
     merge_tree_members,
+    pairwise_from_store,
     quad_truncnorm_moments,
     within_variance_via_between,
 )
 from owa_explorer import strategy
 from owa_explorer.cluster import (
     cut,
-    pairwise_euclidean,
     variance_ratio_curve,
     ward_linkage,
     within_variance,
@@ -66,7 +66,7 @@ def test_criterion_1_corner_strategy_exactness(synth_stack, tmp_path):
         v = stack.criterion_weights.v
         corners = (DecisionPoint(0.0, 0.0), DecisionPoint(1.0, 0.0), DecisionPoint(0.5, 1.0))
         design = ExperimentalDesign(points=corners)
-        store, _ = batch_compute(stack, design, stack.n, tmp_path / "maps.bin")
+        store, _, _ = batch_compute(stack, design, stack.n, tmp_path / "maps.bin")
         low, high, wlc = store.rows(0, 3)
 
         assert np.abs(low - z.min(axis=1)).max() <= 1e-12
@@ -127,7 +127,7 @@ def test_criterion_5_variance_curve(pipeline_run):
     with criterion(5, "variance ratio: 1 at k=1, 0 at k=m, non-increasing, matches two routes that agree"):
         out, _, _ = pipeline_run
         store = MapStore.open(out / "maps.bin")
-        tree = ward_linkage(pairwise_euclidean(store)[0])
+        tree = ward_linkage(pairwise_from_store(store)[0])
         curve = variance_ratio_curve(tree, store.m)
         assert curve[0] == (1, 1.0)
         assert curve[-1][1] == 0.0
@@ -153,7 +153,7 @@ def test_criterion_6_dissimilarity_properties(pipeline_run):
     with criterion(6, "distance matrix: exact symmetry/diagonal, triangle inequality on 1000 triples"):
         out, _, _ = pipeline_run
         store = MapStore.open(out / "maps.bin")
-        d2, _ = pairwise_euclidean(store)
+        d2, _ = pairwise_from_store(store)
         assert np.array_equal(d2, d2.T)
         assert (np.diag(d2) == 0.0).all()
         d = np.sqrt(d2)

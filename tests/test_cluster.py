@@ -13,6 +13,7 @@ from _oracles import (
     brute_force_ward,
     merge_tree_members,
     pairwise_euclidean_chunked,
+    pairwise_from_store,
     pairwise_euclidean_per_row,
     ward_linkage_scan,
     within_variance_via_between,
@@ -23,7 +24,6 @@ from owa_explorer.cluster import (
     cluster_summaries,
     cut,
     export_segmentation,
-    pairwise_euclidean,
     suggest_k,
     variance_ratio_curve,
     ward_linkage,
@@ -53,7 +53,7 @@ def _design_of(m):
 
 def test_pairwise_examples(tmp_path):
     store = _store_from_rows(tmp_path, [[0.0, 0.0], [0.0, 0.0], [0.3, 0.4], [1.0, 0.0]])
-    d = np.sqrt(pairwise_euclidean(store)[0])
+    d = np.sqrt(pairwise_from_store(store)[0])
     assert d[0, 1] == 0.0
     assert d[0, 3] == pytest.approx(1.0, abs=1e-15)
     assert d[0, 2] == pytest.approx(0.5, abs=1e-15)
@@ -62,7 +62,7 @@ def test_pairwise_examples(tmp_path):
 def test_pairwise_properties(tmp_path):
     rng = np.random.default_rng(8)
     store = _store_from_rows(tmp_path, rng.random((12, 30)))
-    d2, _ = pairwise_euclidean(store)
+    d2, _ = pairwise_from_store(store)
     assert np.array_equal(d2, d2.T)
     assert (np.diag(d2) == 0.0).all()
     d = np.sqrt(d2)
@@ -77,7 +77,7 @@ def test_pairwise_matches_per_row_oracle(tmp_path, pixels):
     rng = np.random.default_rng(12 + pixels)
     rows = rng.random((9, pixels))
     rows[3], rows[7] = rows[0], rows[5]
-    d = np.sqrt(pairwise_euclidean(_store_from_rows(tmp_path, rows))[0])
+    d = np.sqrt(pairwise_from_store(_store_from_rows(tmp_path, rows))[0])
     _check_against_per_row_oracle(d, rows)
     assert d[0, 3] == 0.0 and d[5, 7] == 0.0
 
@@ -85,7 +85,7 @@ def test_pairwise_matches_per_row_oracle(tmp_path, pixels):
 def test_pairwise_matches_per_row_oracle_on_acceptance_store(pipeline_run):
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
-    _check_against_per_row_oracle(np.sqrt(pairwise_euclidean(store)[0]), store.rows(0, store.m))
+    _check_against_per_row_oracle(np.sqrt(pairwise_from_store(store)[0]), store.rows(0, store.m))
 
 
 def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
@@ -93,7 +93,7 @@ def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
     # records that share in its manifest
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
-    _, recomputed = pairwise_euclidean(store)
+    _, recomputed = pairwise_from_store(store)
     pairs = store.m * (store.m - 1) // 2
     assert 0 < recomputed <= 0.01 * pairs
     metrics = json.loads((out / "run_manifest.json").read_text())["metrics"]
@@ -105,7 +105,7 @@ def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run
     # the same merges in the same order, heights to the last few digits
     out, _, _ = pipeline_run
     store = MapStore.open(out / "maps.bin")
-    tree = ward_linkage(pairwise_euclidean(store)[0])
+    tree = ward_linkage(pairwise_from_store(store)[0])
     exact = ward_linkage_scan(pairwise_euclidean_chunked(store))
     _check_same_tree(tree, exact, rel=1e-11)
     for k in range(1, 16):
@@ -122,7 +122,7 @@ def test_pairwise_recomputes_across_row_and_pair_blocks(tmp_path):
     rows = np.random.default_rng(30).random((m, cluster._PIXEL_CHUNK + 76))
     rows[copies] = rows[copies[0]]
     store = _store_from_rows(tmp_path, rows)
-    d2, recomputed = pairwise_euclidean(store)
+    d2, recomputed = pairwise_from_store(store)
     assert recomputed == 435
     assert (d2[np.ix_(copies, copies)] == 0.0).all()
     assert np.array_equal(d2, d2.T) and (np.diag(d2) == 0.0).all()
@@ -136,7 +136,7 @@ def test_pairwise_peak_memory_is_two_d2_and_one_chunk(tmp_path):
     store = _store_from_rows(tmp_path, np.random.default_rng(31).random((m, 1500)))
     tracemalloc.start()
     try:
-        d2, _ = pairwise_euclidean(store)
+        d2, _ = pairwise_from_store(store)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,7 +255,7 @@ def test_ward_matches_scan_on_duplicate_maps(tmp_path, seed):
     groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
     for group in groups:
         rows[group[1:]] = rows[group[0]]
-    d2, _ = pairwise_euclidean(_store_from_rows(tmp_path, rows))
+    d2, _ = pairwise_from_store(_store_from_rows(tmp_path, rows))
     tree = ward_linkage(d2.copy())
     assert sum(h == 0.0 for _, _, h, _ in tree.merges) == sum(len(g) - 1 for g in groups)
     _check_same_tree(tree, ward_linkage_scan(d2), rel=1e-13)
@@ -265,7 +265,8 @@ _BLAS_SCRIPT = """
 import json, sys
 from pathlib import Path
 import numpy as np
-from owa_explorer.cluster import cut, pairwise_euclidean, ward_linkage
+from _oracles import pairwise_from_store
+from owa_explorer.cluster import cut, ward_linkage
 from owa_explorer.mapstore import MapStore, mask_digest
 rows = np.random.default_rng(21).random((300, 16057))
 rows[[40, 41, 250]] = rows[7]
@@ -275,7 +276,7 @@ store = MapStore.create(path, m=300, pixel_count=16057, digest=mask_digest(16057
 for i, row in enumerate(rows):
     store.write_row(i, row)
 store.close()
-tree = ward_linkage(pairwise_euclidean(MapStore.open(path))[0])
+tree = ward_linkage(pairwise_from_store(MapStore.open(path))[0])
 print(json.dumps({"merges": tree.merges, "cuts": [cut(tree, k).tolist() for k in (2, 3, 5, 8, 15)]}))
 """
 
@@ -286,7 +287,7 @@ def test_tree_topology_identical_across_blas_threads(tmp_path):
     src = Path(owa_explorer.__file__).resolve().parent.parent
     runs = []
     for threads in ("1", "2"):
-        path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        path = [str(src), str(Path(__file__).parent), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(path)}
         proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, str(tmp_path / f"blas{threads}.bin")],
@@ -312,7 +313,7 @@ def test_variance_curve_endpoints(tmp_path):
     rng = np.random.default_rng(14)
     rows = rng.random((10, 25))
     store = _store_from_rows(tmp_path, rows)
-    tree = ward_linkage(pairwise_euclidean(store)[0])
+    tree = ward_linkage(pairwise_from_store(store)[0])
     curve = variance_ratio_curve(tree, 10)
     assert curve[0] == (1, 1.0)
     assert curve[-1] == (10, 0.0)
@@ -324,14 +325,14 @@ def test_variance_curve_endpoints(tmp_path):
         assert abs(ratio - within_variance(store, cut(tree, k)) / total) <= 1e-12
     # identical maps: no variance at all, by convention 1 at k=1 and 0 beyond
     same = _store_from_rows(tmp_path, np.tile(rows[0], (10, 1)), name="same.bin")
-    flat = variance_ratio_curve(ward_linkage(pairwise_euclidean(same)[0]), 10)
+    flat = variance_ratio_curve(ward_linkage(pairwise_from_store(same)[0]), 10)
     assert flat == [(1, 1.0)] + [(k, 0.0) for k in range(2, 11)]
 
 
 def test_within_variance_two_routes_agree(tmp_path):
     rng = np.random.default_rng(15)
     store = _store_from_rows(tmp_path, rng.random((12, 30)))
-    tree = ward_linkage(pairwise_euclidean(store)[0])
+    tree = ward_linkage(pairwise_from_store(store)[0])
     for k in (1, 2, 3, 5, 8, 12):
         labels = cut(tree, k)
         w1 = within_variance(store, labels)
@@ -384,7 +385,7 @@ def test_summaries_mean_bounded_by_members(tmp_path):
     store = _store_from_rows(tmp_path, rows)
     meta = GridMeta(ncols=14, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
     mask = np.ones(14, dtype=bool)
-    tree = ward_linkage(pairwise_euclidean(store)[0])
+    tree = ward_linkage(pairwise_from_store(store)[0])
     labels = cut(tree, 3)
     summary = cluster_summaries(store, _design_of(9), labels, meta, mask)
     for info in summary.clusters:

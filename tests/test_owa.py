@@ -11,8 +11,9 @@ from _oracles import owa_map_per_map
 import owa_explorer
 from owa_explorer.errors import DataError, LengthMismatch, NoSolution
 from owa_explorer.grid import GridMeta, Raster, build_stack
-from owa_explorer.mapstore import MapStore, mask_digest, rows_per_block
-from owa_explorer.owa import _map_values, batch_compute, rank_pixels
+from owa_explorer.cluster import _PIXEL_CHUNK
+from owa_explorer.mapstore import MapStore, mask_digest
+from owa_explorer.owa import _map_values, batch_compute, chunk_width, rank_pixels
 from owa_explorer.strategy import (
     DecisionPoint,
     ExperimentalDesign,
@@ -32,7 +33,7 @@ def _one_pixel_stack(z, v):
 def _owa_value(z, v, w) -> float:
     """One pixel's OWA value, through the run's ranking and map kernel."""
     cache = rank_pixels(_one_pixel_stack(z, v))
-    return float(_map_values(cache, np.asarray(w, dtype=np.float64)[None, :])[0, 0])
+    return float(_map_values(cache, np.asarray(w, dtype=np.float64)[None, :], slice(None))[0, 0])
 
 
 def test_rank_pixels_examples():
@@ -72,7 +73,7 @@ def test_owa_value_max_corner():
 
 
 def test_batch_corners_on_small_stack(tmp_path, small_stack):
-    store, _ = batch_compute(small_stack, _corner_design(), small_stack.n, tmp_path / "maps.bin")
+    store, _, _ = batch_compute(small_stack, _corner_design(), small_stack.n, tmp_path / "maps.bin")
     # the store holds the valid pixels only: nodata cells never enter a map
     assert store.pixel_count == int(small_stack.valid_mask.sum()) < small_stack.meta.size
     z = small_stack.value_matrix()
@@ -157,7 +158,7 @@ def test_batch_corner_reductions(tmp_path, meta_2x1):
     a = Raster(meta_2x1, np.array([0.2, 0.9]))
     b = Raster(meta_2x1, np.array([0.8, 0.1]))
     stack = build_stack([("a", a), ("b", b)], [0.75, 0.25])
-    store, W = batch_compute(stack, _corner_design(), 2, tmp_path / "maps.bin")
+    store, W, _ = batch_compute(stack, _corner_design(), 2, tmp_path / "maps.bin")
     assert store.m == 3
     np.testing.assert_allclose(store.rows(0, 1)[0], [0.2, 0.1], atol=1e-15)  # min
     np.testing.assert_allclose(store.rows(1, 2)[0], [0.8, 0.9], atol=1e-15)  # max
@@ -170,7 +171,7 @@ def test_batch_values_in_range(tmp_path, small_stack):
     from owa_explorer.strategy import sample_design
 
     design = sample_design(25, seed=7)
-    store, _ = batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
+    store, _, _ = batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
     data = store.rows(0, store.m)
     assert data.min() >= 0.0 and data.max() <= 1.0
 
@@ -189,16 +190,24 @@ batch_compute(stack, sample_design(16, seed=7), stack.n, Path(sys.argv[2]))
 
 
 def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, synth_stack):
+    # chunks of one _PIXEL_CHUNK, of two (the last one short) and of all
+    # pixels give the same maps.bin and the same Gram sums, bit for bit
     manifest, stack = synth_stack
     design = sample_design(16, seed=7)
     pixels = int(stack.valid_mask.sum())
-    # one map per block, blocks of 7 (the last one short), and one block
-    for name, budget in (("one", 1), ("seven", 7 * pixels * 16)):
-        batch_compute(stack, design, stack.n, tmp_path / f"{name}.bin", memory_budget=budget)
-    batch_compute(stack, design, stack.n, tmp_path / "default.bin")
+    assert pixels % _PIXEL_CHUNK and pixels > 2 * _PIXEL_CHUNK
+    held = 8 * (2 * 16 * 16 + 2 * pixels * stack.n + 16 * stack.n)
+    grams = []
+    for chunks in (1, 2):
+        budget = held + chunks * 16 * 16 * _PIXEL_CHUNK
+        assert chunk_width(16, pixels, stack.n, budget) == chunks * _PIXEL_CHUNK
+        grams.append(batch_compute(stack, design, stack.n, tmp_path / f"{chunks}.bin", memory_budget=budget)[2])
+    assert chunk_width(16, pixels, stack.n, 512 << 20) == pixels
+    gram = batch_compute(stack, design, stack.n, tmp_path / "default.bin")[2]
     expected = (tmp_path / "default.bin").read_bytes()
-    assert (tmp_path / "one.bin").read_bytes() == expected
-    assert (tmp_path / "seven.bin").read_bytes() == expected
+    for chunks, other in zip((1, 2), grams):
+        assert (tmp_path / f"{chunks}.bin").read_bytes() == expected, chunks
+        assert other.tobytes() == gram.tobytes(), chunks
 
     src = Path(owa_explorer.__file__).resolve().parent.parent
     for threads in ("1", "2"):
@@ -212,22 +221,23 @@ def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, syn
 
 
 def test_batch_peak_memory_within_budget(tmp_path):
-    # three blocks of 32 maps: the budget covers the block being computed
-    # and its temporary, so no earlier block may still be alive; the rest
-    # of the peak is the sorted values and weights and their product
+    # four chunks of 4096 pixels: the budget holds d^2 and its Gram
+    # temporary, the sorted values and weights, the order weights and the
+    # chunk being computed with its divisor, so no earlier chunk may still
+    # be alive
     meta = GridMeta(ncols=128, nrows=128, xllcorner=0, yllcorner=0, cellsize=1)
     rng = np.random.default_rng(5)
     stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(2)], [0.5, 0.5])
     design = ExperimentalDesign(points=_corner_design().points * 32)
     budget = 8 << 20
-    assert rows_per_block(96, meta.size, budget) == 32
+    assert chunk_width(96, meta.size, 2, budget) == 4 * _PIXEL_CHUNK
     tracemalloc.start()
     try:
         batch_compute(stack, design, 2, tmp_path / "maps.bin", memory_budget=budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= budget + 3 * meta.size * 2 * 8, peak / budget
+    assert peak <= budget, peak / budget
 
 
 def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):
@@ -318,6 +328,25 @@ def test_mapstore_roundtrip(tmp_path):
     again.check_digest(digest)
     with pytest.raises(DataError):
         again.check_digest(mask_digest(4, 2, np.zeros(8, dtype=bool)))
+
+
+def test_mapstore_segment_writes(tmp_path):
+    # segments at their pixel offsets make the same bytes as whole rows;
+    # a segment that leaves its row is refused
+    digest = mask_digest(5, 1, np.ones(5, dtype=bool))
+    rows = np.arange(10, dtype=np.float64).reshape(2, 5) / 10.0
+    whole = MapStore.create(tmp_path / "whole.bin", m=2, pixel_count=5, digest=digest)
+    parts = MapStore.create(tmp_path / "parts.bin", m=2, pixel_count=5, digest=digest)
+    for i in range(2):
+        whole.write_row(i, rows[i])
+        parts.write_row(i, rows[i, 2:], 2)
+        parts.write_row(i, rows[i, :2], 0)
+    for start, values in ((4, rows[0, :2]), (-1, rows[0, :2]), (6, rows[0, :0]), (0, rows[:, :2])):
+        with pytest.raises(DataError):
+            parts.write_row(0, values, start)
+    whole.close()
+    parts.close()
+    assert (tmp_path / "parts.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
 
 
 def test_mapstore_rejects_garbage(tmp_path):

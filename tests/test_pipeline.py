@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import verify_manifest
-from owa_explorer import pipeline
+from _oracles import pairwise_from_store, verify_manifest
+from owa_explorer import owa, pipeline
 from owa_explorer.cli import main
-from owa_explorer.cluster import pairwise_euclidean, ward_linkage
+from owa_explorer.cluster import ward_linkage
 from owa_explorer.errors import ConfigError, DataError, NoSolution
 from owa_explorer.grid import GridMeta, Raster, parse_ascii_grid, write_ascii_grid
 from owa_explorer.mapstore import MapStore
@@ -320,7 +320,7 @@ def test_write_distances_lower_triangle(tmp_path, synth_dir):
         stack_manifest=synth_dir / "stack_manifest.csv", m=6, seed=1, k_max=4, out=out,
         write_distances=True,
     ))
-    d = np.sqrt(pairwise_euclidean(MapStore.open(out / "maps.bin"))[0])
+    d = np.sqrt(pairwise_from_store(MapStore.open(out / "maps.bin"))[0])
     raw = (out / "distances.bin").read_bytes()
     assert len(raw) == 8 * 15
     assert np.frombuffer(raw, dtype="<f8").tolist() == [d[i, j] for i in range(6) for j in range(i)]
@@ -376,7 +376,7 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     # directory with another memory budget writes the same count and every
     # other output byte for byte
     out, cfg, manifest = completed_run
-    _, recomputed = pairwise_euclidean(MapStore.open(out / "maps.bin"))
+    _, recomputed = pairwise_from_store(MapStore.open(out / "maps.bin"))
     assert manifest.metrics == {"distance_pairs_recomputed": recomputed}
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"
@@ -500,7 +500,7 @@ def test_analyze_rejects_bad_k(completed_run, tmp_path):
 def test_merge_tree_csv_roundtrip(pipeline_run, tmp_path):
     # the acceptance fixture's tree, and an all-identical-maps tree (heights 0)
     out, _, _ = pipeline_run
-    acceptance = ward_linkage(pairwise_euclidean(MapStore.open(out / "maps.bin"))[0])
+    acceptance = ward_linkage(pairwise_from_store(MapStore.open(out / "maps.bin"))[0])
     identical = ward_linkage(np.zeros((6, 6)))
     assert all(h == 0.0 for _, _, h, _ in identical.merges)
     for tree in (acceptance, identical):
@@ -920,6 +920,30 @@ def test_cli_run_stack_without_valid_cell_fails_at_load(tmp_path, capsys):
     assert "stage 'load'" in err
     assert "'criterion_00' 0, 'criterion_01' 64, 'criterion_02' 63" in err
     assert [p.name for p in (tmp_path / "out").rglob("*") if p.is_file()] == []  # no design.csv, no maps.bin
+
+
+def test_cli_run_over_budget_exits_2_before_the_solve(completed_run, tmp_path, monkeypatch, capsys):
+    # 300 maps need 16 m^2 = 1.4 MB for d^2 and its Gram temporary alone, so
+    # a 1 MiB budget cannot hold the map pass: the run stops at load, names
+    # the need and the budget, solves no weight and leaves out/ as it was
+    out, cfg, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run over budget must not solve any weight")
+
+    monkeypatch.setattr(owa, "generate_weights_batch", refuse)
+    before = {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"stack_manifest = {cfg.stack_manifest}\nout = {run}\nm = 300\nk_max = 5\nmemory_budget_mib = 1\n"
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err
+    assert "need memory_budget_mib >= 4, got 1" in err
+    assert {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 def test_full_disk_in_analyze_leaves_run_untouched(completed_run, tmp_path, monkeypatch):
