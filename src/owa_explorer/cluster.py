@@ -32,7 +32,7 @@ _PIXEL_CHUNK = 1024
 # grows as d^2 shrinks against them.
 _RECOMPUTE_BELOW = 1e-3
 # Rows of d^2 formed, and close pairs recomputed, at a time; no distance depends on it.
-_BLOCK = 256
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,15 @@ def pairwise_euclidean(store: MapStore, gram: np.ndarray) -> tuple[np.ndarray, i
     In place, _BLOCK rows at a time, gram becomes d_ij^2 = -2 G_ij + (g_i + g_j)
     with g its diagonal, in both triangles alike (G is symmetric). Every
     pair with d_ij^2 below _RECOMPUTE_BELOW (g_i + g_j) is summed again from
-    exact differences over the same chunks, read through one view of the
-    store, _BLOCK pairs at a time, so tiny distances stay accurate and
-    identical maps exactly 0 apart. Returns the symmetric m x m d^2 (gram
+    exact differences over the same chunks, in ascending order: each chunk
+    of each map in a close pair is read from the store once, and the pairs
+    are summed from it _BLOCK at a time, so tiny distances stay accurate
+    and identical maps exactly 0 apart. Returns the symmetric m x m d^2 (gram
     itself; zero diagonal, unrooted) and the number recomputed.
     """
     if store.m < 2:
         raise DataError(f"need at least 2 maps, got {store.m}")
-    m, pixels, maps, d2 = store.m, store.pixel_count, store.rows(0, store.m), gram
+    m, pixels, d2 = store.m, store.pixel_count, gram
     g = d2.diagonal().copy()
     close = []
     for start in range(0, m, _BLOCK):
@@ -100,13 +101,18 @@ def pairwise_euclidean(store: MapStore, gram: np.ndarray) -> tuple[np.ndarray, i
         i, j = np.nonzero(np.triu(block < _RECOMPUTE_BELOW * norms, start + 1))
         close.append((i + start, j))
     first, second = (np.concatenate(ij) for ij in zip(*close))
-    for start in range(0, first.size, _BLOCK):
-        i, j = first[start : start + _BLOCK], second[start : start + _BLOCK]
-        sums = np.zeros(i.size)
-        for chunk in range(0, pixels, _PIXEL_CHUNK):
-            diff = maps[j, chunk : chunk + _PIXEL_CHUNK] - maps[i, chunk : chunk + _PIXEL_CHUNK]
-            sums += np.einsum("ij,ij->i", diff, diff)
-        d2[i, j] = d2[j, i] = sums
+    used, local = np.unique(np.concatenate((first, second)), return_inverse=True)
+    i, j = local[: first.size], local[first.size :]
+    sums = np.zeros(first.size)
+    buffer = np.empty(used.size * min(pixels, _PIXEL_CHUNK))
+    for chunk in range(0, pixels, _PIXEL_CHUNK):
+        width = min(_PIXEL_CHUNK, pixels - chunk)
+        seg = store.segments(used, chunk, chunk + width, out=buffer[: used.size * width].reshape(-1, width))
+        for start in range(0, first.size, _BLOCK):
+            diff = seg[j[start : start + _BLOCK]]
+            diff -= seg[i[start : start + _BLOCK]]
+            sums[start : start + _BLOCK] += np.einsum("ij,ij->i", diff, diff)
+    d2[first, second] = d2[second, first] = sums
     return d2, int(first.size)
 
 
@@ -219,13 +225,20 @@ def cut(tree: MergeTree, k: int) -> np.ndarray:
     return labels
 
 
+def _each_row(store: MapStore):
+    """The store's maps in index order, each read into the same buffer."""
+    row = np.empty((1, store.pixel_count))
+    for i in range(store.m):
+        yield store.rows(i, i + 1, out=row)[0]
+
+
 def _cluster_means(store: MapStore, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = int(labels.max())
     sums = np.zeros((k, store.pixel_count))
     counts = np.bincount(labels - 1, minlength=k).astype(np.int64)
     if (counts == 0).any():
         raise EmptyCluster(f"cluster {int(np.argmax(counts == 0)) + 1} has no members")
-    for i, row in enumerate(store.rows(0, store.m)):
+    for i, row in enumerate(_each_row(store)):
         sums[labels[i] - 1] += row
     return sums / counts[:, None], counts
 
@@ -238,7 +251,7 @@ def within_variance(store: MapStore, labels: np.ndarray) -> float:
     """
     means, _ = _cluster_means(store, labels)
     return sum(
-        float(np.square(row - means[labels[i] - 1]).sum()) for i, row in enumerate(store.rows(0, store.m))
+        float(np.square(row - means[labels[i] - 1]).sum()) for i, row in enumerate(_each_row(store))
     )
 
 
@@ -289,7 +302,7 @@ def cluster_summaries(
     means, counts = _cluster_means(store, labels)
     k = means.shape[0]
     sq = np.zeros_like(means)
-    for i, row in enumerate(store.rows(0, store.m)):
+    for i, row in enumerate(_each_row(store)):
         c = labels[i] - 1
         sq[c] += np.square(row - means[c])
     stds = np.sqrt(sq / counts[:, None])

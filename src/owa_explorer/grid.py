@@ -8,6 +8,7 @@ computation downstream. Rasters and stacks are immutable once built.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,7 +132,14 @@ def parse_ascii_grid(text: str | bytes, path: str | Path | None = None) -> Raste
 
 def _parse_ascii_grid(text: str | bytes) -> Raster:
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"byte {text[exc.start]:#04x} at offset {exc.start} is not ASCII") from None
+    if not text.isascii():
+        # str.split would also split at non-ASCII spaces, and float() reads non-ASCII digits
+        token = next(t for t in re.split(r"[ \t\n\r\f\v]+", text) if not t.isascii())
+        raise NonNumericCell(f"token {token!r} is not ASCII")
     tokens = text.split()
     if not tokens:
         raise MalformedHeader("empty input")
@@ -145,10 +153,15 @@ def _parse_ascii_grid(text: str | bytes) -> Raster:
         if key in header:
             raise MalformedHeader(f"duplicate header key {key!r}")
         try:
+            if "_" in tokens[pos + 1]:  # float() would read 1_0 as 10
+                raise ValueError
             header[key] = float(tokens[pos + 1])
         except ValueError:
             raise MalformedHeader(f"header key {key!r} has non-numeric value {tokens[pos + 1]!r}") from None
         pos += 2
+    infinite = [f"{k} {tokens[2 * i + 1]}" for i, (k, v) in enumerate(header.items()) if not math.isfinite(v)]
+    if infinite:
+        raise MalformedHeader(f"header values must be finite: {', '.join(infinite)}")
 
     missing = [k for k in _REQUIRED_KEYS if k not in header]
     if missing:
@@ -169,6 +182,10 @@ def _parse_ascii_grid(text: str | bytes) -> Raster:
     body = tokens[pos:]
     if len(body) != meta.size:
         raise DimensionMismatch(f"expected {meta.size} cells, got {len(body)}")
+    # header values hold no "_", so the first one is NODATA_value's when that key is given
+    if text.find("_", text.find("_") + 1 if "nodata_value" in header else 0) >= 0:
+        token = next(t for t in body if "_" in t)
+        raise NonNumericCell(f"cell value {token!r} is not a number")
     try:
         values = np.array(body, dtype=np.float64)
     except ValueError:

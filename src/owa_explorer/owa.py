@@ -84,8 +84,9 @@ def batch_compute(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> tuple[MapStore, np.ndarray, np.ndarray]:
     """Compute and persist one map per design point, in design order;
-    returns the store, the (m, n) order weights (one row per map) and the
-    maps' m x m Gram sums (see cluster.add_gram).
+    returns the store it wrote, still open (the caller closes it), the
+    (m, n) order weights (one row per map) and the maps' m x m Gram sums
+    (see cluster.add_gram).
 
     After the budget check (see chunk_width), every design point is solved
     in one array pass. If any has no order weights, the error of the
@@ -118,6 +119,7 @@ def batch_compute(
                 store.write_row(i, cols[i], start)
             add_gram(gram, cols, product)
             del cols  # the budget holds one chunk: this one goes before the next
-    finally:
+    except BaseException:
         store.close()
-    return MapStore.open(store_path), W, gram
+        raise
+    return store, W, gram

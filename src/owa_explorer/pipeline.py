@@ -8,6 +8,7 @@ containing wall-clock information.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -36,7 +37,7 @@ from .cluster import (
 )
 from .errors import ConfigError, DataError
 from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_text, write_ascii_grid
-from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest
+from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, store_size
 from .owa import batch_compute, chunk_width
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
 
@@ -401,6 +402,18 @@ def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
     return MergeTree(m=m, merges=tuple(merges))
 
 
+def _check_free_disk(out_dir: Path, m: int, pixel_count: int, write_distances: bool) -> None:
+    """Raise OSError(ENOSPC), naming both sizes in MiB, if the file system
+    of out_dir has less free space than maps.bin (and distances.bin, when
+    written) will take."""
+    need = store_size(m, pixel_count) + (4 * m * (m - 1) if write_distances else 0)
+    fs = os.statvfs(out_dir)
+    free = fs.f_bavail * fs.f_frsize
+    if need > free:
+        files = "maps.bin and distances.bin need" if write_distances else "maps.bin needs"
+        raise OSError(errno.ENOSPC, f"{files} {need / 2**20:.1f} MiB, {out_dir} has {free / 2**20:.1f} MiB free")
+
+
 def _write_distances(d2: np.ndarray, out_dir: Path) -> None:
     """The lower triangle of sqrt(d2), streamed row by row from d2."""
     m = d2.shape[0]
@@ -477,8 +490,9 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             t0 = clock("load")
             layers, weights, inputs = load_stack_manifest(config.stack_manifest)
             stack = build_stack(layers, weights)
-            budget = config.memory_budget_mib << 20
-            chunk_width(config.m, int(stack.valid_mask.sum()), stack.n, budget)  # before the solve
+            budget, pixels = config.memory_budget_mib << 20, int(stack.valid_mask.sum())
+            chunk_width(config.m, pixels, stack.n, budget)  # both checks before the solve
+            _check_free_disk(out_dir, config.m, pixels, config.write_distances)
             durations["load"] = time.perf_counter() - t0
 
             t0 = clock("sample")
@@ -490,25 +504,26 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             mask = Raster(replace(stack.meta, nodata_value=-9999.0), stack.valid_mask.astype(np.float64))
             (out_dir / "mask.asc").write_text(write_ascii_grid(mask))
             store, W, gram = batch_compute(stack, design, stack.n, out_dir / "maps.bin", memory_budget=budget)
-            (out_dir / "weights.csv").write_text(format_weights_csv(W))
-            durations["aggregate"] = time.perf_counter() - t0
+            with store:
+                (out_dir / "weights.csv").write_text(format_weights_csv(W))
+                durations["aggregate"] = time.perf_counter() - t0
 
-            t0 = clock("distances")
-            d2, pairs_recomputed = pairwise_euclidean(store, gram)
-            if config.write_distances:
-                _write_distances(d2, out_dir)
-            durations["distances"] = time.perf_counter() - t0
+                t0 = clock("distances")
+                d2, pairs_recomputed = pairwise_euclidean(store, gram)
+                if config.write_distances:
+                    _write_distances(d2, out_dir)
+                durations["distances"] = time.perf_counter() - t0
 
-            t0 = clock("cluster")
-            tree = ward_linkage(d2)
-            curve = variance_ratio_curve(tree, min(config.k_max, tree.m))
-            _write_tree_outputs(tree, curve, out_dir)
-            durations["cluster"] = time.perf_counter() - t0
+                t0 = clock("cluster")
+                tree = ward_linkage(d2)
+                curve = variance_ratio_curve(tree, min(config.k_max, tree.m))
+                _write_tree_outputs(tree, curve, out_dir)
+                durations["cluster"] = time.perf_counter() - t0
 
-            if config.k is not None:
-                t0 = clock("summaries")
-                _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
-                durations["summaries"] = time.perf_counter() - t0
+                if config.k is not None:
+                    t0 = clock("summaries")
+                    _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
+                    durations["summaries"] = time.perf_counter() - t0
         except Exception as exc:  # named in place: keeps its type and fields (errno, design_index)
             if isinstance(exc, OSError) and exc.strerror is not None:
                 exc.strerror = f"stage {stage!r}: {exc.strerror}"  # str() is built from it
@@ -557,18 +572,18 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else run_dir
     k_max = _read_run_k_max(run_dir)
-    store = MapStore.open(run_dir / "maps.bin")
-    if not (1 <= k <= store.m):
-        raise ConfigError(f"k must be in [1, {store.m}], got {k}")
-    design = _read_design_csv(run_dir / "design.csv")
-    if design.m != store.m:
-        raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
-    # parsed here, not by grid.read_grid: the traced benchmark times parse_ascii_grid as pipeline calls it
-    mask_raster = parse_ascii_grid(read_text(run_dir / "mask.asc"), run_dir / "mask.asc")
-    valid_mask = mask_raster.values == 1.0
-    store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
-    tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
-    curve = variance_ratio_curve(tree, min(k_max, store.m))
-    with _staged(out, _ANALYZE_OWNS) as stage:
-        _write_tree_outputs(tree, curve, stage)
-        _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, stage)
+    with MapStore.open(run_dir / "maps.bin") as store:
+        if not (1 <= k <= store.m):
+            raise ConfigError(f"k must be in [1, {store.m}], got {k}")
+        design = _read_design_csv(run_dir / "design.csv")
+        if design.m != store.m:
+            raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
+        # parsed here, not by grid.read_grid: the traced benchmark times parse_ascii_grid as pipeline calls it
+        mask_raster = parse_ascii_grid(read_text(run_dir / "mask.asc"), run_dir / "mask.asc")
+        valid_mask = mask_raster.values == 1.0
+        store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
+        tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
+        curve = variance_ratio_curve(tree, min(k_max, store.m))
+        with _staged(out, _ANALYZE_OWNS) as stage:
+            _write_tree_outputs(tree, curve, stage)
+            _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, stage)

@@ -73,14 +73,19 @@ def pairwise_euclidean_per_row(rows: np.ndarray) -> np.ndarray:
     return d + d.T
 
 
-def pairwise_from_store(store) -> tuple[np.ndarray, int]:
-    """The run's squared distances over a store's maps and the number of
-    pairs recomputed: the Gram sums added by the library's own
+def gram_from_store(store) -> np.ndarray:
+    """The Gram sums of a store's maps, added by the library's own
     `cluster.add_gram` over a read of every row, as the map pass adds them
-    while it writes, then `cluster.pairwise_euclidean`."""
+    while it writes."""
     gram = np.zeros((store.m, store.m))
     cluster.add_gram(gram, store.rows(0, store.m), np.empty_like(gram))
-    return cluster.pairwise_euclidean(store, gram)
+    return gram
+
+
+def pairwise_from_store(store) -> tuple[np.ndarray, int]:
+    """The run's squared distances over a store's maps and the number of
+    pairs recomputed: `cluster.pairwise_euclidean` on `gram_from_store`."""
+    return cluster.pairwise_euclidean(store, gram_from_store(store))
 
 
 def pairwise_euclidean_chunked(store) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from _oracles import (
     brute_force_ward,
+    gram_from_store,
     merge_tree_members,
     pairwise_euclidean_chunked,
     pairwise_from_store,
@@ -129,19 +131,21 @@ def test_pairwise_recomputes_across_row_and_pair_blocks(tmp_path):
     np.testing.assert_allclose(d2, pairwise_euclidean_chunked(store), rtol=1e-12, atol=0.0)
 
 
-def test_pairwise_peak_memory_is_two_d2_and_one_chunk(tmp_path):
-    # d^2, one chunk's Gram product and the chunk itself; the store is read
-    # through its mapping, which tracemalloc does not count
+def test_pairwise_holds_at_most_one_chunk_beside_d2(tmp_path):
+    # the Gram sums are formed by the map pass (its budget is tested in
+    # test_owa.py); turning them into d^2 in place and reading the store
+    # for the recompute holds no more than one chunk of every map
     m = 1000
     store = _store_from_rows(tmp_path, np.random.default_rng(31).random((m, 1500)))
+    gram = gram_from_store(store)
     tracemalloc.start()
     try:
-        d2, _ = pairwise_from_store(store)
+        cluster.pairwise_euclidean(store, gram)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 2 * d2.nbytes + m * cluster._PIXEL_CHUNK * 8 + (4 << 20)
-    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    bound = m * cluster._PIXEL_CHUNK * 8 + (4 << 20)
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB beside d^2, bound {bound / 2**20:.1f} MiB"
 
 
 def _check_same_tree(tree, reference, rel):
@@ -408,6 +412,52 @@ def test_summaries_centroid(tmp_path):
     )
     assert summary.clusters[0].centroid_r == pytest.approx(0.2)
     assert summary.clusters[1].centroid_t == pytest.approx(0.7)
+
+
+_RESIDENT_SCRIPT = """
+import json, resource, sys
+from pathlib import Path
+import numpy as np
+from owa_explorer.cluster import cluster_summaries
+from owa_explorer.grid import GridMeta
+from owa_explorer.mapstore import MapStore, mask_digest
+from owa_explorer.strategy import DecisionPoint, ExperimentalDesign
+m, side = 128, 256  # 64 MiB of maps
+path, mask = Path(sys.argv[1]), np.ones(side * side, bool)
+rng = np.random.default_rng(5)
+store = MapStore.create(path, m=m, pixel_count=mask.size, digest=mask_digest(side, side, mask))
+for i in range(m):
+    store.write_row(i, rng.random(mask.size))
+store.close()
+design = ExperimentalDesign(points=tuple(DecisionPoint(0.5, 0.1) for _ in range(m)))
+meta = GridMeta(ncols=side, nrows=side, xllcorner=0, yllcorner=0, cellsize=1)
+store = MapStore.open(path)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cluster_summaries(store, design, np.arange(m) % 2 + 1, meta, mask)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+store.close()
+print(json.dumps({"grown_kib": grown, "store_kib": m * mask.size * 8 // 1024}))
+"""
+
+
+def test_summaries_keep_no_store_page_resident(tmp_path):
+    # the summaries read every map twice; peak RSS may grow by the sums and
+    # one row, not by the store (ru_maxrss is in KiB on Linux). A preexec_fn
+    # makes the child a fork, not a vfork: a vfork-ed child's ru_maxrss
+    # starts at this process's own peak, which would hide any growth.
+    src = Path(owa_explorer.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_SCRIPT, str(tmp_path / "maps.bin")], env=env,
+                          check=True, timeout=300, capture_output=True, text=True, preexec_fn=lambda: None)
+    rss = json.loads(proc.stdout)
+    assert rss["grown_kib"] < rss["store_kib"] / 4, rss
+
+    # nothing maps the file: a store holds arrays it was handed, never a mapping
+    store = _store_from_rows(tmp_path, np.zeros((2, 3)), name="small.bin")
+    written = MapStore.create(tmp_path / "w.bin", m=2, pixel_count=3, digest=store.digest)
+    for s in (store, written):
+        assert not [k for k, v in vars(s).items() if isinstance(v, (np.memmap, mmap.mmap))]
+        s.close()
 
 
 def test_export_segmentation(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,46 @@ def test_parse_non_numeric_cell():
 def test_parse_rejects_nan_cell():
     with pytest.raises(NonNumericCell):
         parse_ascii_grid(HEADER_2X1 + "0.2 nan")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ncols", "inf"), ("nrows", "nan"), ("xllcorner", "nan"), ("yllcorner", "-inf"),
+    ("cellsize", "inf"), ("NODATA_value", "nan"), ("NODATA_value", "inf"),
+])
+def test_parse_rejects_non_finite_header(key, value):
+    lines = [line.split() for line in HEADER_2X1.splitlines()]
+    text = "".join(f"{k} {value if k == key else v}\n" for k, v in lines)
+    with pytest.raises(MalformedHeader, match=f"finite: {key.lower()} {value}$"):
+        parse_ascii_grid(text + "0.1 0.2")
+
+
+def test_parse_names_every_non_finite_header_key():
+    text = "ncols 2\nnrows 1\nxllcorner nan\nyllcorner 0\ncellsize inf\n0.1 0.2"
+    with pytest.raises(MalformedHeader, match="xllcorner nan, cellsize inf"):
+        parse_ascii_grid(text)
+
+
+@pytest.mark.parametrize("header, body, token", [
+    (HEADER_2X1, "0.2 1_0", "'1_0'"), (HEADER_2X1.split("NODATA")[0], "1_0 0.2", "'1_0'"),
+    (HEADER_2X1, "0.2 \u0661", "'\u0661'"), (HEADER_2X1, "0.2\xa00.3 0.4", "'0.2\\xa00.3'"),
+])
+def test_parse_rejects_cells_float_reads_but_ascii_does_not_hold(header, body, token):
+    # float() reads 1_0 as 10.0 and an Arabic-Indic digit as 1.0, and
+    # str.split() splits at a no-break space
+    with pytest.raises(NonNumericCell, match=re.escape(token)):
+        parse_ascii_grid(header + body, "g.asc")
+
+
+def test_parse_header_value_with_underscore():
+    with pytest.raises(MalformedHeader, match="'5_0'"):
+        parse_ascii_grid(HEADER_2X1.replace("cellsize 5", "cellsize 5_0") + "0.1 0.2")
+
+
+def test_parse_bytes_not_ascii_names_path_and_offset():
+    data = (HEADER_2X1 + "0.2 0.\xe9").encode("latin-1")
+    offset = len(data) - 1
+    with pytest.raises(DataError, match=f"g.asc: byte 0xe9 at offset {offset} is not ASCII"):
+        parse_ascii_grid(data, "g.asc")
 
 
 def test_parse_accepts_bytes():

@@ -312,7 +312,7 @@ def test_mapstore_roundtrip(tmp_path):
     rows = np.arange(24, dtype=np.float64).reshape(3, 8) / 24.0
     for i in range(3):
         store.write_row(i, rows[i])
-    assert np.array_equal(store.rows(0, 3), rows)  # written rows show through the read mapping
+    assert np.array_equal(store.rows(0, 3), rows)  # written rows read back through the same descriptor
     for i, values in ((3, rows[0]), (-1, rows[0]), (0, rows[0][:7]), (0, np.zeros((2, 8)))):
         with pytest.raises(DataError):
             store.write_row(i, values)
@@ -328,6 +328,33 @@ def test_mapstore_roundtrip(tmp_path):
     again.check_digest(digest)
     with pytest.raises(DataError):
         again.check_digest(mask_digest(4, 2, np.zeros(8, dtype=bool)))
+
+
+def test_mapstore_reads_into_caller_buffers(tmp_path):
+    # rows and row segments are copied into the array given, which is
+    # returned; a wrong buffer, range, closed store or cut file is refused
+    digest = mask_digest(5, 1, np.ones(5, dtype=bool))
+    rows = np.arange(20, dtype=np.float64).reshape(4, 5) / 20.0
+    with MapStore.create(tmp_path / "s.bin", m=4, pixel_count=5, digest=digest) as store:
+        for i in range(4):
+            store.write_row(i, rows[i])
+    store = MapStore.open(tmp_path / "s.bin")
+    out = np.empty((2, 5))
+    assert store.rows(1, 3, out=out) is out and np.array_equal(out, rows[1:3])
+    assert np.array_equal(store.segments(np.array([3, 0, 3]), 1, 4), rows[[3, 0, 3], 1:4])
+    assert store.segments(np.array([], dtype=np.int64), 0, 5).shape == (0, 5)
+    for bad in (lambda: store.rows(1, 3, out=np.empty((2, 4))), lambda: store.rows(3, 5),
+                lambda: store.rows(0, 2, out=np.empty((5, 2)).T), lambda: store.segments(np.array([4]), 0, 5),
+                lambda: store.segments(np.array([0]), 2, 6)):
+        with pytest.raises(DataError):
+            bad()
+    with open(tmp_path / "s.bin", "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - 8)
+    with pytest.raises(DataError, match="store ends"):
+        store.rows(3, 4)
+    store.close()
+    with pytest.raises(DataError, match="closed"):
+        store.rows(0, 1)
 
 
 def test_mapstore_segment_writes(tmp_path):

@@ -946,6 +946,78 @@ def test_cli_run_over_budget_exits_2_before_the_solve(completed_run, tmp_path, m
     assert {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
+def _statvfs(available: int, block: int) -> os.statvfs_result:
+    # (f_bsize, f_frsize, f_blocks, f_bfree, f_bavail, f_files, f_ffree, f_favail, f_flag, f_namemax)
+    return os.statvfs_result((block, block, 0, 0, available, 0, 0, 0, 0, 255))
+
+
+def test_cli_run_without_free_disk_exits_3_before_the_solve(completed_run, tmp_path, monkeypatch, capsys):
+    # maps.bin and distances.bin would not fit the free space: the run stops
+    # at load with ENOSPC, names both sizes, solves no weight and leaves
+    # out/ as it was
+    out, cfg, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run without disk space must not solve any weight")
+
+    monkeypatch.setattr(owa, "generate_weights_batch", refuse)
+    monkeypatch.setattr(os, "statvfs", lambda path: _statvfs(available=128, block=4096))
+    before = {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"stack_manifest = {cfg.stack_manifest}\nout = {run}\nm = 300\nk_max = 5\nwrite_distances = true\n"
+    )
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    pixels = MapStore.open(run / "maps.bin").pixel_count
+    need = (60 + 8 * 300 * pixels + 4 * 300 * 299) / 2**20
+    assert "stage 'load'" in err and "[Errno 28]" in err
+    assert f"maps.bin and distances.bin need {need:.1f} MiB" in err
+    assert "has 0.5 MiB free" in err
+    assert {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
+def test_free_disk_check_counts_distances_only_when_written(tmp_path, monkeypatch):
+    # the check needs exactly the bytes the two files take, not one more
+    maps_bytes, distances_bytes = 60 + 8 * 5 * 7, 4 * 5 * 4
+    for write_distances, need in ((False, maps_bytes), (True, maps_bytes + distances_bytes)):
+        for free, fits in ((need, True), (need - 1, False)):
+            monkeypatch.setattr(os, "statvfs", lambda path: _statvfs(available=free, block=1))
+            if fits:
+                pipeline._check_free_disk(tmp_path, 5, 7, write_distances)
+            else:
+                with pytest.raises(OSError) as err:
+                    pipeline._check_free_disk(tmp_path, 5, 7, write_distances)
+                assert err.value.errno == errno.ENOSPC
+
+
+def test_failed_move_while_publishing_leaves_no_manifest(completed_run, tmp_path, monkeypatch):
+    # a rerun into a complete run whose fifth move fails: no manifest sits
+    # in out/, the files not yet moved stay staged, and errno survives
+    out, cfg, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    replace, moved = os.replace, []
+
+    def fail_fifth(src, dst):
+        if len(moved) == 4:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(src))
+        replace(src, dst)
+        moved.append(Path(dst).name)
+
+    monkeypatch.setattr(os, "replace", fail_fifth)
+    with pytest.raises(OSError) as err:
+        run_pipeline(dataclasses.replace(cfg, seed=3, out=run))
+    assert err.value.errno == errno.EIO
+    staged = {p.name for p in (run / "incomplete").iterdir()}
+    assert not (run / "run_manifest.json").exists()
+    assert "run_manifest.json" in staged and len(moved) == 4 and not staged & set(moved)
+    assert staged | set(moved) == {p.name for p in out.iterdir()}
+    assert all((run / name).exists() for name in moved)
+
+
 def test_full_disk_in_analyze_leaves_run_untouched(completed_run, tmp_path, monkeypatch):
     out, _, _ = completed_run
     run = tmp_path / "run"
