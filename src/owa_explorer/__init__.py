@@ -23,7 +23,6 @@ from .strategy import (  # noqa: F401
     DecisionPoint,
     ExperimentalDesign,
     OrderWeights,
-    feasible,
     generate_weights,
     generate_weights_batch,
     sample_design,
@@ -34,11 +33,9 @@ from .owa import (  # noqa: F401
     rank_pixels,
 )
 from .cluster import (  # noqa: F401
-    ClusterSummary,
     MergeTree,
     cluster_summaries,
     cut,
-    export_segmentation,
     pairwise_euclidean,
     suggest_k,
     variance_ratio_curve,

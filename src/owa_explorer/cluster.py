@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadK, DataError, EmptyCluster
-from .grid import GridMeta, Raster
 from .mapstore import MapStore
-from .strategy import ExperimentalDesign
 
 # Pixels per chunk of the distance sums, and the unit of the map pass's
 # chunks. The summation order, and so the bytes of every distance, depend
@@ -44,23 +42,6 @@ class MergeTree:
 
     m: int
     merges: tuple[tuple[int, int, float, int], ...]
-
-
-@dataclass(frozen=True)
-class ClusterInfo:
-    label: int
-    members: tuple[int, ...]
-    centroid_r: float
-    centroid_t: float
-    mean_map: Raster
-    std_map: Raster
-
-
-@dataclass(frozen=True)
-class ClusterSummary:
-    k: int
-    labels: np.ndarray
-    clusters: tuple[ClusterInfo, ...]
 
 
 def add_gram(gram: np.ndarray, cols: np.ndarray, product: np.ndarray) -> None:
@@ -286,54 +267,14 @@ def suggest_k(curve: list[tuple[int, float]]) -> int:
     return max(drops, key=lambda x: (x[0], -x[1]))[1]
 
 
-def cluster_summaries(
-    store: MapStore,
-    design: ExperimentalDesign,
-    labels: np.ndarray,
-    meta: GridMeta,
-    valid_mask: np.ndarray,
-) -> ClusterSummary:
-    """Cellwise mean and population standard deviation per cluster, plus the
-    (r, t) centroid of the member design points."""
-    if len(labels) != store.m or len(design.points) != store.m:
-        raise DataError(
-            f"labels ({len(labels)}), design ({len(design.points)}) and store ({store.m}) disagree"
-        )
+def cluster_summaries(store: MapStore, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cellwise mean and population standard deviation of each cluster's
+    maps: two (k, pixel_count) arrays whose row c holds label c + 1."""
+    if len(labels) != store.m:
+        raise DataError(f"{len(labels)} labels for {store.m} maps")
     means, counts = _cluster_means(store, labels)
-    k = means.shape[0]
     sq = np.zeros_like(means)
     for i, row in enumerate(_each_row(store)):
         c = labels[i] - 1
         sq[c] += np.square(row - means[c])
-    stds = np.sqrt(sq / counts[:, None])
-
-    infos = []
-    for c in range(k):
-        members = tuple(int(i) for i in np.nonzero(labels == c + 1)[0])
-        rs = [design.points[i].r for i in members]
-        ts = [design.points[i].t for i in members]
-        mean_vals = np.full(meta.size, meta.nodata_value)
-        std_vals = np.full(meta.size, meta.nodata_value)
-        mean_vals[valid_mask] = means[c]
-        std_vals[valid_mask] = stds[c]
-        infos.append(
-            ClusterInfo(
-                label=c + 1,
-                members=members,
-                centroid_r=float(np.mean(rs)),
-                centroid_t=float(np.mean(ts)),
-                mean_map=Raster(meta, mean_vals),
-                std_map=Raster(meta, std_vals),
-            )
-        )
-    return ClusterSummary(k=k, labels=labels, clusters=tuple(infos))
-
-
-def export_segmentation(design: ExperimentalDesign, labels: np.ndarray) -> str:
-    """CSV rows (index, r, t, label) in design order."""
-    if len(labels) != len(design.points):
-        raise DataError(f"{len(labels)} labels for {len(design.points)} design points")
-    lines = ["index,r,t,label"]
-    for i, p in enumerate(design.points):
-        lines.append(f"{i},{p.r!r},{p.t!r},{int(labels[i])}")
-    return "\n".join(lines) + "\n"
+    return means, np.sqrt(sq / counts[:, None])

@@ -75,7 +75,7 @@ class Raster:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
+        vals = np.array(self.values, dtype=np.float64, order="C").reshape(-1)
         if vals.size != self.meta.size:
             raise DimensionMismatch(
                 f"expected {self.meta.size} cells ({self.meta.ncols}x{self.meta.nrows}), got {vals.size}"

@@ -28,7 +28,6 @@ from . import __version__
 from .cluster import (
     MergeTree,
     cluster_summaries,
-    export_segmentation,
     pairwise_euclidean,
     suggest_k,
     variance_ratio_curve,
@@ -427,16 +426,24 @@ def _write_distances(d2: np.ndarray, out_dir: Path) -> None:
 
 
 def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir):
+    """segmentation.csv, each cluster's mean and std grids, and
+    cluster_centroids.csv (the mean (r, t) of its design points) for the
+    cut of tree into k clusters."""
     labels = cut(tree, k)
-    summary = cluster_summaries(store, design, labels, meta, valid_mask)
-    (out_dir / "segmentation.csv").write_text(export_segmentation(design, labels))
-    for info in summary.clusters:
-        (out_dir / f"cluster{info.label}_mean.asc").write_text(write_ascii_grid(info.mean_map))
-        (out_dir / f"cluster{info.label}_std.asc").write_text(write_ascii_grid(info.std_map))
-    centroid_lines = ["label,members,centroid_r,centroid_t"]
-    for info in summary.clusters:
-        centroid_lines.append(f"{info.label},{len(info.members)},{info.centroid_r!r},{info.centroid_t!r}")
-    (out_dir / "cluster_centroids.csv").write_text("\n".join(centroid_lines) + "\n")
+    means, stds = cluster_summaries(store, labels)
+    rows = [f"{i},{p.r!r},{p.t!r},{label}" for i, (p, label) in enumerate(zip(design.points, labels.tolist()))]
+    (out_dir / "segmentation.csv").write_text("\n".join(["index,r,t,label", *rows]) + "\n")
+    grid = np.full(meta.size, meta.nodata_value)
+    centroids = ["label,members,centroid_r,centroid_t"]
+    for c in range(len(means)):
+        for name, values in (("mean", means[c]), ("std", stds[c])):
+            grid[valid_mask] = values
+            (out_dir / f"cluster{c + 1}_{name}.asc").write_text(write_ascii_grid(Raster(meta, grid)))
+        members = np.flatnonzero(labels == c + 1)
+        r = float(np.mean([design.points[i].r for i in members]))
+        t = float(np.mean([design.points[i].t for i in members]))
+        centroids.append(f"{c + 1},{members.size},{r!r},{t!r}")
+    (out_dir / "cluster_centroids.csv").write_text("\n".join(centroids) + "\n")
 
 
 # The names each writer owns in its output directory; no other file there is touched.

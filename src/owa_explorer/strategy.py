@@ -62,7 +62,7 @@ class OrderWeights:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64).reshape(-1)
+        w = np.array(self.w, dtype=np.float64, order="C").reshape(-1)
         if w.size < 2:
             raise ValueError(f"need at least 2 order weights, got {w.size}")
         if (w < 0).any():
@@ -83,22 +83,34 @@ class ExperimentalDesign:
     def __post_init__(self):
         if not self.points:
             raise ValueError("a design needs at least one point")
-        for i, p in enumerate(self.points):
-            if not feasible(p):
-                raise InfeasibleStrategy(
-                    f"design point {i} (r={p.r}, t={p.t}) outside the strategy space"
-                )
+        above = np.flatnonzero(~_under_parabola(*_coordinates(self.points)))
+        if above.size:
+            p = self.points[above[0]]
+            raise InfeasibleStrategy(
+                f"design point {above[0]} (r={p.r}, t={p.t}) outside the strategy space; "
+                f"failing design indices: {', '.join(map(str, above))}"
+            )
 
     @property
     def m(self) -> int:
         return len(self.points)
 
 
-def feasible(p: DecisionPoint) -> bool:
-    """True iff the point lies under the parabola t <= 4r(1-r)."""
-    if not (0.0 <= p.r <= 1.0 and 0.0 <= p.t <= 1.0):
+def _under_parabola(r, t):
+    """Elementwise t <= 4r(1-r), within FEAS_EPS: the strategy space's upper edge."""
+    return t <= 4.0 * r * (1.0 - r) + FEAS_EPS
+
+
+def _coordinates(points) -> tuple[np.ndarray, np.ndarray]:
+    """The r and t arrays of points; the first point outside the unit
+    square raises OutOfUnitSquare."""
+    r = np.array([p.r for p in points], dtype=np.float64)
+    t = np.array([p.t for p in points], dtype=np.float64)
+    outside = ~((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0))
+    if outside.any():
+        p = points[int(np.argmax(outside))]
         raise OutOfUnitSquare(f"(r, t) = ({p.r}, {p.t}) outside the unit square")
-    return p.t <= 4.0 * p.r * (1.0 - p.r) + FEAS_EPS
+    return r, t
 
 
 def _log_ndtr_c(x: float) -> float:
@@ -365,15 +377,10 @@ def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NoSolu
     """
     if n < 2:
         raise ValueError(f"need n >= 2 weights, got {n}")
-    r = np.array([p.r for p in points], dtype=np.float64)
-    t = np.array([p.t for p in points], dtype=np.float64)
-    outside = ~((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0))
-    if outside.any():
-        p = points[int(np.argmax(outside))]
-        raise OutOfUnitSquare(f"(r, t) = ({p.r}, {p.t}) outside the unit square")
+    r, t = _coordinates(points)
     W = np.full((len(points), n), np.nan)
     failures = {}
-    under = t <= 4.0 * r * (1.0 - r) + FEAS_EPS
+    under = _under_parabola(r, t)
     for i in np.flatnonzero(~under):
         p = points[i]
         failures[int(i)] = InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
@@ -423,9 +430,9 @@ def sample_design(m: int, seed: int) -> ExperimentalDesign:
     points: list[DecisionPoint] = []
     proposals = 0
     while len(points) < m:
-        r = rng.random()
-        t = rng.random()
-        proposals += 1
-        if t <= 4.0 * r * (1.0 - r) + FEAS_EPS:
-            points.append(DecisionPoint(r, t))
+        # k draws of (r, t) read the stream as 2k scalar draws would
+        r, t = rng.random((2 * (m - len(points)) + 16, 2)).T
+        accepted = np.flatnonzero(_under_parabola(r, t))[: m - len(points)]
+        points += map(DecisionPoint, r[accepted].tolist(), t[accepted].tolist())
+        proposals += int(accepted[-1]) + 1 if len(points) == m else r.size
     return ExperimentalDesign(points=tuple(points), n_proposals=proposals)

@@ -21,11 +21,11 @@ from _oracles import (
     within_variance_via_between,
 )
 import owa_explorer
-from owa_explorer import cluster
+from owa_explorer import cluster, pipeline
 from owa_explorer.cluster import (
+    MergeTree,
     cluster_summaries,
     cut,
-    export_segmentation,
     suggest_k,
     variance_ratio_curve,
     ward_linkage,
@@ -353,65 +353,70 @@ def test_suggest_k_largest_drop():
 def test_summaries_identical_maps(tmp_path):
     rows = np.tile(np.linspace(0.0, 1.0, 20), (3, 1))
     store = _store_from_rows(tmp_path, rows)
-    meta = GridMeta(ncols=20, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
-    mask = np.ones(20, dtype=bool)
-    summary = cluster_summaries(store, _design_of(3), np.array([1, 1, 1]), meta, mask)
-    std = summary.clusters[0].std_map.values
-    assert np.abs(std).max() <= 1e-12
+    _, stds = cluster_summaries(store, np.array([1, 1, 1]))
+    assert stds.shape == (1, 20)
+    assert np.abs(stds[0]).max() <= 1e-12
 
 
 def test_summaries_two_point_cluster(tmp_path):
     store = _store_from_rows(tmp_path, [np.zeros(10), np.ones(10)])
-    meta = GridMeta(ncols=10, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
-    mask = np.ones(10, dtype=bool)
-    summary = cluster_summaries(store, _design_of(2), np.array([1, 1]), meta, mask)
-    info = summary.clusters[0]
-    assert np.allclose(info.mean_map.values, 0.5, atol=1e-15)
-    assert np.allclose(info.std_map.values, 0.5, atol=1e-15)  # population std over {0, 1}
+    means, stds = cluster_summaries(store, np.array([1, 1]))
+    assert np.allclose(means[0], 0.5, atol=1e-15)
+    assert np.allclose(stds[0], 0.5, atol=1e-15)  # population std over {0, 1}
 
 
 def test_summaries_singleton(tmp_path):
     rng = np.random.default_rng(16)
     rows = rng.random((3, 8))
     store = _store_from_rows(tmp_path, rows)
-    meta = GridMeta(ncols=8, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
-    mask = np.ones(8, dtype=bool)
-    summary = cluster_summaries(store, _design_of(3), np.array([1, 1, 2]), meta, mask)
-    singleton = summary.clusters[1]
-    assert singleton.members == (2,)
-    assert np.array_equal(singleton.mean_map.values, rows[2])
-    assert np.abs(singleton.std_map.values).max() <= 1e-15
+    means, stds = cluster_summaries(store, np.array([1, 1, 2]))
+    assert np.array_equal(means[1], rows[2])
+    assert np.abs(stds[1]).max() <= 1e-15
 
 
 def test_summaries_mean_bounded_by_members(tmp_path):
     rng = np.random.default_rng(18)
     rows = rng.random((9, 14))
     store = _store_from_rows(tmp_path, rows)
-    meta = GridMeta(ncols=14, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
-    mask = np.ones(14, dtype=bool)
     tree = ward_linkage(pairwise_from_store(store)[0])
     labels = cut(tree, 3)
-    summary = cluster_summaries(store, _design_of(9), labels, meta, mask)
-    for info in summary.clusters:
-        member_rows = rows[list(info.members)]
-        assert (info.mean_map.values >= member_rows.min(axis=0) - 1e-12).all()
-        assert (info.mean_map.values <= member_rows.max(axis=0) + 1e-12).all()
+    means, _ = cluster_summaries(store, labels)
+    assert means.shape == (3, 14)
+    for c, mean in enumerate(means):
+        member_rows = rows[labels == c + 1]
+        assert (mean >= member_rows.min(axis=0) - 1e-12).all()
+        assert (mean <= member_rows.max(axis=0) + 1e-12).all()
+
+
+def test_summaries_reject_labels_of_another_length(tmp_path):
+    store = _store_from_rows(tmp_path, np.zeros((3, 4)))
+    with pytest.raises(DataError, match=r"^2 labels for 3 maps$"):
+        cluster_summaries(store, np.array([1, 2]))
+
+
+def _two_pair_outputs(tmp_path, design):
+    """The cluster outputs of four maps cut into {0, 1} and {2, 3}."""
+    store = _store_from_rows(tmp_path, np.random.default_rng(1).random((4, 6)))
+    tree = MergeTree(m=4, merges=((0, 1, 0.5, 2), (2, 3, 0.5, 2), (4, 5, 1.0, 4)))
+    meta = GridMeta(ncols=6, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
+    pipeline._cluster_outputs(store, design, tree, 2, meta, np.ones(6, dtype=bool), tmp_path)
+    return {name: (tmp_path / name).read_text().strip().split("\n")
+            for name in ("segmentation.csv", "cluster_centroids.csv")}
 
 
 def test_summaries_centroid(tmp_path):
-    store = _store_from_rows(tmp_path, np.random.default_rng(1).random((4, 6)))
-    meta = GridMeta(ncols=6, nrows=1, xllcorner=0, yllcorner=0, cellsize=1)
     design = ExperimentalDesign(
         points=(
             DecisionPoint(0.1, 0.2), DecisionPoint(0.3, 0.4),
             DecisionPoint(0.5, 0.6), DecisionPoint(0.7, 0.8),
         ),
     )
-    summary = cluster_summaries(
-        store, design, np.array([1, 1, 2, 2]), meta, np.ones(6, dtype=bool)
-    )
-    assert summary.clusters[0].centroid_r == pytest.approx(0.2)
-    assert summary.clusters[1].centroid_t == pytest.approx(0.7)
+    lines = _two_pair_outputs(tmp_path, design)["cluster_centroids.csv"]
+    assert lines[0] == "label,members,centroid_r,centroid_t"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["1", "2"], ["2", "2"]]
+    assert float(rows[0][2]) == pytest.approx(0.2)
+    assert float(rows[1][3]) == pytest.approx(0.7)
 
 
 _RESIDENT_SCRIPT = """
@@ -419,9 +424,7 @@ import json, resource, sys
 from pathlib import Path
 import numpy as np
 from owa_explorer.cluster import cluster_summaries
-from owa_explorer.grid import GridMeta
 from owa_explorer.mapstore import MapStore, mask_digest
-from owa_explorer.strategy import DecisionPoint, ExperimentalDesign
 m, side = 128, 256  # 64 MiB of maps
 path, mask = Path(sys.argv[1]), np.ones(side * side, bool)
 rng = np.random.default_rng(5)
@@ -429,11 +432,9 @@ store = MapStore.create(path, m=m, pixel_count=mask.size, digest=mask_digest(sid
 for i in range(m):
     store.write_row(i, rng.random(mask.size))
 store.close()
-design = ExperimentalDesign(points=tuple(DecisionPoint(0.5, 0.1) for _ in range(m)))
-meta = GridMeta(ncols=side, nrows=side, xllcorner=0, yllcorner=0, cellsize=1)
 store = MapStore.open(path)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-cluster_summaries(store, design, np.arange(m) % 2 + 1, meta, mask)
+cluster_summaries(store, np.arange(m) % 2 + 1)
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 store.close()
 print(json.dumps({"grown_kib": grown, "store_kib": m * mask.size * 8 // 1024}))
@@ -462,12 +463,6 @@ def test_summaries_keep_no_store_page_resident(tmp_path):
 
 def test_export_segmentation(tmp_path):
     design = _design_of(4)
-    labels = np.array([1, 2, 1, 2])
-    csv_text = export_segmentation(design, labels)
-    lines = csv_text.strip().split("\n")
+    lines = _two_pair_outputs(tmp_path, design)["segmentation.csv"]
     assert lines[0] == "index,r,t,label"
-    assert len(lines) == 5
-    assert lines[1].startswith("0,") and lines[1].endswith(",1")
-    assert lines[2].endswith(",2")
-    with pytest.raises(DataError):
-        export_segmentation(design, np.array([1, 2]))
+    assert lines[1:] == [f"{i},{p.r!r},{p.t!r},{label}" for i, (p, label) in enumerate(zip(design.points, [1, 1, 2, 2]))]

@@ -1,4 +1,6 @@
-"""The package exports only what something other than the tests uses."""
+"""The package exports only what something other than the tests uses, and
+`cluster` computes on arrays alone: it sees no grid frame, design point or
+pipeline."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,14 @@ def test_every_export_is_used_outside_the_tests():
     users = [p for p in PACKAGE.glob("*.py") if p != init] + sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*map(_referenced, users))
     assert sorted(exported - used) == []
+
+
+def test_cluster_imports_neither_grid_strategy_nor_pipeline():
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cluster.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            imported |= {name.removeprefix("owa_explorer.").split(".")[0] for name in names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("owa_explorer.").split(".")[0] for a in node.names}
+    assert not imported & {"grid", "strategy", "pipeline"}, sorted(imported)

@@ -62,6 +62,17 @@ def test_parse_missing_key():
         parse_ascii_grid("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\n0.1 0.2")
 
 
+@pytest.mark.parametrize("text, message", [
+    (HEADER_2X1.replace("ncols 2", "ncols 1.5") + "0.2 0.8", "ncols must be a positive integer, got 1.5"),
+    (HEADER_2X1.replace("nrows 1", "nrows 0") + "0.2 0.8", "nrows must be a positive integer, got 0.0"),
+    (" \n\t \r\n", "empty input"),
+])
+def test_parse_rejects_bad_dimensions_and_blank_input(text, message):
+    with pytest.raises(MalformedHeader) as err:
+        parse_ascii_grid(text, "g.asc")
+    assert str(err.value) == f"g.asc: {message}"
+
+
 def test_parse_duplicate_key():
     with pytest.raises(MalformedHeader):
         parse_ascii_grid("ncols 2\nncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 5\n0.1 0.2")
@@ -272,6 +283,16 @@ def test_meta_validation():
 def test_raster_rejects_wrong_length(meta_2x1):
     with pytest.raises(DimensionMismatch):
         Raster(meta_2x1, np.array([0.1, 0.2, 0.3]))
+
+
+def test_raster_copies_its_values(meta_2x1):
+    # a raster is immutable once built: a later write to the caller's
+    # array must not reach it, and the caller's array stays writable
+    a = np.zeros(2)
+    r = Raster(meta_2x1, a)
+    a[0] = 7.0
+    assert r.values.tolist() == [0.0, 0.0]
+    assert not r.values.flags.writeable
 
 
 def test_criterion_weights_normalize():

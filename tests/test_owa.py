@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -380,6 +381,40 @@ def test_mapstore_rejects_garbage(tmp_path):
     (tmp_path / "bad.bin").write_bytes(b"not a store")
     with pytest.raises(DataError):
         MapStore.open(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("header, message", [
+    (struct.pack("<8sI", b"OWAMAPS0", 1), "not a map store (bad magic b'OWAMAPS0')"),
+    (struct.pack("<8sI", b"OWAMAPS1", 2), "unsupported store version 2"),
+])
+def test_mapstore_rejects_foreign_header(tmp_path, header, message):
+    digest = mask_digest(2, 1, np.ones(2, dtype=bool))
+    MapStore.create(tmp_path / "s.bin", m=1, pixel_count=2, digest=digest).close()
+    with open(tmp_path / "s.bin", "r+b") as fh:
+        fh.write(header)
+    with pytest.raises(DataError) as err:
+        MapStore.open(tmp_path / "s.bin")
+    assert str(err.value) == f"{tmp_path / 's.bin'}: {message}"
+
+
+def test_mapstore_read_continues_after_a_short_read(tmp_path, monkeypatch):
+    # preadv may return fewer bytes than asked; the read goes on from there
+    digest = mask_digest(5, 1, np.ones(5, dtype=bool))
+    rows = np.arange(15, dtype=np.float64).reshape(3, 5) / 15.0
+    with MapStore.create(tmp_path / "s.bin", m=3, pixel_count=5, digest=digest) as store:
+        for i in range(3):
+            store.write_row(i, rows[i])
+    preadv, requests = os.preadv, []
+
+    def half(fd, buffers, offset):
+        view = memoryview(buffers[0]).cast("B")
+        requests.append(view.nbytes)
+        return preadv(fd, [view[: (view.nbytes + 1) // 2]], offset)
+
+    monkeypatch.setattr(os, "preadv", half)
+    with MapStore.open(tmp_path / "s.bin") as store:
+        assert np.array_equal(store.rows(0, 3), rows)
+    assert requests[:3] == [120, 60, 30]
 
 
 def test_mapstore_rejects_truncation(tmp_path):

@@ -163,6 +163,39 @@ def test_load_config_value_messages(tmp_path, line, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("stack_manifest = x\nm = 4\nm = 5\n", ":3: duplicate key 'm'"),
+        ("stack_manifest = x\nm 5\n", ":2: expected 'key = value', got 'm 5'"),
+        ("m = 4\n", ": missing required key 'stack_manifest'"),
+        # comment and blank lines count in the line numbers but hold no key
+        ("# a run\n\n   \nstack_manifest = x  # the stack\n# m = 3\nm = 4\nm = 6\n", ":7: duplicate key 'm'"),
+    ],
+)
+def test_load_config_line_messages(tmp_path, text, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value) == f"{cfg_path}{message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name,path,weight\na,a.asc,1\nb,b.asc\n", ":3: expected 'name,path,weight', got 'b,b.asc'"),
+        ("# no rows\n\n  # at all\n", ": empty stack manifest"),
+    ],
+)
+def test_load_stack_manifest_line_messages(tmp_path, text, message):
+    path = tmp_path / "stack.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_stack_manifest(path)
+    assert str(err.value) == f"{path}{message}"
+
+
 @pytest.mark.parametrize("key", ["workers"])
 def test_load_config_rejects_explicit_zero(tmp_path, key):
     cfg_path = tmp_path / "run.cfg"
@@ -592,6 +625,31 @@ def test_analyze_rejects_malformed_design_csv(completed_run, tmp_path, edit, lin
     where = str(run / "design.csv") + (f":{line}:" if line is not None else ":")
     assert where in str(err.value)
     assert not re_out.exists()
+
+
+def test_analyze_rejects_design_of_another_length(completed_run, tmp_path):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    rows = (run / "design.csv").read_text().splitlines()
+    (run / "design.csv").write_text("".join(row + "\n" for row in rows[:-1]))
+    with pytest.raises(DataError) as err:
+        analyze(run, k=3, out_dir=tmp_path / "re")
+    assert str(err.value) == f"{run / 'design.csv'}: 13 points for 14 maps"
+    assert not (tmp_path / "re").exists()
+
+
+def test_cli_analyze_names_every_design_point_above_the_parabola(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    rows = (run / "design.csv").read_text().splitlines()
+    rows[3], rows[8] = "2,0.1,0.9", "7,0.95,0.5"
+    (run / "design.csv").write_text("".join(row + "\n" for row in rows))
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(tmp_path / "re")]) == 3
+    err = capsys.readouterr().err
+    assert "design point 2 (r=0.1, t=0.9) outside the strategy space; failing design indices: 2, 7" in err
+    assert not (tmp_path / "re").exists()
 
 
 def test_cli_analyze_header_only_design_is_data_error(completed_run, tmp_path, capsys):
@@ -1124,6 +1182,15 @@ def test_cli_sample(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "index,r,t"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize(
+    "args, message", [(["sample", "--m", "0"], "--m must be >= 1, got 0"), (["weights", "--r", "0.5", "--t", "0.5", "--n", "1"], "--n must be >= 2, got 1")]
+)
+def test_cli_rejects_too_few_points_or_weights(capsys, args, message):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n" and captured.out == ""
 
 
 def test_cli_exit_codes(tmp_path, synth_dir, capsys):

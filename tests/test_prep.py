@@ -148,6 +148,12 @@ def test_continuous_98_nodata_and_errors(meta):
         continuous_98(Raster(meta, np.array([1.0, -0.5, 2.0, 3.0])))
 
 
+def test_continuous_98_all_zero(meta):
+    # no valid value above 0: every valid factor is 0 and nodata stays
+    out = continuous_98(Raster(meta, np.array([0.0, -9999.0, 0.0, 0.0])))
+    assert out.values.tolist() == [0.0, -9999.0, 0.0, 0.0]
+
+
 def test_continuous_98_scale_invariant(meta):
     rng = np.random.default_rng(6)
     vals = rng.random(4) * 100
@@ -370,6 +376,35 @@ _MALFORMED_PREP = {
     "luc_header": ([("luc.asc", "xllcorner 0\n", "")], 3, ["luc.asc: missing header keys: xllcorner"]),
     "grid_header": ([("ready.asc", "cellsize 1\n", "")], 3, ["ready.asc: missing header keys: cellsize"]),
     "modifier_header": ([("soil.asc", "nrows 2\n", "")], 3, ["soil.asc: missing header keys: nrows"]),
+    "unknown_builtin": (
+        [("prep.cfg", "categorical:soil_quality", "categorical:nope")],
+        2, ["[criterion:crops] modifier = categorical:nope: unknown builtin table; expected soil_quality"],
+    ),
+    "no_modifier_grid": (
+        [("prep.cfg", "modifier_grid = soil.asc\n", "")],
+        2, ["[criterion:crops] modifier = categorical:soil_quality: needs modifier_grid"],
+    ),
+    "no_criterion": (
+        [("prep.cfg", _PREP_CFG[_PREP_CFG.index("[criterion:crops]"):], "")], 2, ["no [criterion:<name>] section"],
+    ),
+    "no_weight_no_votes": (
+        [("prep.cfg", "votes = votes.csv\n", "")],
+        2, [f"[criterion:{name}]: no weight, and [inputs] names no votes CSV" for name in ("crops", "fun", "ready")],
+    ),
+    "service_without_matrix": (
+        [("prep.cfg", "capacity_matrix = cap.csv\n", "")],
+        2, [f"[criterion:{name}]: derives from a service, but [inputs] lacks luc or capacity_matrix"
+            for name in ("crops", "fun")],
+    ),
+    "votes_without_row": (
+        [("votes.csv", "fun,4,13,\n", "")], 3, ["[criterion:fun]: no weight, and votes.csv has no 'fun' row"],
+    ),
+    "capacity_header": (
+        [("cap.csv", "service,score\n", "service,points\n")], 3, ["cap.csv:1: header lacks column(s) score"],
+    ),
+    "categorical_fraction": (
+        [("soil.asc", " 16\n", " 2.5\n")], 3, ["cell value 2.5 is not an integer category code"],
+    ),
     # "\udcff" is written as the byte 0xff, which is not UTF-8 text
     "luc_not_text": ([("luc.asc", "nrows 2\n", "nrows \udcff\n")], 3, ["luc.asc: byte 0xff"]),
 }

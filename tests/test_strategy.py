@@ -29,8 +29,8 @@ from owa_explorer.strategy import (
     SIGMA_MIN,
     SQRT12,
     DecisionPoint,
+    ExperimentalDesign,
     OrderWeights,
-    feasible,
     generate_weights,
     generate_weights_batch,
     sample_design,
@@ -39,17 +39,26 @@ from owa_explorer.strategy import (
 UNIFORM_STD = 1.0 / SQRT12  # 0.288675...
 
 
+def _feasible(p):
+    """Whether a design may hold p: under the parabola t <= 4r(1-r)."""
+    try:
+        ExperimentalDesign(points=(p,))
+    except InfeasibleStrategy:
+        return False
+    return True
+
+
 def test_feasible_vertex_and_boundary():
-    assert feasible(DecisionPoint(0.5, 1.0))
-    assert feasible(DecisionPoint(0.2, 0.64))  # exactly on the parabola
-    assert not feasible(DecisionPoint(0.2, 0.65))
+    assert _feasible(DecisionPoint(0.5, 1.0))
+    assert _feasible(DecisionPoint(0.2, 0.64))  # exactly on the parabola
+    assert not _feasible(DecisionPoint(0.2, 0.65))
 
 
 def test_feasible_rejects_out_of_square():
     with pytest.raises(OutOfUnitSquare):
-        feasible(DecisionPoint(-0.1, 0.5))
+        _feasible(DecisionPoint(-0.1, 0.5))
     with pytest.raises(OutOfUnitSquare):
-        feasible(DecisionPoint(0.5, 1.1))
+        _feasible(DecisionPoint(0.5, 1.1))
 
 
 def _moments_of(*pairs):
@@ -292,7 +301,7 @@ def test_generate_weights_matches_scalar_solve():
 def test_solve_moment_evaluations_per_point(monkeypatch):
     # counts point-evaluations: the sum of the batch sizes passed to
     # _moments. The solve with a sigma bisection and a Newton step on mu
-    # took 229.5 per point here, this one ~28; bisecting log sigma in place
+    # took 229.5 per point here, this one ~24; bisecting log sigma in place
     # of the Illinois step brings back ~90
     evaluated = 0
     moments = strategy._moments
@@ -490,6 +499,43 @@ def test_order_weights_validation():
         OrderWeights(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         OrderWeights(np.array([-0.1, 1.1]))
+
+
+def test_order_weights_copy_their_input():
+    # the weights are checked once; a later write to the caller's array
+    # must not reach them
+    a = np.array([0.5, 0.5])
+    weights = OrderWeights(a)
+    a[0] = 9.0
+    assert weights.w.tolist() == [0.5, 0.5]
+    assert a.flags.writeable
+
+
+def test_design_names_every_point_above_the_parabola():
+    points = (DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.5), DecisionPoint(0.2, 0.65), DecisionPoint(0.2, 0.64))
+    with pytest.raises(InfeasibleStrategy) as err:
+        ExperimentalDesign(points=points)
+    assert str(err.value) == (
+        "design point 0 (r=0.1, t=0.9) outside the strategy space; failing design indices: 0, 2"
+    )
+    with pytest.raises(OutOfUnitSquare, match=r"\(r, t\) = \(0\.5, 1\.5\) outside the unit square"):
+        ExperimentalDesign(points=(DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 1.5)))
+
+
+@pytest.mark.parametrize("m, seed", [(1, 0), (7, 3), (200, 7), (1000, 467)])
+def test_sample_design_matches_scalar_draws(m, seed):
+    # one (r, t) pair per proposal, drawn as two scalars, accepted under
+    # the parabola: the batched draws give the same points and count
+    rng = np.random.default_rng(seed)
+    points, proposals = [], 0
+    while len(points) < m:
+        r, t = rng.random(), rng.random()
+        proposals += 1
+        if t <= 4.0 * r * (1.0 - r) + strategy.FEAS_EPS:
+            points.append(DecisionPoint(r, t))
+    design = sample_design(m, seed)
+    assert design.points == tuple(points)
+    assert design.n_proposals == proposals
 
 
 def test_sample_design_deterministic():
