@@ -7,6 +7,7 @@ computation downstream. Rasters and stacks are immutable once built.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -110,9 +111,15 @@ def read_text(path: str | Path) -> str:
     return decode_text(Path(path).read_bytes(), path)
 
 
+def grid_text(data: bytes, path: str | Path) -> bytes | str:
+    """A grid file's bytes if they are ASCII, else its text (see decode_text),
+    so that a byte that is not UTF-8, or a token that is not ASCII, keeps its message."""
+    return data if data.isascii() else decode_text(data, path)
+
+
 def read_grid(path: str | Path) -> Raster:
     """The grid in the file at path; a DataError names the file."""
-    return parse_ascii_grid(read_text(path), path)
+    return parse_ascii_grid(grid_text(Path(path).read_bytes(), path), path)
 
 
 def parse_ascii_grid(text: str | bytes, path: str | Path | None = None) -> Raster:
@@ -120,27 +127,33 @@ def parse_ascii_grid(text: str | bytes, path: str | Path | None = None) -> Raste
 
     Header keys are case-insensitive; NODATA_value is optional and defaults
     to -9999. The body must hold exactly ncols*nrows whitespace-separated
-    numbers in row-major order.
+    numbers in row-major order; each reads as float() reads it.
     """
     try:
-        return _parse_ascii_grid(text)
+        return Raster(*_parse_ascii_grid(text))  # built once the parser's copy of a str is dropped
     except DataError as exc:
         if path is None:
             raise
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _parse_ascii_grid(text: str | bytes) -> Raster:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"byte {text[exc.start]:#04x} at offset {exc.start} is not ASCII") from None
-    if not text.isascii():
-        # str.split would also split at non-ASCII spaces, and float() reads non-ASCII digits
-        token = next(t for t in re.split(r"[ \t\n\r\f\v]+", text) if not t.isascii())
-        raise NonNumericCell(f"token {token!r} is not ASCII")
-    tokens = text.split()
+# a run of bytes that str.split() does not split at, in ASCII text
+_TOKEN = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]+")
+
+
+def _parse_ascii_grid(text: str | bytes) -> tuple[GridMeta, np.ndarray]:
+    if isinstance(text, str):
+        if not text.isascii():
+            # str.split would also split at non-ASCII spaces, and float() reads non-ASCII digits
+            token = next(t for t in re.split(r"[ \t\n\r\f\v]+", text) if not t.isascii())
+            raise NonNumericCell(f"token {token!r} is not ASCII")
+        text = text.encode("ascii")
+    elif not text.isascii():
+        at = re.search(rb"[\x80-\xff]", text).start()
+        raise DataError(f"byte {text[at]:#04x} at offset {at} is not ASCII")
+    # the header is at most six key-value pairs; the loop below looks one token past them
+    head = list(itertools.islice(_TOKEN.finditer(text), 14))
+    tokens = [m.group().decode() for m in head]
     if not tokens:
         raise MalformedHeader("empty input")
 
@@ -179,27 +192,7 @@ def _parse_ascii_grid(text: str | bytes) -> Raster:
         nodata_value=header.get("nodata_value", DEFAULT_NODATA),
     )
 
-    body = tokens[pos:]
-    if len(body) != meta.size:
-        raise DimensionMismatch(f"expected {meta.size} cells, got {len(body)}")
-    # header values hold no "_", so the first one is NODATA_value's when that key is given
-    if text.find("_", text.find("_") + 1 if "nodata_value" in header else 0) >= 0:
-        token = next(t for t in body if "_" in t)
-        raise NonNumericCell(f"cell value {token!r} is not a number")
-    try:
-        values = np.array(body, dtype=np.float64)
-    except ValueError:
-        for tok in body:
-            try:
-                float(tok)
-            except ValueError:
-                raise NonNumericCell(f"cell value {tok!r} is not a number") from None
-        raise
-    finite = np.isfinite(values)
-    if not finite.all():
-        idx = int(np.argmax(~finite))
-        raise NonNumericCell(f"cell {idx} is not finite: {body[idx]!r}")
-    return Raster(meta, values)
+    return meta, _parse_body(text, head[pos].start() if pos < len(head) else len(text), meta.size)
 
 
 def write_ascii_grid(raster: Raster) -> str:
@@ -349,6 +342,113 @@ def _format_cells(v: np.ndarray, start: int, ncols: int) -> str:
         words[:, other] = text.view(np.uint64).reshape(other.size, 5).T
     head[-start % ncols::ncols, 0] = 10
     return words.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# The reader's body kernel, _BLOCK_CELLS tokens at a time. A plain token (an
+# optional "-", digits, at most one ".") is D / 10^f, f the digits after the
+# point: where D < 2^53 and f <= 22 one division of exact doubles rounds
+# correctly (Clinger 1990, "How to read floating point numbers accurately").
+# Where D has 17 digits and lies in [1e-4, 1e15), that quotient or its
+# neighbour is kept if _seventeen_digits gives D back, which only the nearest
+# double does. float() reads the rest. A token is right-aligned in a row of
+# _TOKEN_BYTES bytes, the point a 0 digit, and each little-endian 8-byte word
+# becomes the integer it spells by multiply-shift steps (Langdale & Lemire 2019).
+_TOKEN_BYTES = 24  # "-0.00012345678901234567" is the longest plain cell
+_ROW = np.dtype(f"V{_TOKEN_BYTES}")
+_SPACE = np.isin(np.arange(33), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])  # str.split's, of bytes <= 32
+# _CLEAR[k] keeps a row's bytes from column k on
+_CLEAR = np.triu(np.full((_TOKEN_BYTES + 1, _TOKEN_BYTES), 255, np.uint8)).view(_ROW)[:, 0]
+# for each column of word k, 1 + the columns right of it, in reverse byte order (see _read_plain)
+_AFTER = np.arange(_TOKEN_BYTES, 0, -1, dtype=np.uint8).reshape(3, 8)[:, ::-1].copy().view("<u8")[:, 0]
+_INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_EIGHT_DIGITS = ((0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8), (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+                 (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32))
+
+
+def _parse_body(data: bytes, start: int, size: int) -> np.ndarray:
+    """The cells of the body that begins at data[start]; it raises what
+    float() on every token raises, in the same order of precedence: a wrong
+    count, a "_", a token float() rejects, then a non-finite cell."""
+    buf = np.frombuffer(data, np.uint8)
+    # the row that ends at each offset; the header puts 51 or more bytes before the first token
+    rows_at = np.ndarray((buf.size - _TOKEN_BYTES + 1,), _ROW, data, strides=(1,))
+    values = np.empty(min(size, (buf.size - start + 1) // 2))  # no more cells than the body can hold
+    # a window holds about _BLOCK_CELLS tokens of the body's mean length
+    span = min((buf.size - start) * _BLOCK_CELLS // max(values.size, 1) * 5 // 4, _BLOCK_CELLS * _TOKEN_BYTES)
+    count, pos, rejected = 0, start, None
+    while pos < buf.size:
+        stop = min(pos + span, buf.size)
+        if cut := _TOKEN.match(data, stop):  # the window ends after the token it would cut
+            stop = cut.end()
+        seps = pos + np.flatnonzero(buf[pos:stop] <= 32)
+        seps = np.append(seps[_SPACE[buf[seps]]], stop)
+        starts = np.append(pos, seps[:-1] + 1)
+        tokens = np.flatnonzero(seps > starts)[:_BLOCK_CELLS]
+        starts, ends = starts[tokens], seps[tokens]
+        pos = int(ends[-1]) if tokens.size == _BLOCK_CELLS else stop
+        if count + ends.size <= size:  # a longer body is refused by its count alone
+            block = values[count:count + ends.size]
+            odd = _read_plain(buf, rows_at, starts, ends, block)
+            for j, a, b in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
+                try:
+                    block[j] = float(data[a:b])
+                except ValueError:
+                    rejected = rejected or data[a:b].decode()
+        count += ends.size
+    if count != size:
+        raise DimensionMismatch(f"expected {size} cells, got {count}")
+    if data.find(b"_", start) >= 0:  # float() would read 1_0 as 10
+        rejected = next(m.group().decode() for m in _TOKEN.finditer(data, start) if b"_" in m.group())
+    if rejected is not None:
+        raise NonNumericCell(f"cell value {rejected!r} is not a number")
+    infinite = np.flatnonzero(~np.isfinite(values))
+    if infinite.size:
+        token = next(itertools.islice(_TOKEN.finditer(data, start), int(infinite[0]), None)).group()
+        raise NonNumericCell(f"cell {infinite[0]} is not finite: {token.decode()!r}")
+    return values
+
+
+def _read_plain(buf, rows_at, starts, ends, out: np.ndarray) -> np.ndarray:
+    """Writes to out the value of each plain token of buf[starts:ends] and
+    returns the indices of the others, whose out it leaves unset."""
+    n, length = ends.size, ends - starts
+    rows = rows_at[ends - _TOKEN_BYTES].view(np.uint8).reshape(n, _TOKEN_BYTES)
+    rows &= _CLEAR[np.maximum(_TOKEN_BYTES - length, 0)].view(np.uint8).reshape(n, _TOKEN_BYTES)
+    rows -= np.uint8(48)  # a digit byte becomes its value; "." becomes 254
+    words = [b.view("<u8") for b in (rows < 10, rows == 254)]  # 1 in the bytes of digits, of a point
+    # a row's three words add without a carry; a word times 0x0101010101010101 holds its byte sum in its top byte
+    n_digits, n_points = (((w[:, 0] + w[:, 1] + w[:, 2]) * 0x0101010101010101 >> 56).view(np.int64) for w in words)
+    negative = buf[starts] == 45
+    plain = (n_digits + n_points + negative == length) & (n_points <= 1) & (n_digits > 0)
+    rows *= words[0].view(np.uint8)
+    w = rows.view("<u8")  # in place, each word (columns 0-7, 8-15, 16-23) becomes the number it spells
+    for keep, times, shift in _EIGHT_DIGITS:
+        w &= keep
+        w *= times
+        w >>= shift
+    plain &= w[:, 0] < 100  # so that the digits fit in int64
+    full = (np.minimum(w[:, 0], 100) * 10**16 + w[:, 1] * 10**8 + w[:, 2]).view(np.int64)
+    after, digits = np.zeros(n, np.int64), full  # digits after the point, and D
+    if n_points.any():  # drop the 0 digit the point's column counts as
+        # likewise a word times _AFTER holds the _AFTER byte of its point's column, if any
+        after = sum(words[1][:, k] * _AFTER[k] >> 56 for k in range(3)).view(np.int64) - 1
+        low = full % _INT_POW10[np.minimum(after, 18)]  # index -1 is 10^18 > full: no digit dropped
+        digits, after = low + (full - low) // 10, np.maximum(after, 0)
+    fast = plain & (digits < 2**53) & (after <= 22)
+    out[:] = digits / _POW10[np.minimum(after, 22)]
+    s = after + (digits < 10**16)  # digits after the point of D padded to 17 digits
+    i = np.flatnonzero(plain & ~fast & (digits < 10**17) & (s >= 2) & (s <= 20))
+    if i.size:
+        # D >= 2^53 here, so the quotient has two roundings: about 1 in 6 is the neighbour
+        d17, c, e = digits[i] * 10 ** (s[i] - after[i]), out[i], 16 - s[i]
+        got = _seventeen_digits(c, e)
+        miss = np.flatnonzero(got != d17)
+        c[miss] = np.nextafter(c[miss], np.where(got[miss] < d17[miss], np.inf, 0.0))
+        got[miss] = _seventeen_digits(c[miss], e[miss])
+        out[i] = c
+        fast[i] = got == d17
+    np.negative(out, out=out, where=negative)
+    return np.flatnonzero(~fast)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import _PIXEL_CHUNK, add_gram
-from .errors import ConfigError, InfeasibleStrategy, LengthMismatch, NoSolution
+from .errors import ConfigError, LengthMismatch, NoSolution
 from .grid import CriterionStack
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest
 from .strategy import ExperimentalDesign, generate_weights_batch
@@ -89,8 +89,8 @@ def batch_compute(
     (see cluster.add_gram).
 
     After the budget check (see chunk_width), every design point is solved
-    in one array pass. If any has no order weights, the error of the
-    smallest failing index is raised, naming every failing index, before
+    in one array pass. If any has no order weights, NoSolution is raised
+    for the smallest failing index, naming every failing index, before
     the pixels are ranked or the store is created. One pass over chunks of
     pixels then evaluates all maps, writes each map's segment to the store
     and adds the chunk's Gram sums; no byte depends on the chunk width.
@@ -105,9 +105,7 @@ def batch_compute(
         p = design.points[i]
         every = ", ".join(map(str, failures))
         msg = f"design point {i} (r={p.r}, t={p.t}): {exc}; failing design indices: {every}"
-        if isinstance(exc, NoSolution):
-            raise NoSolution(msg, design_index=i) from exc
-        raise InfeasibleStrategy(msg) from exc
+        raise NoSolution(msg, design_index=i) from exc
 
     cache = rank_pixels(stack)
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)

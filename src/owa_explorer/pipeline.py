@@ -35,7 +35,7 @@ from .cluster import (
     cut,
 )
 from .errors import ConfigError, DataError
-from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_text, write_ascii_grid
+from .grid import GridMeta, Raster, build_stack, decode_text, grid_text, parse_ascii_grid, read_text, write_ascii_grid
 from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, store_size
 from .owa import batch_compute, chunk_width
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
@@ -126,12 +126,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     )
 
 
-def _read_hashed(path: Path, digests: dict[str, str]) -> str:
-    """The text of a file; records the SHA-256 of its bytes in digests
-    under its path. The bytes are dropped before the text is parsed."""
+def _read_hashed(path: Path, digests: dict[str, str], decode=decode_text) -> str | bytes:
+    """What decode makes of a file's bytes; records the SHA-256 of the bytes
+    in digests under its path."""
     data = path.read_bytes()
     digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return decode_text(data, path)
+    return decode(data, path)
 
 
 def _parse_weight(token: str) -> float | None:
@@ -187,7 +187,7 @@ def load_stack_manifest(path: str | Path):
     if not rows:
         raise DataError(f"{path}: empty stack manifest")
     paths = [(base / grid_path).resolve() for _, grid_path, _ in rows]
-    layers = [(name, parse_ascii_grid(_read_hashed(p, digests), p)) for (name, _, _), p in zip(rows, paths)]
+    layers = [(name, parse_ascii_grid(_read_hashed(p, digests, grid_text), p)) for (name, _, _), p in zip(rows, paths)]
     return layers, [weight for _, _, weight in rows], digests
 
 
@@ -586,7 +586,8 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
         if design.m != store.m:
             raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
         # parsed here, not by grid.read_grid: the traced benchmark times parse_ascii_grid as pipeline calls it
-        mask_raster = parse_ascii_grid(read_text(run_dir / "mask.asc"), run_dir / "mask.asc")
+        mask_path = run_dir / "mask.asc"
+        mask_raster = parse_ascii_grid(grid_text(mask_path.read_bytes(), mask_path), mask_path)
         valid_mask = mask_raster.values == 1.0
         store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
         tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)

@@ -394,7 +394,8 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
     """(name, layer, weight) of each checked criterion, built in memory;
     unknown services, missing votes and ready grids whose frame differs
     from luc (or, without luc, from the first ready grid) are named in one
-    DataError."""
+    DataError. A layer that fails to build raises its error prefixed by
+    its section and the grid at fault."""
     luc = read_grid(base / inputs["luc"]) if "luc" in inputs else None
     matrix = None
     if "capacity_matrix" in inputs:
@@ -426,7 +427,11 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
             problems.append(f"[criterion:{name}]: service {service!r} not in {inputs['capacity_matrix']}")
         else:
             modifier = None if rule is None else read_grid(base / keys["modifier_grid"])
-            layers.append((name, build_criterion(luc, matrix, service, rule, modifier), weight))
+            try:
+                layers.append((name, build_criterion(luc, matrix, service, rule, modifier), weight))
+            except DataError as exc:  # a land-cover class comes from luc, the rest from the modifier
+                source = inputs["luc"] if rule is None or isinstance(exc, UnknownClass) else keys["modifier_grid"]
+                raise type(exc)(f"[criterion:{name}] {source}: {exc}") from None
     if problems:
         raise DataError("; ".join(problems))
     return layers

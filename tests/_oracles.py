@@ -6,9 +6,10 @@ by explicit within-cluster sum-of-squares increase computed from the
 vectors themselves. The scalar solve keeps the weight solve as it was
 before it took arrays, as the reference for the array one; the chunked
 exact-difference distances and the O(m^3) Ward scan keep those stages as
-they were before the Gram form and the nearest-neighbour chain. The bisection
-oracles are the exception: they reuse the library's array moments on
-purpose, because they check the root finders alone. `pairwise_from_store`
+they were before the Gram form and the nearest-neighbour chain, and the
+scalar body parse keeps the grid reader as it was before its numpy kernel.
+The bisection oracles are the exception: they reuse the library's array
+moments on purpose, because they check the root finders alone. `pairwise_from_store`
 is no oracle: it gives tests the run's own distances over a store.
 """
 
@@ -215,6 +216,13 @@ def write_ascii_grid_per_cell(raster) -> str:
     for row in raster.grid:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def parse_body_scalar(body: str) -> np.ndarray:
+    """The cells of a grid body read as the parser read them before its
+    numpy kernel: every whitespace-separated token through float(), by
+    numpy's conversion of a list of str."""
+    return np.array(body.split(), dtype=np.float64)
 
 
 def road_distance_factor(

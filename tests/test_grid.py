@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import write_ascii_grid_per_cell
+from _oracles import parse_body_scalar, write_ascii_grid_per_cell
+from owa_explorer import grid
 from owa_explorer.errors import (
     AlignmentError,
     AllInvalid,
@@ -39,6 +40,13 @@ def test_parse_basic():
 def test_parse_wrong_cell_count():
     with pytest.raises(DimensionMismatch):
         parse_ascii_grid(HEADER_2X1 + "0.2")
+
+
+def test_parse_refuses_a_header_far_larger_than_its_body():
+    # the count is checked without room for the cells the header claims
+    text = HEADER_2X1.replace("ncols 2\nnrows 1", "ncols 100000\nnrows 100000") + "0.2 0.8"
+    with pytest.raises(DimensionMismatch, match="expected 10000000000 cells, got 2$"):
+        parse_ascii_grid(text)
 
 
 def test_parse_nodata_sentinel():
@@ -229,6 +237,145 @@ def test_writer_peak_memory_within_three_times_its_text():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * len(text)
+
+
+def test_parse_peak_memory_within_twice_its_text():
+    # the body is read a fixed number of cells at a time, not as one list of str
+    rng = np.random.default_rng(4)
+    meta = GridMeta(ncols=512, nrows=512, xllcorner=0.0, yllcorner=0.0, cellsize=1.0)
+    text = write_ascii_grid(Raster(meta, rng.random(meta.size)))
+    tracemalloc.start()
+    try:
+        parse_ascii_grid(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text)
+
+
+def _assert_parse_matches_oracle(tokens: list[str], ncols: int = 1000, sep: str = " "):
+    """The cells parsed from a grid of these tokens, bit for bit those of
+    the scalar parse."""
+    ncols = min(ncols, len(tokens))
+    assert len(tokens) % ncols == 0
+    rows = [sep.join(tokens[i:i + ncols]) for i in range(0, len(tokens), ncols)]
+    body = "\n".join(rows)
+    header = f"ncols {ncols}\nnrows {len(rows)}\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+    got = parse_ascii_grid(header + body).values
+    want = parse_body_scalar(body)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert not bad.size, [(tokens[i], got[i], want[i]) for i in bad[:5]]
+
+
+def _random_doubles(rng, n: int) -> np.ndarray:
+    """Finite doubles of both signs: half from random bit patterns, so every
+    binade, subnormals included; half log-uniform over [1e-6, 1e17], the
+    decades where the kernel reads a cell itself."""
+    bits = rng.integers(0, 2**63, n // 2, dtype=np.int64).view(np.float64)
+    spread = 10.0 ** rng.uniform(-6, 17, n - n // 2)
+    v = np.concatenate([bits[np.isfinite(bits)], spread])
+    return v * rng.choice([-1.0, 1.0], v.size)
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "%r", "%.15g", "%.6g"])
+def test_parse_matches_scalar_oracle_on_random_doubles(fmt):
+    values = _random_doubles(np.random.default_rng(25), 100_000)
+    tokens = [fmt % v for v in values.tolist()]
+    _assert_parse_matches_oracle(tokens[: len(tokens) // 1000 * 1000])
+
+
+EDGE_TOKENS = [
+    "0", "-0", "+1", ".5", "5.", "-.5", "007", "-007.0", "0.000", "1e5", "1E-05", "-9999",
+    "9007199254740992", "9007199254740993", "5e-324", "1.7976931348623157e308",
+    "0.10000000000000001", "0.10000000000000000", "0.99999999999999999", "99999999999999.999",
+    "0.00010000000000000000", "0.000099999999999999999", "1.0000000000000000", "1000000000000000.0",
+    "0.0000000000000000000001", "-0.000000000000000000001", "000000000000000000000001",
+    "123456789012345678", "1.23456789012345678", "0.1234567890123456789",
+    "12345678901234567890.12", "1234567890123456789012345", "0." + "3" * 22, "-" + "9" * 23,
+]
+
+
+def test_parse_matches_scalar_oracle_on_edge_tokens():
+    _assert_parse_matches_oracle(EDGE_TOKENS, ncols=len(EDGE_TOKENS))
+
+
+def test_parse_matches_scalar_oracle_on_seventeen_digit_decimals():
+    # most 17-digit decimals are no double's "%.17g": the kernel must hand
+    # those on to float() rather than accept a neighbour
+    rng = np.random.default_rng(26)
+    digits = rng.integers(10**16, 10**17, 20_000).tolist()
+    points = rng.integers(-4, 16, len(digits)).tolist()
+    tokens = [
+        f"0.{'0' * -(e + 1)}{d}" if e < 0 else f"{str(d)[:e + 1]}.{str(d)[e + 1:]}"
+        for d, e in zip(digits, points)
+    ]
+    _assert_parse_matches_oracle(tokens)
+
+
+@pytest.mark.parametrize("sep", ["\t", "  ", "\r", "\x0b\x0c", "\x1c\x1d\x1e\x1f"])
+def test_parse_splits_where_str_split_does(sep):
+    values = _random_doubles(np.random.default_rng(27), 5000)
+    _assert_parse_matches_oracle([f"{v:.17g}" for v in values.tolist()][:4000], ncols=100, sep=sep)
+
+
+@pytest.mark.parametrize(
+    "token", ["1.2.3", "--1", "1-2", "-", ".", "-.", "1e", "0x10", "1\x002", "\x0e5", "5\x1b"]
+)
+def test_parse_rejects_near_plain_tokens_as_float_does(token):
+    # two points, a misplaced sign and a control byte (which no str.split()
+    # splits at) are all float() errors, not cells the kernel reads
+    with pytest.raises(NonNumericCell, match=re.escape(f"g.asc: cell value {token!r} is not a number")):
+        parse_ascii_grid(HEADER_2X1 + f"0.5 {token}", "g.asc")
+
+
+def test_parse_reads_a_token_longer_than_a_block():
+    _assert_parse_matches_oracle(["0.25", "0." + "7" * (_BLOCK_CELLS * grid._TOKEN_BYTES * 3), "-1"])
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols",
+    [(1, 1), (1, _BLOCK_CELLS - 1), (1, _BLOCK_CELLS), (1, _BLOCK_CELLS + 1), (1, 3 * _BLOCK_CELLS + 1),
+     (3 * _BLOCK_CELLS + 1, 1)],
+)
+def test_parse_matches_scalar_oracle_across_blocks(nrows, ncols):
+    rng = np.random.default_rng(nrows + ncols)
+    meta = GridMeta(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0, cellsize=1.0)
+    values = rng.random(meta.size) * 10.0 ** rng.integers(-5, 16, meta.size)
+    values[rng.random(meta.size) < 0.1] = meta.nodata_value
+    text = write_ascii_grid(Raster(meta, values))
+    body = text.split("\n", 6)[6]
+    got = parse_ascii_grid(text).values
+    assert np.array_equal(got.view(np.int64), parse_body_scalar(body).view(np.int64))
+    assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+
+def test_writer_cells_in_the_plain_range_need_no_float(monkeypatch):
+    # every cell the writer emits in fixed notation is read by the kernel:
+    # float() reads the six header values and nothing else
+    rng = np.random.default_rng(28)
+    meta = GridMeta(ncols=1000, nrows=100, xllcorner=0.0, yllcorner=0.0, cellsize=1.0)
+    values = 10.0 ** rng.uniform(-4, 15, meta.size) * rng.choice([-1.0, 1.0], meta.size)
+    values[:6] = [1e-4, np.nextafter(1e15, 0), -1e-4, 0.0, -0.0, meta.nodata_value]
+    read = []
+    monkeypatch.setattr(grid, "float", lambda token: read.append(token) or float(token), raising=False)
+    again = parse_ascii_grid(write_ascii_grid(Raster(meta, values)))
+    assert np.array_equal(again.values.view(np.int64), values.view(np.int64))
+    assert read == ["1000", "100", "0", "0", "1", "-9999"]
+
+
+@pytest.mark.parametrize("early, late, named", [
+    ("abc", "1_0", "'1_0'"),  # a "_" anywhere outranks a token float() rejects
+    ("inf", "abc", "'abc'"),  # which outranks a non-finite cell
+    ("1e999", "nan", "cell 5 is not finite: '1e999'"),
+])
+def test_parse_error_precedence_spans_blocks(early, late, named):
+    cells = ["0.5"] * (3 * _BLOCK_CELLS)
+    cells[5], cells[-5] = early, late
+    text = f"ncols {len(cells)}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n" + " ".join(cells)
+    with pytest.raises(NonNumericCell, match=re.escape(named)):
+        parse_ascii_grid(text)
+    with pytest.raises(DimensionMismatch, match=f"expected {len(cells) + 1} cells, got {len(cells)}"):
+        parse_ascii_grid(text.replace(f"ncols {len(cells)}", f"ncols {len(cells) + 1}"))
 
 
 def test_writer_awkward_literals():

@@ -403,7 +403,12 @@ _MALFORMED_PREP = {
         [("cap.csv", "service,score\n", "service,points\n")], 3, ["cap.csv:1: header lacks column(s) score"],
     ),
     "categorical_fraction": (
-        [("soil.asc", " 16\n", " 2.5\n")], 3, ["cell value 2.5 is not an integer category code"],
+        [("soil.asc", " 16\n", " 2.5\n")], 3,
+        ["[criterion:crops] soil.asc: cell value 2.5 is not an integer category code"],
+    ),
+    "unknown_luc_class": (
+        [("luc.asc", "\n1 2 1 -9999", "\n1 7 1 -9999")], 3,
+        ["[criterion:crops] luc.asc: land-cover class 7 is not in the table"],
     ),
     # "\udcff" is written as the byte 0xff, which is not UTF-8 text
     "luc_not_text": ([("luc.asc", "nrows 2\n", "nrows \udcff\n")], 3, ["luc.asc: byte 0xff"]),
