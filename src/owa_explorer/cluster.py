@@ -45,14 +45,12 @@ class MergeTree:
 
 
 def add_gram(gram: np.ndarray, cols: np.ndarray, product: np.ndarray) -> None:
-    """Add to the m x m gram the Gram sums of cols, all maps over pixels from
-    a _PIXEL_CHUNK boundary on: in order, each fixed chunk of _PIXEL_CHUNK
-    pixels, centred by its per-pixel mean (which moves no distance), times
-    its transpose, formed in the m x m scratch buffer product."""
-    for start in range(0, cols.shape[1], _PIXEL_CHUNK):
-        part = cols[:, start : start + _PIXEL_CHUNK]
-        part = part - part.mean(axis=0)
-        gram += np.matmul(part, part.T, out=product)
+    """Add to the m x m gram the Gram sums of cols, one fixed _PIXEL_CHUNK
+    chunk of all maps (the last may be shorter): cols centred in place by
+    its per-pixel mean (which moves no distance), times its transpose,
+    formed in the m x m scratch buffer product."""
+    cols -= cols.mean(axis=0)
+    gram += np.matmul(cols, cols.T, out=product)
 
 
 def pairwise_euclidean(store: MapStore, gram: np.ndarray) -> tuple[np.ndarray, int]:

@@ -24,7 +24,6 @@ MAGIC = b"OWAMAPS1"
 VERSION = 1
 _HEADER = struct.Struct("<8sIQQ32s")
 _DTYPE = np.dtype("<f8")
-DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 
 def store_size(m: int, pixel_count: int) -> int:

@@ -36,8 +36,8 @@ from .cluster import (
 )
 from .errors import ConfigError, DataError
 from .grid import GridMeta, Raster, build_stack, decode_text, grid_text, parse_ascii_grid, read_text, write_ascii_grid
-from .mapstore import DEFAULT_MEMORY_BUDGET, MapStore, mask_digest, store_size
-from .owa import batch_compute, chunk_width
+from .mapstore import MapStore, mask_digest, store_size
+from .owa import batch_compute, map_pass_bytes
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
 
 
@@ -49,7 +49,7 @@ class PipelineConfig:
     k: int | None = None  # None = emit the curve and a suggestion only
     k_max: int = 15
     out: Path = Path("out")
-    memory_budget_mib: int = DEFAULT_MEMORY_BUDGET >> 20
+    memory_budget_mib: int = 512
     workers: int | None = None  # deprecated: no stage uses threads
     write_distances: bool = False
 
@@ -497,9 +497,9 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             t0 = clock("load")
             layers, weights, inputs = load_stack_manifest(config.stack_manifest)
             stack = build_stack(layers, weights)
-            budget, pixels = config.memory_budget_mib << 20, int(stack.valid_mask.sum())
-            chunk_width(config.m, pixels, stack.n, budget)  # both checks before the solve
-            _check_free_disk(out_dir, config.m, pixels, config.write_distances)
+            pixels = int(stack.valid_mask.sum())
+            need = map_pass_bytes(config.m, pixels, stack.n, config.memory_budget_mib << 20)
+            _check_free_disk(out_dir, config.m, pixels, config.write_distances)  # both checks before the solve
             durations["load"] = time.perf_counter() - t0
 
             t0 = clock("sample")
@@ -510,7 +510,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             t0 = clock("aggregate")
             mask = Raster(replace(stack.meta, nodata_value=-9999.0), stack.valid_mask.astype(np.float64))
             (out_dir / "mask.asc").write_text(write_ascii_grid(mask))
-            store, W, gram = batch_compute(stack, design, stack.n, out_dir / "maps.bin", memory_budget=budget)
+            store, W, gram = batch_compute(stack, design, stack.n, out_dir / "maps.bin")
             with store:
                 (out_dir / "weights.csv").write_text(format_weights_csv(W))
                 durations["aggregate"] = time.perf_counter() - t0
@@ -545,7 +545,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             started=started,
             finished=datetime.now(timezone.utc).isoformat(),
             durations=durations,
-            metrics={"distance_pairs_recomputed": pairs_recomputed},
+            metrics={"distance_pairs_recomputed": pairs_recomputed, "map_pass_bytes": need, "valid_pixels": pixels},
         )
         manifest.write(out_dir / "run_manifest.json")
     return manifest

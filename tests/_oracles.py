@@ -76,10 +76,12 @@ def pairwise_euclidean_per_row(rows: np.ndarray) -> np.ndarray:
 
 def gram_from_store(store) -> np.ndarray:
     """The Gram sums of a store's maps, added by the library's own
-    `cluster.add_gram` over a read of every row, as the map pass adds them
-    while it writes."""
-    gram = np.zeros((store.m, store.m))
-    cluster.add_gram(gram, store.rows(0, store.m), np.empty_like(gram))
+    `cluster.add_gram` over each fixed chunk of a read of every row in
+    turn, as the map pass adds them while it writes."""
+    gram, product = np.zeros((store.m, store.m)), np.empty((store.m, store.m))
+    rows = store.rows(0, store.m)
+    for start in range(0, store.pixel_count, cluster._PIXEL_CHUNK):
+        cluster.add_gram(gram, rows[:, start : start + cluster._PIXEL_CHUNK], product)
     return gram
 
 

@@ -99,7 +99,8 @@ def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
     pairs = store.m * (store.m - 1) // 2
     assert 0 < recomputed <= 0.01 * pairs
     metrics = json.loads((out / "run_manifest.json").read_text())["metrics"]
-    assert metrics == {"distance_pairs_recomputed": recomputed}
+    assert metrics.pop("distance_pairs_recomputed") == recomputed
+    assert set(metrics) == {"map_pass_bytes", "valid_pixels"}
 
 
 def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run):
@@ -132,7 +133,7 @@ def test_pairwise_recomputes_across_row_and_pair_blocks(tmp_path):
 
 
 def test_pairwise_holds_at_most_one_chunk_beside_d2(tmp_path):
-    # the Gram sums are formed by the map pass (its budget is tested in
+    # the Gram sums are formed by the map pass (its need is tested in
     # test_owa.py); turning them into d^2 in place and reading the store
     # for the recompute holds no more than one chunk of every map
     m = 1000

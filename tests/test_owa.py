@@ -7,14 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import owa_map_per_map
+from _oracles import gram_from_store, owa_map_per_map
 
 import owa_explorer
-from owa_explorer.errors import DataError, LengthMismatch, NoSolution
+from owa_explorer.errors import ConfigError, DataError, LengthMismatch, NoSolution
 from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer.cluster import _PIXEL_CHUNK
 from owa_explorer.mapstore import MapStore, mask_digest
-from owa_explorer.owa import _map_values, batch_compute, chunk_width, rank_pixels
+from owa_explorer.owa import _map_values, batch_compute, map_pass_bytes, rank_pixels
 from owa_explorer.strategy import (
     DecisionPoint,
     ExperimentalDesign,
@@ -34,7 +34,7 @@ def _one_pixel_stack(z, v):
 def _owa_value(z, v, w) -> float:
     """One pixel's OWA value, through the run's ranking and map kernel."""
     cache = rank_pixels(_one_pixel_stack(z, v))
-    return float(_map_values(cache, np.asarray(w, dtype=np.float64)[None, :], slice(None))[0, 0])
+    return float(_map_values(cache, np.asarray(w, dtype=np.float64)[None, :], slice(None), np.empty((1, 1)))[0, 0])
 
 
 def test_rank_pixels_examples():
@@ -190,25 +190,22 @@ batch_compute(stack, sample_design(16, seed=7), stack.n, Path(sys.argv[2]))
 """
 
 
-def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, synth_stack):
-    # chunks of one _PIXEL_CHUNK, of two (the last one short) and of all
-    # pixels give the same maps.bin and the same Gram sums, bit for bit
+def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, synth_stack, small_stack):
+    # the pass's fixed chunks write the whole rows that one evaluation over
+    # all pixels gives, and sum the Gram of the oracle's chunks, bit for
+    # bit: on a stack whose last chunk is short and on one smaller than a chunk
     manifest, stack = synth_stack
     design = sample_design(16, seed=7)
+    for name, s in (("synth", stack), ("small", small_stack)):
+        store, W, gram = batch_compute(s, design, s.n, tmp_path / f"{name}.bin")
+        with store:
+            rows = _map_values(rank_pixels(s), W, slice(None), np.empty((store.m, store.pixel_count)))
+            assert store.rows(0, store.m).tobytes() == rows.tobytes(), name
+            assert gram.tobytes() == gram_from_store(store).tobytes(), name
     pixels = int(stack.valid_mask.sum())
-    assert pixels % _PIXEL_CHUNK and pixels > 2 * _PIXEL_CHUNK
-    held = 8 * (2 * 16 * 16 + 2 * pixels * stack.n + 16 * stack.n)
-    grams = []
-    for chunks in (1, 2):
-        budget = held + chunks * 16 * 16 * _PIXEL_CHUNK
-        assert chunk_width(16, pixels, stack.n, budget) == chunks * _PIXEL_CHUNK
-        grams.append(batch_compute(stack, design, stack.n, tmp_path / f"{chunks}.bin", memory_budget=budget)[2])
-    assert chunk_width(16, pixels, stack.n, 512 << 20) == pixels
-    gram = batch_compute(stack, design, stack.n, tmp_path / "default.bin")[2]
-    expected = (tmp_path / "default.bin").read_bytes()
-    for chunks, other in zip((1, 2), grams):
-        assert (tmp_path / f"{chunks}.bin").read_bytes() == expected, chunks
-        assert other.tobytes() == gram.tobytes(), chunks
+    assert pixels % _PIXEL_CHUNK and pixels > _PIXEL_CHUNK
+    assert int(small_stack.valid_mask.sum()) < _PIXEL_CHUNK
+    expected = (tmp_path / "synth.bin").read_bytes()
 
     src = Path(owa_explorer.__file__).resolve().parent.parent
     for threads in ("1", "2"):
@@ -222,23 +219,28 @@ def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, syn
 
 
 def test_batch_peak_memory_within_budget(tmp_path):
-    # four chunks of 4096 pixels: the budget holds d^2 and its Gram
-    # temporary, the sorted values and weights, the order weights and the
-    # chunk being computed with its divisor, so no earlier chunk may still
-    # be alive
-    meta = GridMeta(ncols=128, nrows=128, xllcorner=0, yllcorner=0, cellsize=1)
-    rng = np.random.default_rng(5)
-    stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(2)], [0.5, 0.5])
-    design = ExperimentalDesign(points=_corner_design().points * 32)
-    budget = 8 << 20
-    assert chunk_width(96, meta.size, 2, budget) == 4 * _PIXEL_CHUNK
-    tracemalloc.start()
-    try:
-        batch_compute(stack, design, 2, tmp_path / "maps.bin", memory_budget=budget)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= budget, peak / budget
+    # the stated need bounds the traced peak where the sorted cache is most
+    # of it, so ranking may hold little beside it (16 maps over a
+    # 128x128x10 stack), and where d^2 and its Gram temporary are (402 maps
+    # over 256 pixels); a budget of the need passes the check and one byte
+    # less does not
+    corners = ExperimentalDesign(points=_corner_design().points * 134)
+    shapes = [(128, 10, sample_design(16, seed=7)), (16, 2, corners)]
+    for side, n, design in shapes:
+        meta = GridMeta(ncols=side, nrows=side, xllcorner=0, yllcorner=0, cellsize=1)
+        rng = np.random.default_rng(5)
+        stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(n)], rng.random(n) + 0.5)
+        need = map_pass_bytes(design.m, meta.size, n, 1 << 40)
+        assert map_pass_bytes(design.m, meta.size, n, need) == need
+        with pytest.raises(ConfigError, match=f"{design.m} maps over {meta.size} pixels need memory_budget_mib >="):
+            map_pass_bytes(design.m, meta.size, n, need - 1)
+        tracemalloc.start()
+        try:
+            batch_compute(stack, design, n, tmp_path / f"{side}.bin")[0].close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (side, peak / need)
 
 
 def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):

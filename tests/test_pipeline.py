@@ -405,12 +405,16 @@ def test_run_manifest_verifies(completed_run):
 
 
 def test_run_manifest_records_metrics(completed_run, tmp_path):
-    # the recompute count rides in the manifest alone: a rerun into another
-    # directory with another memory budget writes the same count and every
-    # other output byte for byte
+    # the recompute count, the valid pixels and the map pass's stated need
+    # ride in the manifest alone: a rerun into another directory with
+    # another memory budget writes the same metrics and every other output
+    # byte for byte
     out, cfg, manifest = completed_run
-    _, recomputed = pairwise_from_store(MapStore.open(out / "maps.bin"))
-    assert manifest.metrics == {"distance_pairs_recomputed": recomputed}
+    store = MapStore.open(out / "maps.bin")
+    _, recomputed = pairwise_from_store(store)
+    m, pixels, n = store.m, store.pixel_count, 4  # synth_dir holds 4 criteria
+    need = 8 * (2 * m * m + 2 * pixels * n + m * n + min(pixels, 1024) * (2 * m + n + 1))
+    assert manifest.metrics == {"distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "valid_pixels": pixels}
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"
     rerun = run_pipeline(dataclasses.replace(cfg, out=again, memory_budget_mib=1))
