@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, DataError, EmptyCluster
+from .errors import DataError
 from .mapstore import MapStore
 
 # Pixels per chunk of the distance sums, and the unit of the map pass's
@@ -178,30 +178,14 @@ def cut(tree: MergeTree, k: int) -> np.ndarray:
     minimum member index."""
     m = tree.m
     if not (1 <= k <= m):
-        raise BadK(f"k must be in [1, {m}], got {k}")
-    parent = {i: i for i in range(m)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step in range(m - k):
-        a, b, _, _ = tree.merges[step]
-        new = m + step
-        parent[new] = new
-        parent[find(a)] = new
-        parent[find(b)] = new
-
-    roots: dict[int, list[int]] = {}
-    for i in range(m):
-        roots.setdefault(find(i), []).append(i)
-    groups = sorted(roots.values(), key=lambda g: g[0])
-    labels = np.zeros(m, dtype=np.int64)
-    for label, group in enumerate(groups, start=1):
-        labels[group] = label
-    return labels
+        raise DataError(f"k must be in [1, {m}], got {k}")
+    root = list(range(2 * m - k))  # each id's parent among the first m-k merges, or itself
+    for step, (a, b, _, _) in enumerate(tree.merges[: m - k]):
+        root[a] = root[b] = m + step
+    for x in reversed(range(2 * m - k)):  # a parent's id exceeds its children's: its root is final
+        root[x] = root[root[x]]
+    label: dict[int, int] = {}  # root -> label, numbered by first member
+    return np.array([label.setdefault(r, len(label) + 1) for r in root[:m]], dtype=np.int64)
 
 
 def _each_row(store: MapStore):
@@ -216,7 +200,7 @@ def _cluster_means(store: MapStore, labels: np.ndarray) -> tuple[np.ndarray, np.
     sums = np.zeros((k, store.pixel_count))
     counts = np.bincount(labels - 1, minlength=k).astype(np.int64)
     if (counts == 0).any():
-        raise EmptyCluster(f"cluster {int(np.argmax(counts == 0)) + 1} has no members")
+        raise DataError(f"cluster {int(np.argmax(counts == 0)) + 1} has no members")
     for i, row in enumerate(_each_row(store)):
         sums[labels[i] - 1] += row
     return sums / counts[:, None], counts
@@ -244,7 +228,7 @@ def variance_ratio_curve(tree: MergeTree, k_max: int) -> list[tuple[int, float]]
     """
     m = tree.m
     if not (1 <= k_max <= m):
-        raise BadK(f"k_max must be in [1, {m}], got {k_max}")
+        raise DataError(f"k_max must be in [1, {m}], got {k_max}")
     w = np.concatenate(([0.0], np.cumsum([0.5 * h * h for _, _, h, _ in tree.merges])))
     total = w[m - 1]
     return [

@@ -15,16 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    AllInvalid,
-    DataError,
-    DimensionMismatch,
-    MalformedHeader,
-    NonNumericCell,
-    NonPositiveWeight,
-    ValueRangeError,
-)
+from .errors import DataError
 
 DEFAULT_NODATA = -9999.0
 
@@ -48,9 +39,9 @@ class GridMeta:
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
-            raise DimensionMismatch(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+            raise DataError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         if not (self.cellsize > 0):
-            raise MalformedHeader(f"cellsize must be positive, got {self.cellsize}")
+            raise DataError(f"cellsize must be positive, got {self.cellsize}")
 
     @property
     def size(self) -> int:
@@ -78,23 +69,18 @@ class Raster:
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64, order="C").reshape(-1)
         if vals.size != self.meta.size:
-            raise DimensionMismatch(
+            raise DataError(
                 f"expected {self.meta.size} cells ({self.meta.ncols}x{self.meta.nrows}), got {vals.size}"
             )
         bad = ~np.isfinite(vals)
         if bad.any():
-            raise NonNumericCell(f"{int(bad.sum())} non-finite cells (first at index {int(np.argmax(bad))})")
+            raise DataError(f"{int(bad.sum())} non-finite cells (first at index {int(np.argmax(bad))})")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
     def valid_mask(self) -> np.ndarray:
         return self.values != self.meta.nodata_value
-
-    @property
-    def grid(self) -> np.ndarray:
-        """Values as a (nrows, ncols) view, row 0 northernmost."""
-        return self.values.reshape(self.meta.nrows, self.meta.ncols)
 
 
 def decode_text(data: bytes, path: str | Path) -> str:
@@ -146,7 +132,7 @@ def _parse_ascii_grid(text: str | bytes) -> tuple[GridMeta, np.ndarray]:
         if not text.isascii():
             # str.split would also split at non-ASCII spaces, and float() reads non-ASCII digits
             token = next(t for t in re.split(r"[ \t\n\r\f\v]+", text) if not t.isascii())
-            raise NonNumericCell(f"token {token!r} is not ASCII")
+            raise DataError(f"token {token!r} is not ASCII")
         text = text.encode("ascii")
     elif not text.isascii():
         at = re.search(rb"[\x80-\xff]", text).start()
@@ -155,7 +141,7 @@ def _parse_ascii_grid(text: str | bytes) -> tuple[GridMeta, np.ndarray]:
     head = list(itertools.islice(_TOKEN.finditer(text), 14))
     tokens = [m.group().decode() for m in head]
     if not tokens:
-        raise MalformedHeader("empty input")
+        raise DataError("empty input")
 
     header: dict[str, float] = {}
     pos = 0
@@ -164,24 +150,24 @@ def _parse_ascii_grid(text: str | bytes) -> tuple[GridMeta, np.ndarray]:
         if key not in _HEADER_KEYS:
             break
         if key in header:
-            raise MalformedHeader(f"duplicate header key {key!r}")
+            raise DataError(f"duplicate header key {key!r}")
         try:
             if "_" in tokens[pos + 1]:  # float() would read 1_0 as 10
                 raise ValueError
             header[key] = float(tokens[pos + 1])
         except ValueError:
-            raise MalformedHeader(f"header key {key!r} has non-numeric value {tokens[pos + 1]!r}") from None
+            raise DataError(f"header key {key!r} has non-numeric value {tokens[pos + 1]!r}") from None
         pos += 2
     infinite = [f"{k} {tokens[2 * i + 1]}" for i, (k, v) in enumerate(header.items()) if not math.isfinite(v)]
     if infinite:
-        raise MalformedHeader(f"header values must be finite: {', '.join(infinite)}")
+        raise DataError(f"header values must be finite: {', '.join(infinite)}")
 
     missing = [k for k in _REQUIRED_KEYS if k not in header]
     if missing:
-        raise MalformedHeader(f"missing header keys: {', '.join(missing)}")
+        raise DataError(f"missing header keys: {', '.join(missing)}")
     for k in ("ncols", "nrows"):
         if header[k] != int(header[k]) or header[k] < 1:
-            raise MalformedHeader(f"{k} must be a positive integer, got {header[k]}")
+            raise DataError(f"{k} must be a positive integer, got {header[k]}")
 
     meta = GridMeta(
         ncols=int(header["ncols"]),
@@ -396,15 +382,15 @@ def _parse_body(data: bytes, start: int, size: int) -> np.ndarray:
                     rejected = rejected or data[a:b].decode()
         count += ends.size
     if count != size:
-        raise DimensionMismatch(f"expected {size} cells, got {count}")
+        raise DataError(f"expected {size} cells, got {count}")
     if data.find(b"_", start) >= 0:  # float() would read 1_0 as 10
         rejected = next(m.group().decode() for m in _TOKEN.finditer(data, start) if b"_" in m.group())
     if rejected is not None:
-        raise NonNumericCell(f"cell value {rejected!r} is not a number")
+        raise DataError(f"cell value {rejected!r} is not a number")
     infinite = np.flatnonzero(~np.isfinite(values))
     if infinite.size:
         token = next(itertools.islice(_TOKEN.finditer(data, start), int(infinite[0]), None)).group()
-        raise NonNumericCell(f"cell {infinite[0]} is not finite: {token.decode()!r}")
+        raise DataError(f"cell {infinite[0]} is not finite: {token.decode()!r}")
     return values
 
 
@@ -460,14 +446,14 @@ class CriterionWeights:
     def __post_init__(self):
         v = np.ascontiguousarray(self.v, dtype=np.float64).reshape(-1)
         if v.size == 0:
-            raise NonPositiveWeight("no weights given")
+            raise DataError("no weights given")
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             every = ", ".join(f"weight {j} is {v[j]}" for j in bad)
             raise DataError(f"{every}; all weights must be finite")
         if not (v > 0).all():
             j = int(np.argmax(~(v > 0)))
-            raise NonPositiveWeight(f"weight {j} is {v[j]}; all weights must be > 0")
+            raise DataError(f"weight {j} is {v[j]}; all weights must be > 0")
         v = v / v.sum()
         v.flags.writeable = False
         object.__setattr__(self, "v", v)
@@ -492,22 +478,22 @@ class CriterionStack:
 
     def __post_init__(self):
         if len(self.layers) < 2:
-            raise AlignmentError(f"a stack needs at least 2 layers, got {len(self.layers)}")
+            raise DataError(f"a stack needs at least 2 layers, got {len(self.layers)}")
         if not (len(self.names) == len(self.layers) == len(self.criterion_weights)):
-            raise AlignmentError(
+            raise DataError(
                 f"got {len(self.names)} names, {len(self.layers)} layers, "
                 f"{len(self.criterion_weights)} weights"
             )
         for name, layer in zip(self.names, self.layers):
             if not self.meta.aligned_with(layer.meta):
-                raise AlignmentError(f"layer {name!r} is not aligned with the stack frame")
+                raise DataError(f"layer {name!r} is not aligned with the stack frame")
 
         mask = np.ones(self.meta.size, dtype=bool)
         for layer in self.layers:
             mask &= layer.valid_mask
         if not mask.any():
             counts = ", ".join(f"{n!r} {int(r.valid_mask.sum())}" for n, r in zip(self.names, self.layers))
-            raise AllInvalid(f"no cell is valid in every layer; valid cells per layer: {counts}")
+            raise DataError(f"no cell is valid in every layer; valid cells per layer: {counts}")
 
         checked = []
         for name, layer in zip(self.names, self.layers):
@@ -516,7 +502,7 @@ class CriterionStack:
             lo = vals[valid].min(initial=0.0)
             hi = vals[valid].max(initial=1.0)
             if lo < -VALUE_EPS or hi > 1.0 + VALUE_EPS:
-                raise ValueRangeError(
+                raise DataError(
                     f"layer {name!r} has valid values in [{lo:.17g}, {hi:.17g}], outside [0, 1]"
                 )
             if lo < 0.0 or hi > 1.0:
@@ -546,9 +532,9 @@ def build_stack(layers: list[tuple[str, Raster]], weights) -> CriterionStack:
     """
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     if len(layers) != weights.size:
-        raise AlignmentError(f"got {len(layers)} layers but {weights.size} weights")
+        raise DataError(f"got {len(layers)} layers but {weights.size} weights")
     if len(layers) < 2:
-        raise AlignmentError(f"a stack needs at least 2 layers, got {len(layers)}")
+        raise DataError(f"a stack needs at least 2 layers, got {len(layers)}")
     names = tuple(name for name, _ in layers)
     rasters = tuple(raster for _, raster in layers)
     return CriterionStack(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MaskMismatch
+from .errors import DataError
 
 MAGIC = b"OWAMAPS1"
 VERSION = 1
@@ -103,7 +103,7 @@ class MapStore:
 
     def check_digest(self, digest: bytes) -> None:
         if digest != self.digest:
-            raise MaskMismatch(f"{self.path}: store was built over a different validity mask")
+            raise DataError(f"{self.path}: store was built over a different validity mask")
 
     def write_row(self, i: int, values: np.ndarray, start: int | None = None) -> None:
         """Write map i's values: its whole row, or its pixels from start on."""

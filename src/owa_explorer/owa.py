@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import _PIXEL_CHUNK, add_gram
-from .errors import ConfigError, LengthMismatch, NoSolution
+from .errors import ConfigError, DataError, NumericalError
 from .grid import CriterionStack
 from .mapstore import MapStore, mask_digest
 from .strategy import ExperimentalDesign, generate_weights_batch
@@ -90,14 +90,14 @@ def batch_compute(
     (see cluster.add_gram).
 
     Every design point is solved in one array pass. If any has no order
-    weights, NoSolution is raised for the smallest failing index, naming
+    weights, NumericalError is raised for the smallest failing index, naming
     every failing index, before the pixels are ranked or the store is
     created. One pass over the fixed _PIXEL_CHUNK chunks of pixels then
     evaluates all maps, writes each map's segment to the store and adds
     the chunk's Gram sums, holding no more than map_pass_bytes.
     """
     if n != stack.n:
-        raise LengthMismatch(f"design expects {n} criteria, stack has {stack.n}")
+        raise DataError(f"design expects {n} criteria, stack has {stack.n}")
     m, pixel_count = design.m, int(stack.valid_mask.sum())
     W, failures = generate_weights_batch(design.points, n)
     if failures:
@@ -105,7 +105,7 @@ def batch_compute(
         p = design.points[i]
         every = ", ".join(map(str, failures))
         msg = f"design point {i} (r={p.r}, t={p.t}): {exc}; failing design indices: {every}"
-        raise NoSolution(msg, design_index=i) from exc
+        raise NumericalError(msg) from exc
 
     cache = rank_pixels(stack)
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)

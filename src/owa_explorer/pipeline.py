@@ -531,7 +531,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                     t0 = clock("summaries")
                     _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
                     durations["summaries"] = time.perf_counter() - t0
-        except Exception as exc:  # named in place: keeps its type and fields (errno, design_index)
+        except Exception as exc:  # named in place: keeps its type and fields (errno)
             if isinstance(exc, OSError) and exc.strerror is not None:
                 exc.strerror = f"stage {stage!r}: {exc.strerror}"  # str() is built from it
             else:

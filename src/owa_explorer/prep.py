@@ -18,19 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    AllInvalid,
-    ConfigError,
-    DataError,
-    NegativeDistance,
-    NegativeValue,
-    OutOfRange,
-    UnknownCategory,
-    UnknownClass,
-    UnknownService,
-    ZeroWeight,
-)
+from .errors import ConfigError, DataError, UnknownClass
 from .grid import Raster, read_grid, read_text, write_ascii_grid
 
 DEFAULT_SCORE_MAX = 5.0
@@ -80,11 +68,11 @@ class CapacityMatrix:
 
     def __post_init__(self):
         if self.n_experts < 1:
-            raise OutOfRange("capacity matrix needs at least one expert")
+            raise DataError("capacity matrix needs at least one expert")
         for (cls, svc), vals in self.scores.items():
             for v in vals:
                 if not (0.0 <= v <= self.score_max):
-                    raise OutOfRange(
+                    raise DataError(
                         f"score {v} for class {cls}, service {svc!r} outside [0, {self.score_max}]"
                     )
 
@@ -99,11 +87,11 @@ class ExpertVotes:
 
     def __post_init__(self):
         if self.total < 1:
-            raise OutOfRange(f"total experts must be >= 1, got {self.total}")
+            raise DataError(f"total experts must be >= 1, got {self.total}")
         if not (0 <= self.count <= self.total):
-            raise OutOfRange(f"vote count {self.count} outside [0, {self.total}]")
+            raise DataError(f"vote count {self.count} outside [0, {self.total}]")
         if self.override_weight is not None and not (0.0 < self.override_weight < math.inf):
-            raise OutOfRange(f"override weight {self.override_weight} is not finite and > 0")
+            raise DataError(f"override weight {self.override_weight} is not finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -124,18 +112,18 @@ class ModifierRule:
 
     def __post_init__(self):
         if self.kind not in _MODIFIER_KEYS:
-            raise OutOfRange(f"unknown modifier kind {self.kind!r}")
+            raise DataError(f"unknown modifier kind {self.kind!r}")
         if self.kind == "categorical":
             if not self.table:
-                raise OutOfRange("categorical modifier needs a factor table")
+                raise DataError("categorical modifier needs a factor table")
             for code, factor in self.table.items():
                 if not (0.0 <= factor <= 1.0):
-                    raise OutOfRange(f"factor {factor} for category {code} outside [0, 1]")
+                    raise DataError(f"factor {factor} for category {code} outside [0, 1]")
         if self.kind == "piecewise_distance":
             if not (0.0 < self.d1 < self.d2):
-                raise OutOfRange(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
+                raise DataError(f"need 0 < d1 < d2, got d1={self.d1}, d2={self.d2}")
             if not (0.0 <= self.floor <= 1.0):
-                raise OutOfRange(f"floor {self.floor} outside [0, 1]")
+                raise DataError(f"floor {self.floor} outside [0, 1]")
 
 
 def _lookup(values: np.ndarray, table: dict[int, float], unknown: type[DataError], what: str) -> np.ndarray:
@@ -157,10 +145,10 @@ def continuous_98(raster: Raster) -> Raster:
     """Rescale so 98% of the valid maximum maps to factor 1 (clamped above)."""
     valid = raster.valid_mask
     if not valid.any():
-        raise AllInvalid("raster has no valid cells")
+        raise DataError("raster has no valid cells")
     vals = raster.values[valid]
     if (vals < 0).any():
-        raise NegativeValue(f"negative value {vals.min()} in a non-negative raster")
+        raise DataError(f"negative value {vals.min()} in a non-negative raster")
     top = 0.98 * vals.max()
     out = np.array(raster.values)
     if top > 0.0:
@@ -175,7 +163,7 @@ def criterion_weight_from_votes(votes: ExpertVotes) -> float:
     if votes.override_weight is not None:
         return float(votes.override_weight)
     if votes.count == 0:
-        raise ZeroWeight("no expert considered the service important; weight would be 0")
+        raise DataError("no expert considered the service important; weight would be 0")
     return votes.count / votes.total
 
 
@@ -188,11 +176,11 @@ def apply_modifier(rule: ModifierRule, raster: Raster) -> Raster:
         return continuous_98(raster)
     if rule.kind == "piecewise_distance":
         if (vals < 0).any():
-            raise NegativeDistance(f"negative distance {vals.min()} in the raster")
+            raise DataError(f"negative distance {vals.min()} in the raster")
         ramp = 1.0 - (1.0 - rule.floor) * (vals - rule.d1) / (rule.d2 - rule.d1)
         out[valid] = np.clip(ramp, rule.floor, 1.0)
         return Raster(raster.meta, out)
-    out[valid] = _lookup(vals, rule.table, UnknownCategory, "category")
+    out[valid] = _lookup(vals, rule.table, DataError, "category")
     return Raster(raster.meta, out)
 
 
@@ -211,14 +199,14 @@ def build_criterion(
     output.
     """
     if (rule is None) != (modifier is None):
-        raise AlignmentError("a modifier rule and its raster must be given together")
+        raise DataError("a modifier rule and its raster must be given together")
     factor = None
     if rule is not None:
         if not luc.meta.aligned_with(modifier.meta):
-            raise AlignmentError("modifier raster is not aligned with the land-cover raster")
+            raise DataError("modifier raster is not aligned with the land-cover raster")
         factor = apply_modifier(rule, modifier)
     if service not in matrix.services:
-        raise UnknownService(f"service {service!r} not in the capacity matrix")
+        raise DataError(f"service {service!r} not in the capacity matrix")
 
     valid = luc.valid_mask
     if factor is not None:
@@ -380,7 +368,7 @@ def _read_prep_config(path: Path) -> tuple[dict[str, str], list[tuple]]:
             if len(errors) == n_errors and all(map(math.isfinite, ramp.values())):
                 try:
                     rule = ModifierRule(kind, table, **ramp)
-                except OutOfRange as exc:
+                except DataError as exc:
                     bad(section, "modifier", str(exc))
         criteria.append((name, keys, rule))
     if not criteria and not errors:
@@ -414,7 +402,7 @@ def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[st
                 weight = criterion_weight_from_votes(votes[key])
             except KeyError:
                 problems.append(f"[criterion:{name}]: no weight, and {inputs['votes']} has no {key!r} row")
-            except ZeroWeight as exc:
+            except DataError as exc:
                 problems.append(f"[criterion:{name}]: {exc}")
         if "grid" in keys:
             grid = read_grid(base / keys["grid"])

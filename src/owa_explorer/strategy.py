@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleStrategy, NoSolution, OutOfUnitSquare, Unconverged
+from .errors import DataError, NumericalError
 
 SIGMA_MIN = 1e-6
 SIGMA_MAX = 1e3
@@ -86,7 +86,7 @@ class ExperimentalDesign:
         above = np.flatnonzero(~_under_parabola(*_coordinates(self.points)))
         if above.size:
             p = self.points[above[0]]
-            raise InfeasibleStrategy(
+            raise DataError(
                 f"design point {above[0]} (r={p.r}, t={p.t}) outside the strategy space; "
                 f"failing design indices: {', '.join(map(str, above))}"
             )
@@ -103,13 +103,13 @@ def _under_parabola(r, t):
 
 def _coordinates(points) -> tuple[np.ndarray, np.ndarray]:
     """The r and t arrays of points; the first point outside the unit
-    square raises OutOfUnitSquare."""
+    square raises DataError."""
     r = np.array([p.r for p in points], dtype=np.float64)
     t = np.array([p.t for p in points], dtype=np.float64)
     outside = ~((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0))
     if outside.any():
         p = points[int(np.argmax(outside))]
-        raise OutOfUnitSquare(f"(r, t) = ({p.r}, {p.t}) outside the unit square")
+        raise DataError(f"(r, t) = ({p.r}, {p.t}) outside the unit square")
     return r, t
 
 
@@ -251,7 +251,7 @@ def _solve_mu(
                 keep = ~done
                 idx, m, s, target, lo, hi = idx[keep], m[keep], s[keep], target[keep], lo[keep], hi[keep]
     i = idx[0]
-    raise Unconverged(f"mu iteration did not converge for sigma={sigma[i]}, r={r[i]}")
+    raise NumericalError(f"mu iteration did not converge for sigma={sigma[i]}, r={r[i]}")
 
 
 def _solve_sigma(
@@ -321,7 +321,7 @@ def _solve_sigma(
         live = live[~done]
     if live.size:
         i = live[0]
-        raise Unconverged(f"sigma search did not converge for (r, t) = ({r[i]}, {t[i]})")
+        raise NumericalError(f"sigma search did not converge for (r, t) = ({r[i]}, {t[i]})")
 
     if bracketed.size:
         evaluate(bracketed, sigma[bracketed])
@@ -360,20 +360,20 @@ def _bin_masses(mu: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
     return masses
 
 
-def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NoSolution | InfeasibleStrategy]]:
+def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NumericalError | DataError]]:
     """Order weights for every point, as the rows of one (len(points), n)
     array, and the error of each point that has none, keyed by its index in
     points and in ascending order; such a point's row holds nan.
 
-    A point outside the unit square raises OutOfUnitSquare. A point above
-    the parabola gets an InfeasibleStrategy. The zero-trade-off points and
+    A point outside the unit square raises DataError. A point above
+    the parabola gets a DataError. The zero-trade-off points and
     the vertex need no moment matching: (0, 0) puts all weight on the worst
     criterion, (1, 0) on the best, and (0.5, 1) is exactly uniform (order
     weights cancel there, so any deviation would be noise); other points
     with t <= T_DEGENERATE get a unit mass on the bin containing r. The
     rest are solved in one array pass (see `_solve_sigma`); a point whose
     solved moments miss (r, t/sqrt(12)) by more than MOMENT_TOL gets a
-    NoSolution. No result is clamped silently.
+    NumericalError. No result is clamped silently.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 weights, got {n}")
@@ -383,7 +383,7 @@ def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NoSolu
     under = _under_parabola(r, t)
     for i in np.flatnonzero(~under):
         p = points[i]
-        failures[int(i)] = InfeasibleStrategy(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
+        failures[int(i)] = DataError(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
 
     # a feasible point with r = 0 or r = 1 has t <= FEAS_EPS, so the
     # corners take the unit-mass rule too
@@ -400,7 +400,7 @@ def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NoSolu
         missed = (np.abs(mean - r[solve]) > MOMENT_TOL) | (np.abs(std - target) > MOMENT_TOL)
         for k in np.flatnonzero(missed):
             p = points[solve[k]]
-            failures[int(solve[k])] = NoSolution(
+            failures[int(solve[k])] = NumericalError(
                 f"(r, t) = ({p.r}, {p.t}): best match has mean {mean[k]:.8f} (target {p.r}), "
                 f"std {std[k]:.8f} (target {target[k]:.8f})"
             )

@@ -6,8 +6,10 @@ by explicit within-cluster sum-of-squares increase computed from the
 vectors themselves. The scalar solve keeps the weight solve as it was
 before it took arrays, as the reference for the array one; the chunked
 exact-difference distances and the O(m^3) Ward scan keep those stages as
-they were before the Gram form and the nearest-neighbour chain, and the
-scalar body parse keeps the grid reader as it was before its numpy kernel.
+they were before the Gram form and the nearest-neighbour chain, the
+union-find cut keeps the tree cut as it was before its one pass over the
+ids, and the scalar body parse keeps the grid reader as it was before its
+numpy kernel.
 The bisection oracles are the exception: they reuse the library's array
 moments on purpose, because they check the root finders alone. `pairwise_from_store`
 is no oracle: it gives tests the run's own distances over a store.
@@ -23,7 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from owa_explorer import cluster, pipeline, prep, strategy
-from owa_explorer.errors import NegativeDistance, Unconverged
+from owa_explorer.errors import DataError, NumericalError
 
 
 def quad_truncnorm_moments(mu: float, sigma: float) -> tuple[float, float]:
@@ -186,6 +188,36 @@ def merge_tree_members(tree) -> list[tuple[frozenset, frozenset, float]]:
     return out
 
 
+def cut_union_find(tree, k: int) -> np.ndarray:
+    """Labels 1..k after undoing the last k-1 merges, numbered by ascending
+    minimum member index: cluster.cut as a union-find, as it was before
+    its one pass over the ids."""
+    m = tree.m
+    parent = {i: i for i in range(m)}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for step in range(m - k):
+        a, b, _, _ = tree.merges[step]
+        new = m + step
+        parent[new] = new
+        parent[find(a)] = new
+        parent[find(b)] = new
+
+    roots: dict[int, list[int]] = {}
+    for i in range(m):
+        roots.setdefault(find(i), []).append(i)
+    groups = sorted(roots.values(), key=lambda g: g[0])
+    labels = np.zeros(m, dtype=np.int64)
+    for label, group in enumerate(groups, start=1):
+        labels[group] = label
+    return labels
+
+
 def empirical_risk(w: np.ndarray) -> float:
     """Mass-weighted mean of the bin midpoints of an order-weight vector;
     the discretized estimate of its risk r."""
@@ -215,7 +247,7 @@ def write_ascii_grid_per_cell(raster) -> str:
         f"cellsize {m.cellsize:.17g}",
         f"NODATA_value {m.nodata_value:.17g}",
     ]
-    for row in raster.grid:
+    for row in raster.values.reshape(m.nrows, m.ncols):  # row 0 northernmost
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
@@ -233,7 +265,7 @@ def road_distance_factor(
     """Accessibility ramp for one distance: 1 within d1 of a road, down to
     `floor` at d2; the scalar reference for apply_modifier's ramp."""
     if d < 0:
-        raise NegativeDistance(f"distance {d} is negative")
+        raise DataError(f"distance {d} is negative")
     if d <= d1:
         return 1.0
     if d >= d2:
@@ -325,7 +357,7 @@ def _scalar_solve_mu(sigma: float, r: float, mu: float, max_iter: int = 200) -> 
         mu = mu - step if lo < mu - step < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-12:
             return 0.5 * (lo + hi)
-    raise Unconverged(f"mu iteration did not converge for sigma={sigma}, r={r}")
+    raise NumericalError(f"mu iteration did not converge for sigma={sigma}, r={r}")
 
 
 def scalar_solve(r: float, t: float, max_iter: int = 200) -> tuple[float, float] | None:
@@ -354,7 +386,7 @@ def scalar_solve(r: float, t: float, max_iter: int = 200) -> tuple[float, float]
             if hi - lo <= 1e-12 * (1.0 + hi):
                 break
         else:
-            raise Unconverged(f"sigma bisection did not converge for (r, t) = ({r}, {t})")
+            raise NumericalError(f"sigma bisection did not converge for (r, t) = ({r}, {t})")
         sigma = 0.5 * (lo + hi)
     mu = _scalar_solve_mu(sigma, r, mu, max_iter)
     mean, std = scalar_moments(mu, sigma)[:2]
@@ -379,7 +411,7 @@ def solve_mu_bisect(sigma: np.ndarray, r: np.ndarray, max_iter: int = 200) -> np
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         if (hi - lo <= 1e-12).all():
             return 0.5 * (lo + hi)
-    raise Unconverged("mu bisection did not converge")
+    raise NumericalError("mu bisection did not converge")
 
 
 def solve_bisect(r: np.ndarray, t: np.ndarray, max_iter: int = 200):
@@ -410,7 +442,7 @@ def solve_bisect(r: np.ndarray, t: np.ndarray, max_iter: int = 200):
         sigma[live[done]] = 0.5 * (lo[live[done]] + hi[live[done]])
         live = live[~done]
     if live.size:
-        raise Unconverged("sigma bisection did not converge")
+        raise NumericalError("sigma bisection did not converge")
     mu = solve_mu_bisect(sigma, r, max_iter)
     mean, std = strategy._moments(mu, sigma)
     return mu, sigma, mean, std

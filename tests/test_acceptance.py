@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.
 
 Fixed seeds: the moment-matching mapping cannot reach a thin sliver of the
-strategy space hugging the parabola near r=0 and r=1 (see the solver's
-NoSolution contract), so design seeds were scanned in ascending order and
+strategy space hugging the parabola near r=0 and r=1 (the solver reports
+a NumericalError there), so design seeds were scanned in ascending order and
 the first whose sample avoids the sliver was frozen: seed 7 for the
 m=200 pipeline design, seed 1 for the constrained 100-point fidelity
 sample. The synthetic stack uses seed 11. The stack and the pipeline run

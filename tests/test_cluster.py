@@ -2,6 +2,7 @@ import json
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from _oracles import (
     brute_force_ward,
+    cut_union_find,
     gram_from_store,
     merge_tree_members,
     pairwise_euclidean_chunked,
@@ -31,7 +33,7 @@ from owa_explorer.cluster import (
     ward_linkage,
     within_variance,
 )
-from owa_explorer.errors import BadK, DataError, MaskMismatch
+from owa_explorer.errors import DataError
 from owa_explorer.grid import GridMeta
 from owa_explorer.mapstore import MapStore, mask_digest
 from owa_explorer.strategy import DecisionPoint, ExperimentalDesign
@@ -164,7 +166,7 @@ def _check_against_per_row_oracle(d, rows):
 
 def test_pairwise_digest_check(tmp_path):
     store = _store_from_rows(tmp_path, np.zeros((3, 4)))
-    with pytest.raises(MaskMismatch):
+    with pytest.raises(DataError, match="store was built over a different validity mask$"):
         store.check_digest(b"\x00" * 32)
 
 
@@ -220,9 +222,9 @@ def test_cut_extremes(tmp_path):
     tree = ward_linkage(np.square(d))
     assert cut(tree, 1).tolist() == [1] * 6
     assert sorted(cut(tree, 6).tolist()) == [1, 2, 3, 4, 5, 6]
-    with pytest.raises(BadK):
+    with pytest.raises(DataError, match=re.escape("k must be in [1, 6], got 0")):
         cut(tree, 0)
-    with pytest.raises(BadK):
+    with pytest.raises(DataError, match=re.escape("k must be in [1, 6], got 7")):
         cut(tree, 7)
 
 
@@ -303,6 +305,21 @@ def test_tree_topology_identical_across_blas_threads(tmp_path):
     assert one["cuts"] == two["cuts"]
     for m1, m2 in zip(one["merges"], two["merges"]):
         assert abs(m1[2] - m2[2]) <= 1e-12 * m1[2]
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 64, 300])
+def test_cut_matches_union_find_for_every_k(m):
+    # random trees whose duplicate maps merge at height 0, in ties
+    rng = np.random.default_rng(m)
+    X = rng.random((m, 4))
+    source, copy = rng.permutation(m)[: 2 * max(1, m // 4)].reshape(2, -1)
+    X[copy] = X[source]
+    tree = ward_linkage(np.square(X[:, None, :] - X[None, :, :]).sum(-1))
+    assert any(h == 0.0 for _, _, h, _ in tree.merges)
+    for k in range(1, m + 1):
+        labels = cut(tree, k)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, cut_union_find(tree, k)), k
 
 
 def test_cut_labels_by_min_member():
@@ -393,6 +410,12 @@ def test_summaries_reject_labels_of_another_length(tmp_path):
     store = _store_from_rows(tmp_path, np.zeros((3, 4)))
     with pytest.raises(DataError, match=r"^2 labels for 3 maps$"):
         cluster_summaries(store, np.array([1, 2]))
+
+
+def test_summaries_reject_a_label_with_no_member(tmp_path):
+    store = _store_from_rows(tmp_path, np.zeros((3, 4)))
+    with pytest.raises(DataError, match=r"^cluster 2 has no members$"):
+        cluster_summaries(store, np.array([1, 3, 3]))
 
 
 def _two_pair_outputs(tmp_path, design):

@@ -10,7 +10,7 @@ import pytest
 from _oracles import gram_from_store, owa_map_per_map
 
 import owa_explorer
-from owa_explorer.errors import ConfigError, DataError, LengthMismatch, NoSolution
+from owa_explorer.errors import ConfigError, DataError, NumericalError
 from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer.cluster import _PIXEL_CHUNK
 from owa_explorer.mapstore import MapStore, mask_digest
@@ -272,18 +272,17 @@ def test_batch_weights_do_not_depend_on_the_batch(synth_stack, pipeline_run):
     W, failures = generate_weights_batch(points, 10)
     order = np.random.default_rng(3).permutation(len(points))
     W_permuted, failures_permuted = generate_weights_batch([points[i] for i in order], 10)
-    assert failures and all(isinstance(e, NoSolution) for e in failures.values())
+    assert failures and all(isinstance(e, NumericalError) and "best match has mean" in str(e) for e in failures.values())
     assert {int(order[k]): str(e) for k, e in failures_permuted.items()} == {i: str(e) for i, e in failures.items()}
-    assert all(isinstance(e, NoSolution) for e in failures_permuted.values())
+    assert all(isinstance(e, NumericalError) for e in failures_permuted.values())
     assert np.array_equal(W_permuted, W[order], equal_nan=True)
 
 
 def test_batch_reports_design_index(tmp_path, small_stack):
     # (0.05, 0.18) sits in the unreachable sliver near the parabola edge
     design = ExperimentalDesign(points=(DecisionPoint(0.4, 0.4), DecisionPoint(0.05, 0.18)))
-    with pytest.raises(NoSolution) as err:
+    with pytest.raises(NumericalError, match=r"^design point 1 \(r=0\.05, t=0\.18\): ") as err:
         batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
-    assert err.value.design_index == 1
     assert "design point 1" in str(err.value)
 
 
@@ -297,15 +296,14 @@ def test_batch_names_every_unreachable_point_before_any_map(tmp_path, small_stac
             DecisionPoint(0.95, 0.18),
         ),
     )
-    with pytest.raises(NoSolution) as err:
+    with pytest.raises(NumericalError, match=r"^design point 1 \(r=0\.05, t=0\.18\): ") as err:
         batch_compute(small_stack, design, small_stack.n, tmp_path / "maps.bin")
-    assert err.value.design_index == 1
     assert "failing design indices: 1, 3" in str(err.value)
     assert not (tmp_path / "maps.bin").exists()
 
 
 def test_batch_length_mismatch(tmp_path, small_stack):
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match=f"^design expects {small_stack.n + 1} criteria, stack has {small_stack.n}$"):
         batch_compute(small_stack, _corner_design(), small_stack.n + 1, tmp_path / "m.bin")
 
 

@@ -16,7 +16,7 @@ from _oracles import pairwise_from_store, verify_manifest
 from owa_explorer import owa, pipeline
 from owa_explorer.cli import main
 from owa_explorer.cluster import ward_linkage
-from owa_explorer.errors import ConfigError, DataError, NoSolution
+from owa_explorer.errors import ConfigError, DataError, NumericalError
 from owa_explorer.grid import GridMeta, Raster, parse_ascii_grid, write_ascii_grid
 from owa_explorer.mapstore import MapStore
 from owa_explorer.pipeline import (
@@ -867,7 +867,7 @@ def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
         stack_manifest=synth_dir / "stack_manifest.csv",
         m=110, seed=0, k=3, k_max=5, out=out,
     )
-    with pytest.raises(NoSolution) as err:
+    with pytest.raises(NumericalError, match="^stage 'aggregate': design point 106 ") as err:
         run_pipeline(cfg)
     assert "stage 'aggregate'" in str(err.value)
     assert "design point 106" in str(err.value)
@@ -896,7 +896,7 @@ def test_failed_rerun_leaves_out_untouched(tmp_path, synth_dir):
     (out / "incomplete").mkdir()
     (out / "incomplete" / "maps.bin").write_text("an older failure\n")
     before = _snapshot(out)
-    with pytest.raises(NoSolution):
+    with pytest.raises(NumericalError, match="^stage 'aggregate': design point 106 "):
         run_pipeline(dataclasses.replace(cfg, m=110, seed=0, write_distances=False))
     assert _snapshot(out) == before
     assert {p.name for p in out.iterdir()} == {*before, "incomplete"}
@@ -1099,10 +1099,9 @@ def test_default_config_fails_fast(tmp_path, synth_stack, capsys):
     manifest, _ = synth_stack
     out = tmp_path / "default"
     t0 = time.perf_counter()
-    with pytest.raises(NoSolution) as err:
+    with pytest.raises(NumericalError, match="^stage 'aggregate': design point 106 ") as err:
         run_pipeline(PipelineConfig(stack_manifest=manifest, m=1000, seed=0, out=out))
     print(f"default config failed after {time.perf_counter() - t0:.2f} s")
-    assert err.value.design_index == 106
     assert "failing design indices: 106, 670" in str(err.value)
     assert not list(out.rglob("maps.bin"))
 

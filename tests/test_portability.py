@@ -1,0 +1,89 @@
+"""Which output bytes depend on the machine: the acceptance run with numpy's
+default SIMD dispatch against the same run with its AVX-512 paths disabled.
+
+numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each run is a
+child process and only the second child's environment sets it. A host or
+numpy build without an AVX-512 dispatch target has nothing to compare, and
+the test skips there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import owa_explorer
+from conftest import DESIGN_SEED, K_RUN, M_RUN
+from owa_explorer.mapstore import MapStore
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+# numpy 2's AVX-512 dispatch targets; the older names (AVX512F, ...) no
+# longer switch its dispatch
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# Files that must not change by a byte. The rest differ in the last digits
+# (the manifest differs anyway).
+IDENTICAL = ("design.csv", "mask.asc", "segmentation.csv", "cluster_centroids.csv", "suggested_k.txt")
+WEIGHTS_ABS = 1e-11  # measured at most 1.4e-12, in 907 of 2000 entries
+MAPS_ABS = 1e-11  # measured at most 5.9e-13
+HEIGHTS_REL = 1e-10  # measured at most 2.0e-11
+
+_RUN_SCRIPT = """
+import json, sys
+from pathlib import Path
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from owa_explorer.pipeline import PipelineConfig, run_pipeline
+manifest, out, m, seed, k = sys.argv[1:6]
+run_pipeline(PipelineConfig(stack_manifest=Path(manifest), m=int(m), seed=int(seed), k=int(k), k_max=15, out=Path(out)))
+print(json.dumps({name: __cpu_features__[name] for name in sys.argv[6:]}))
+"""
+
+
+def _run(manifest, out, disable):
+    targets = [t for t in AVX512_TARGETS if t in __cpu_dispatch__]
+    src = Path(owa_explorer.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    if disable:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    args = [manifest, out, M_RUN, DESIGN_SEED, K_RUN, *targets]
+    proc = subprocess.run([sys.executable, "-c", _RUN_SCRIPT, *map(str, args)],
+                          env=env, check=True, timeout=300, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def _table(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+@pytest.mark.skipif(
+    not any(t in __cpu_dispatch__ and __cpu_features__.get(t) for t in AVX512_TARGETS),
+    reason="numpy dispatches to no AVX-512 target on this host",
+)
+def test_outputs_with_avx512_disabled(tmp_path, synth_stack):
+    manifest, _ = synth_stack
+    default, disabled = tmp_path / "default", tmp_path / "disabled"
+    assert any(_run(manifest, default, disable=False).values())
+    assert not any(_run(manifest, disabled, disable=True).values())
+
+    for name in IDENTICAL:
+        assert (default / name).read_bytes() == (disabled / name).read_bytes(), name
+    a, b = _table(default / "merge_tree.csv"), _table(disabled / "merge_tree.csv")
+    assert np.array_equal(a[:, [0, 1, 2, 4]], b[:, [0, 1, 2, 4]])  # step, pair and size
+    assert np.all(np.abs(a[:, 3] - b[:, 3]) <= HEIGHTS_REL * a[:, 3])
+    a, b = _table(default / "weights.csv"), _table(disabled / "weights.csv")
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert np.abs(a - b).max() <= WEIGHTS_ABS
+    with MapStore.open(default / "maps.bin") as one, MapStore.open(disabled / "maps.bin") as two:
+        assert (one.m, one.pixel_count, one.digest) == (two.m, two.pixel_count, two.digest)
+        assert np.abs(one.rows(0, one.m) - two.rows(0, two.m)).max() <= MAPS_ABS

@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import numpy as np
@@ -5,17 +6,7 @@ import pytest
 
 from _oracles import road_distance_factor
 from owa_explorer.cli import main
-from owa_explorer.errors import (
-    AlignmentError,
-    AllInvalid,
-    NegativeDistance,
-    NegativeValue,
-    OutOfRange,
-    UnknownCategory,
-    UnknownClass,
-    UnknownService,
-    ZeroWeight,
-)
+from owa_explorer.errors import DataError, UnknownClass
 from owa_explorer.grid import GridMeta, Raster, write_ascii_grid
 from owa_explorer.prep import (
     CATEGORICAL_BUILTINS,
@@ -58,14 +49,14 @@ def test_mean_expert_score_unknown(meta):
     m = _matrix(scores={(1, "s"): [3]}, n_experts=1)
     with pytest.raises(UnknownClass):
         build_criterion(Raster(meta, np.array([1.0, 99.0, 1.0, 1.0])), m, "s")
-    with pytest.raises(UnknownService):
+    with pytest.raises(DataError, match="^service 'nope' not in the capacity matrix$"):
         build_criterion(Raster(meta, np.ones(4)), m, "nope")
 
 
 def test_capacity_matrix_rejects_bad_scores():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match=re.escape("score 6 for class 1, service 's' outside [0, 5.0]")):
         _matrix(scores={(1, "s"): [6]}, n_experts=1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match="^capacity matrix needs at least one expert$"):
         CapacityMatrix(luc_classes=(1,), services=("s",), scores={}, n_experts=0)
 
 
@@ -81,7 +72,7 @@ def test_invert_examples(meta):
     assert out[1] == 1.0
     assert out[2] == pytest.approx(0.8, abs=1e-15)
     # a capacity above 1 cannot arise: factors and scaled scores stay in [0, 1]
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match=re.escape("factor 1.2 for category 1 outside [0, 1]")):
         ModifierRule(kind="categorical", table={1: 1.2})
 
 
@@ -120,7 +111,7 @@ def test_categorical_factor_lookup(meta):
     assert apply_modifier(flood, Raster(meta, np.full(4, 2.0))).values[0] == 0.5  # medium
     rule = ModifierRule(kind="categorical", table={1: 0.9})
     assert apply_modifier(rule, Raster(meta, np.ones(4))).values[0] == 0.9
-    with pytest.raises(UnknownCategory):
+    with pytest.raises(DataError, match="^category 2 is not in the table$"):
         apply_modifier(rule, Raster(meta, np.array([1.0, 2.0, 1.0, 1.0])))
 
 
@@ -142,9 +133,9 @@ def test_continuous_98_nodata_and_errors(meta):
     r = Raster(meta, np.array([1.0, -9999.0, 2.0, 3.0]))
     out = continuous_98(r)
     assert out.valid_mask.tolist() == [True, False, True, True]
-    with pytest.raises(AllInvalid):
+    with pytest.raises(DataError, match="^raster has no valid cells$"):
         continuous_98(Raster(meta, np.full(4, -9999.0)))
-    with pytest.raises(NegativeValue):
+    with pytest.raises(DataError, match="^negative value -0.5 in a non-negative raster$"):
         continuous_98(Raster(meta, np.array([1.0, -0.5, 2.0, 3.0])))
 
 
@@ -177,9 +168,9 @@ def test_road_distance_examples():
     assert _road_ramp([100.0, 650.0, 2000.0, 300.0, 1000.0]) == [
         1.0, pytest.approx(0.75, abs=1e-12), 0.5, 1.0, pytest.approx(0.5, abs=1e-12)
     ]
-    with pytest.raises(NegativeDistance):
+    with pytest.raises(DataError, match="^distance -1.0 is negative$"):
         road_distance_factor(-1.0)
-    with pytest.raises(NegativeDistance):
+    with pytest.raises(DataError, match="^negative distance -1.0 in the raster$"):
         _road_ramp([100.0, -1.0])
 
 
@@ -195,19 +186,19 @@ def test_criterion_weight_from_votes():
     assert criterion_weight_from_votes(ExpertVotes(13, 13)) == 1.0
     assert criterion_weight_from_votes(ExpertVotes(1, 2)) == 0.5
     assert criterion_weight_from_votes(ExpertVotes(0, 5, override_weight=1.0)) == 1.0
-    with pytest.raises(ZeroWeight):
+    with pytest.raises(DataError, match="^no expert considered the service important; weight would be 0$"):
         criterion_weight_from_votes(ExpertVotes(0, 5))
     # Table-style ratios like 0.53 come out of integer vote counts
     assert criterion_weight_from_votes(ExpertVotes(8, 15)) == pytest.approx(0.53, abs=0.005)
 
 
 def test_expert_votes_validation():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match=re.escape("vote count 3 outside [0, 2]")):
         ExpertVotes(3, 2)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match="^total experts must be >= 1, got 0$"):
         ExpertVotes(0, 0)
     for override in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DataError, match=f"^override weight {override} is not finite and > 0$"):
             ExpertVotes(1, 2, override_weight=override)
 
 
@@ -217,7 +208,7 @@ def test_apply_modifier_categorical(meta):
     out = apply_modifier(rule, r)
     assert out.values[:3].tolist() == [1.0, 0.5, 0.0]
     assert out.valid_mask.tolist() == [True, True, True, False]
-    with pytest.raises(UnknownCategory):
+    with pytest.raises(DataError, match="^category 9 is not in the table$"):
         apply_modifier(rule, Raster(meta, np.array([1.0, 9.0, 3.0, 2.0])))
 
 
@@ -226,16 +217,16 @@ def test_apply_modifier_piecewise(meta):
     r = Raster(meta, np.array([0.0, 650.0, 1500.0, 300.0]))
     out = apply_modifier(rule, r)
     assert out.values.tolist() == pytest.approx([1.0, 0.75, 0.5, 1.0], abs=1e-12)
-    with pytest.raises(NegativeDistance):
+    with pytest.raises(DataError, match="^negative distance -2.0 in the raster$"):
         apply_modifier(rule, Raster(meta, np.array([0.0, -2.0, 5.0, 1.0])))
 
 
 def test_modifier_rule_validation():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match="^unknown modifier kind 'nonsense'$"):
         ModifierRule(kind="nonsense")
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match=re.escape("factor 1.5 for category 1 outside [0, 1]")):
         ModifierRule(kind="categorical", table={1: 1.5})
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match="^need 0 < d1 < d2, got d1=500.0, d2=400.0$"):
         ModifierRule(kind="piecewise_distance", d1=500.0, d2=400.0)
 
 
@@ -267,14 +258,14 @@ def test_build_criterion_nodata_propagates(meta):
 def test_build_criterion_alignment_and_unknown(meta):
     m = _matrix(scores={(1, "s"): [5]}, n_experts=1)
     other = GridMeta(ncols=4, nrows=1, xllcorner=9.0, yllcorner=0, cellsize=1)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="^modifier raster is not aligned with the land-cover raster$"):
         build_criterion(
             Raster(meta, np.ones(4)), m, "s",
             ModifierRule(kind="continuous_98"), Raster(other, np.ones(4)),
         )
     with pytest.raises(UnknownClass):
         build_criterion(Raster(meta, np.array([1.0, 7.0, 1.0, 1.0])), m, "s")
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="^a modifier rule and its raster must be given together$"):
         build_criterion(Raster(meta, np.ones(4)), m, "s", ModifierRule(kind="continuous_98"), None)
 
 

@@ -14,12 +14,7 @@ from _oracles import (
     solve_mu_bisect,
 )
 from owa_explorer import strategy
-from owa_explorer.errors import (
-    InfeasibleStrategy,
-    NoSolution,
-    OutOfUnitSquare,
-    Unconverged,
-)
+from owa_explorer.errors import DataError, NumericalError
 from owa_explorer.strategy import (
     CLOSED,
     MOMENT_TOL,
@@ -43,7 +38,9 @@ def _feasible(p):
     """Whether a design may hold p: under the parabola t <= 4r(1-r)."""
     try:
         ExperimentalDesign(points=(p,))
-    except InfeasibleStrategy:
+    except DataError as exc:
+        if "outside the strategy space" not in str(exc):  # the unit-square check raises through
+            raise
         return False
     return True
 
@@ -55,9 +52,9 @@ def test_feasible_vertex_and_boundary():
 
 
 def test_feasible_rejects_out_of_square():
-    with pytest.raises(OutOfUnitSquare):
+    with pytest.raises(DataError, match=r"^\(r, t\) = \(-0\.1, 0\.5\) outside the unit square$"):
         _feasible(DecisionPoint(-0.1, 0.5))
-    with pytest.raises(OutOfUnitSquare):
+    with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.5, 1\.1\) outside the unit square$"):
         _feasible(DecisionPoint(0.5, 1.1))
 
 
@@ -273,7 +270,7 @@ def test_generate_weights_matches_bisection_oracle():
     solved = (np.abs(mean - r) <= MOMENT_TOL) & (np.abs(std - t / SQRT12) <= MOMENT_TOL)
     W, failures = generate_weights_batch(_ORACLE_POINTS, 10)
     assert sorted(failures) == np.flatnonzero(~solved).tolist()
-    assert all(isinstance(e, NoSolution) for e in failures.values())
+    assert all(isinstance(e, NumericalError) and "best match has mean" in str(e) for e in failures.values())
     assert np.isnan(W[~solved]).all()
     worst = max(
         np.abs(w - discretize_scalar(m, s, 10)).max()
@@ -292,7 +289,8 @@ def test_generate_weights_matches_scalar_solve():
     worst = 0.0
     for i, (p, w) in enumerate(zip(points, W)):
         spec = scalar_solve(p.r, p.t)
-        assert isinstance(failures.get(i), NoSolution) == (spec is None), p
+        assert isinstance(failures.get(i), NumericalError) == (spec is None), p
+        assert spec is not None or "best match has mean" in str(failures[i])
         if spec is not None:
             worst = max(worst, np.abs(w - discretize_scalar(*spec, 10)).max())
     assert worst <= 1e-10
@@ -321,7 +319,7 @@ def test_solve_refuses_infeasible():
     # a point above the parabola has no weights; a zero trade-off needs no
     # moment matching and gets its unit bin
     W, failures = generate_weights_batch([DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.0)], 10)
-    assert [(i, type(e)) for i, e in failures.items()] == [(0, InfeasibleStrategy)]
+    assert [(i, type(e)) for i, e in failures.items()] == [(0, DataError)]
     assert str(failures[0]) == "(r, t) = (0.1, 0.9) outside the strategy space"
     assert np.isnan(W[0]).all()
     assert W[1].tolist() == [0.0] * 5 + [1.0] + [0.0] * 4
@@ -331,12 +329,12 @@ def test_solve_reports_no_solution_near_edge():
     # near the parabola boundary at small r the truncated-normal family
     # cannot reach the requested dispersion; this must surface, not clamp
     _, failures = generate_weights_batch([DecisionPoint(0.05, 0.18)], 10)
-    assert isinstance(failures[0], NoSolution)
+    assert isinstance(failures[0], NumericalError)
     assert str(failures[0]).startswith("(r, t) = (0.05, 0.18): best match has mean ")
 
 
 def test_solve_unconverged_on_tiny_iteration_budget():
-    with pytest.raises(Unconverged):
+    with pytest.raises(NumericalError, match=r"^mu iteration did not converge for sigma=[0-9.e-]+, r=0\.4$"):
         strategy._solve_sigma(np.array([0.4]), np.array([0.5]), max_iter=1)
 
 
@@ -430,9 +428,9 @@ def test_generate_weights_degenerate_bin():
 
 
 def test_generate_weights_infeasible():
-    with pytest.raises(InfeasibleStrategy):
+    with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.2, 0\.65\) outside the strategy space$"):
         generate_weights(DecisionPoint(0.2, 0.65), 10)
-    with pytest.raises(OutOfUnitSquare, match=r"^\(r, t\) = \(0.5, 1.5\) outside the unit square$"):
+    with pytest.raises(DataError, match=r"^\(r, t\) = \(0.5, 1.5\) outside the unit square$"):
         generate_weights_batch([DecisionPoint(0.4, 0.3), DecisionPoint(0.5, 1.5), DecisionPoint(-1.0, 0.0)], 10)
 
 
@@ -485,8 +483,9 @@ def test_weights_always_valid():
             continue
         try:
             w = generate_weights(DecisionPoint(r, t), 7)
-        except NoSolution:
+        except NumericalError as exc:
             # documented near-boundary slivers
+            assert "best match has mean" in str(exc)
             assert t >= 0.85 * 4.0 * r * (1.0 - r)
             continue
         assert (w.w >= 0).all()
@@ -513,12 +512,12 @@ def test_order_weights_copy_their_input():
 
 def test_design_names_every_point_above_the_parabola():
     points = (DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.5), DecisionPoint(0.2, 0.65), DecisionPoint(0.2, 0.64))
-    with pytest.raises(InfeasibleStrategy) as err:
+    with pytest.raises(DataError, match="^design point 0 ") as err:
         ExperimentalDesign(points=points)
     assert str(err.value) == (
         "design point 0 (r=0.1, t=0.9) outside the strategy space; failing design indices: 0, 2"
     )
-    with pytest.raises(OutOfUnitSquare, match=r"\(r, t\) = \(0\.5, 1\.5\) outside the unit square"):
+    with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.5, 1\.5\) outside the unit square$"):
         ExperimentalDesign(points=(DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 1.5)))
 
 
