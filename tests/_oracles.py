@@ -284,12 +284,18 @@ def verify_manifest(out_dir) -> bool:
 
 
 # The weight solve one point at a time, as it stood before it took arrays:
-# the same three moment regimes and seams, with math.exp where the array
-# code uses np.exp, a safeguarded Newton step for mu and a plain bisection
-# of sigma over [SIGMA_MIN, SIGMA_MAX].
+# three moment regimes (quadrature, phi/Phi closed forms and a tail
+# expansion) where the library has one rule, math.exp where the array code
+# used np.exp, a safeguarded Newton step for mu and a plain bisection of
+# sigma over [SIGMA_MIN, SIGMA_MAX].
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# quadrature over [0, 1] where sigma >= _GL_SIGMA and the boundary layer
+# sigma^2 / distance >= _GL_MIN_LAYER
+_GL_SIGMA = 0.03
+_GL_MIN_LAYER = 1e-3
+QUADRATURE, CLOSED, TAIL = range(3)
 
 
 def _scalar_gl(mu: float, sigma: float) -> tuple[float, float]:
@@ -330,17 +336,17 @@ def _scalar_tail(a: float, sigma: float) -> tuple[float, float]:
 
 def scalar_moments(mu: float, sigma: float) -> tuple[float, float, int]:
     """Truncated mean and std at one (mu, sigma), and the code of the regime
-    (strategy.QUADRATURE, CLOSED or TAIL) that evaluated them."""
+    (QUADRATURE, CLOSED or TAIL) that evaluated them."""
     dist = max(0.0, -mu, mu - 1.0)
-    if sigma >= strategy._GL_SIGMA and (dist == 0.0 or sigma * sigma / dist >= strategy._GL_MIN_LAYER):
-        return (*_scalar_gl(mu, sigma), strategy.QUADRATURE)
+    if sigma >= _GL_SIGMA and (dist == 0.0 or sigma * sigma / dist >= _GL_MIN_LAYER):
+        return (*_scalar_gl(mu, sigma), QUADRATURE)
     closed = _scalar_closed(mu, sigma)
     if closed is not None:
-        return (*closed, strategy.CLOSED)
+        return (*closed, CLOSED)
     if mu < 0.0:
-        return (*_scalar_tail(-mu / sigma, sigma), strategy.TAIL)
+        return (*_scalar_tail(-mu / sigma, sigma), TAIL)
     mean, std = _scalar_tail((mu - 1.0) / sigma, sigma)
-    return 1.0 - mean, std, strategy.TAIL
+    return 1.0 - mean, std, TAIL
 
 
 def _scalar_solve_mu(sigma: float, r: float, mu: float, max_iter: int = 200) -> float:

@@ -1,5 +1,6 @@
-"""Which output bytes depend on the machine: the acceptance run with numpy's
-default SIMD dispatch against the same run with its AVX-512 paths disabled.
+"""Which output bytes depend on the machine: the acceptance run, and the
+truncated-normal moments of the weight solve, with numpy's default SIMD
+dispatch against the same with its AVX-512 paths disabled.
 
 numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each run is a
 child process and only the second child's environment sets it. A host or
@@ -31,21 +32,36 @@ AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 # Files that must not change by a byte. The rest differ in the last digits
 # (the manifest differs anyway).
 IDENTICAL = ("design.csv", "mask.asc", "segmentation.csv", "cluster_centroids.csv", "suggested_k.txt")
-WEIGHTS_ABS = 1e-11  # measured at most 1.4e-12, in 907 of 2000 entries
-MAPS_ABS = 1e-11  # measured at most 5.9e-13
-HEIGHTS_REL = 1e-10  # measured at most 2.0e-11
+WEIGHTS_ABS = 1e-11  # measured at most 2.3e-12, in 456 of 2000 entries
+MAPS_ABS = 1e-11  # measured at most 9.4e-13
+HEIGHTS_REL = 1e-10  # measured at most 3.2e-11
+# measured at most 3.3e-16 (1.3e-11 when the moments had three regimes); the
+# weights still differ more, because the solve stops at a tolerance
+MOMENTS_REL = 4e-15
+# parents inside [0, 1], near it and far out, from near point masses to
+# near uniform densities
+MOMENT_MU, MOMENT_SIGMA = (
+    a.ravel().tolist()
+    for a in np.meshgrid(np.r_[-50.0, -10.0, np.linspace(-3.0, 4.0, 71), 11.0, 51.0], np.logspace(-6, 3, 28))
+)
 
 _RUN_SCRIPT = """
 import json, sys
 from pathlib import Path
+import numpy as np
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__
+from owa_explorer import strategy
 from owa_explorer.pipeline import PipelineConfig, run_pipeline
-manifest, out, m, seed, k = sys.argv[1:6]
+manifest, out, m, seed, k, mu, sigma = sys.argv[1:8]
 run_pipeline(PipelineConfig(stack_manifest=Path(manifest), m=int(m), seed=int(seed), k=int(k), k_max=15, out=Path(out)))
-print(json.dumps({name: __cpu_features__[name] for name in sys.argv[6:]}))
+moments = strategy._moments(np.array(json.loads(mu)), np.array(json.loads(sigma)))
+print(json.dumps({
+    "features": {name: __cpu_features__[name] for name in sys.argv[8:]},
+    "moments": [a.tolist() for a in moments],
+}))
 """
 
 
@@ -56,7 +72,7 @@ def _run(manifest, out, disable):
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
     if disable:
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
-    args = [manifest, out, M_RUN, DESIGN_SEED, K_RUN, *targets]
+    args = [manifest, out, M_RUN, DESIGN_SEED, K_RUN, json.dumps(MOMENT_MU), json.dumps(MOMENT_SIGMA), *targets]
     proc = subprocess.run([sys.executable, "-c", _RUN_SCRIPT, *map(str, args)],
                           env=env, check=True, timeout=300, capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -73,8 +89,13 @@ def _table(path):
 def test_outputs_with_avx512_disabled(tmp_path, synth_stack):
     manifest, _ = synth_stack
     default, disabled = tmp_path / "default", tmp_path / "disabled"
-    assert any(_run(manifest, default, disable=False).values())
-    assert not any(_run(manifest, disabled, disable=True).values())
+    one, two = _run(manifest, default, disable=False), _run(manifest, disabled, disable=True)
+    assert any(one["features"].values())
+    assert not any(two["features"].values())
+
+    (mean, std), (mean2, std2) = np.array(one["moments"]), np.array(two["moments"])
+    assert np.abs(mean2 / mean - 1.0).max() <= MOMENTS_REL
+    assert np.abs(std2 / std - 1.0).max() <= MOMENTS_REL
 
     for name in IDENTICAL:
         assert (default / name).read_bytes() == (disabled / name).read_bytes(), name

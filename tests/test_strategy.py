@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    CLOSED,
+    QUADRATURE,
+    TAIL,
     bin_masses_scalar,
     discretize_scalar,
     empirical_risk,
@@ -16,7 +19,6 @@ from _oracles import (
 from owa_explorer import strategy
 from owa_explorer.errors import DataError, NumericalError
 from owa_explorer.strategy import (
-    CLOSED,
     MOMENT_TOL,
     MU_HI,
     MU_LO,
@@ -112,27 +114,6 @@ def test_moments_match_quadrature(mu, sigma):
     assert std == pytest.approx(qstd, abs=1e-10)
 
 
-def test_moments_deep_tail_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-
-    def mp_moments(mu, sigma):
-        with mp.workdps(80):
-            mu_, s_ = mp.mpf(mu), mp.mpf(sigma)
-            xpeak = min(max(mu, 0.0), 1.0)
-            e0 = ((mp.mpf(xpeak) - mu_) / s_) ** 2 / 2
-            w = lambda x: mp.exp(e0 - ((x - mu_) / s_) ** 2 / 2)
-            z = mp.quad(w, [0, 1])
-            m1 = mp.quad(lambda x: x * w(x), [0, 1]) / z
-            m2 = mp.quad(lambda x: (x - m1) ** 2 * w(x), [0, 1]) / z
-            return float(m1), float(mp.sqrt(m2))
-
-    mus, sigmas = np.array([[-50.0, 0.5], [-50.0, 0.2], [-5.0, 0.05], [41.0, 0.5], [-30.0, 0.6]]).T
-    for mu, sigma, mean, std in zip(mus, sigmas, *strategy._moments(mus, sigmas)):
-        rmean, rstd = mp_moments(float(mu), float(sigma))
-        assert mean == pytest.approx(rmean, rel=1e-7, abs=1e-12)
-        assert std == pytest.approx(rstd, rel=1e-6, abs=1e-12)
-
-
 def test_solve_vertex_is_uniform_limit():
     ((mu, sigma),) = _solve(DecisionPoint(0.5, 1.0))
     assert sigma >= 100.0
@@ -169,19 +150,23 @@ def test_solve_interior_points_near_subnormal_mass(r, t):
     assert std == pytest.approx(t / SQRT12, abs=1e-9)
 
 
-@pytest.mark.parametrize("sigma", [0.028, 0.03])
+@pytest.mark.parametrize("sigma", [1e-3, 0.028, 0.03, 0.3])
 def test_moments_mean_non_decreasing_in_mu(sigma):
+    # the bracket of `_solve_mu` relies on it
     mus = np.linspace(MU_LO, MU_HI, 20001)
     means = strategy._moments(mus, np.full(mus.shape, sigma))[0]
     assert (np.diff(means) >= 0.0).all()
 
 
+# the seams of the three regimes (quadrature, closed forms, tail expansion)
+# that evaluated the moments before they took one rule, each point named by
+# the regime that `scalar_moments` still evaluates it in
 _SEAMS = [
     (0.5, 0.1, "_gl_moments"), (0.3, 1.0, "_gl_moments"), (0.5, SIGMA_MAX, "_gl_moments"),
     (51.0, 20.0, "_gl_moments"), (-50.0, 100.0, "_gl_moments"), (-5.0, 0.1, "_gl_moments"),
-    # either side of the _GL_SIGMA seam
+    # either side of the sigma = 0.03 seam
     (0.2, 0.03, "_gl_moments"), (0.2, 0.0299, "_closed_moments"),
-    # either side of the _GL_MIN_LAYER seam (sigma^2 / distance = 1e-3 at mu = -0.90601)
+    # either side of the boundary-layer seam (sigma^2 / distance = 1e-3 at mu = -0.90601)
     (-0.905, 0.0301, "_gl_moments"), (-0.907, 0.0301, "_closed_moments"),
     (0.3, 0.01, "_closed_moments"), (0.7, SIGMA_MIN, "_closed_moments"),
     (-1e-5, SIGMA_MIN, "_closed_moments"), (-1.0, 0.031, "_closed_moments"),
@@ -190,11 +175,7 @@ _SEAMS = [
     (-0.37, 0.01, "_closed_moments"), (-0.38, 0.01, "_tail_moments"),
     (-2.0, 0.04, "_tail_moments"), (1.5, 0.01, "_tail_moments"), (-0.5, SIGMA_MIN, "_tail_moments"),
 ]
-
-
-def _regime_code(name):
-    """The `_regime` code of the evaluator named `name`."""
-    return strategy._EVALUATORS.index(getattr(strategy, name))
+_REGIMES = {"_gl_moments": QUADRATURE, "_closed_moments": CLOSED, "_tail_moments": TAIL}
 
 
 @pytest.mark.parametrize("mu, sigma, regime", _SEAMS)
@@ -202,35 +183,58 @@ def test_mean_slope_in_mu_is_var_over_sigma_squared(mu, sigma, regime):
     # with sigma fixed, mu / sigma^2 is the natural parameter of x, so
     # d mean / d mu = var / sigma^2; the Newton step on mu relies on it
     h = 1e-3 * sigma
-    mus, sigmas = np.array([mu - h, mu, mu + h]), np.full(3, sigma)
-    assert strategy._regime(mus, sigmas)[0].tolist() == [_regime_code(regime)] * 3
-    mean, std = strategy._moments(mus, sigmas)
+    assert [scalar_moments(m, sigma)[2] for m in (mu - h, mu, mu + h)] == [_REGIMES[regime]] * 3
+    mean, std = strategy._moments(np.array([mu - h, mu, mu + h]), np.full(3, sigma))
     slope = (mean[2] - mean[0]) / (2.0 * h)
     assert slope == pytest.approx((std[1] / sigma) ** 2, rel=1e-5)
 
 
-def test_array_moments_match_scalar_reference():
-    # the seam points, half of 1e5 random points over the whole box, and
-    # half with mu in [-1, 2], where all three regimes meet; the regime is
-    # read from the mask. Closed forms may differ by one ulp of np.exp
-    # against math.exp, which the variance's cancellation near the
-    # subnormal-mass seam magnifies.
+def _mp_moments(mp, mu, sigma):
+    """Truncated mean and std on [0, 1] from the phi/Phi closed forms in
+    100-digit arithmetic, each mass from the tail it lies in; the variance
+    cancels ~2 log10(|mu| / sigma) digits of them."""
+    with mp.workdps(100):
+        mu, sigma = mp.mpf(mu), mp.mpf(sigma)
+        a, b = -mu / sigma, (1 - mu) / sigma
+        if a > 0:
+            z = (mp.erfc(a / mp.sqrt(2)) - mp.erfc(b / mp.sqrt(2))) / 2
+        elif b < 0:
+            z = (mp.erfc(-b / mp.sqrt(2)) - mp.erfc(-a / mp.sqrt(2))) / 2
+        else:
+            z = 1 - (mp.erfc(-a / mp.sqrt(2)) + mp.erfc(b / mp.sqrt(2))) / 2
+        pa, pb = mp.npdf(a), mp.npdf(b)
+        d = (pa - pb) / z
+        var = sigma**2 * (1 + (a * pa - b * pb) / z - d * d)
+        return float(mu + sigma * d), float(mp.sqrt(var))
+
+
+def test_moments_match_mpmath():
+    # the former seams, five parents deep in a tail, and 400 random points:
+    # half over the whole box, half with mu in [-1, 2], where the former
+    # regimes met
+    mp = pytest.importorskip("mpmath")
+    deep = [(-50.0, 0.5), (-50.0, 0.2), (-5.0, 0.05), (41.0, 0.5), (-30.0, 0.6)]
     rng = np.random.default_rng(20)
-    half = 50_000
-    mu = np.concatenate([[m for m, _, _ in _SEAMS], rng.uniform(MU_LO, MU_HI, half), rng.uniform(-1.0, 2.0, half)])
-    log_sigma = rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 2 * half)
-    sigma = np.concatenate([[s for _, s, _ in _SEAMS], np.exp(log_sigma)])
-    regime = strategy._regime(mu, sigma)[0]
-    assert regime[: len(_SEAMS)].tolist() == [_regime_code(name) for _, _, name in _SEAMS]
+    mu = np.concatenate([[m for m, _, _ in _SEAMS], [m for m, _ in deep],
+                         rng.uniform(MU_LO, MU_HI, 200), rng.uniform(-1.0, 2.0, 200)])
+    sigma = np.concatenate([[s for _, s, _ in _SEAMS], [s for _, s in deep],
+                            np.exp(rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 400))])
     mean, std = strategy._moments(mu, sigma)
-    ref_mean, ref_std, ref_regime = np.array([scalar_moments(m, s) for m, s in zip(mu, sigma)]).T
-    assert (regime == ref_regime).all()
-    assert np.bincount(regime).min() >= 10_000
-    assert np.abs(mean - ref_mean).max() <= 4.5e-16
-    rel = np.abs(std - ref_std) / ref_std
-    closed = regime == CLOSED
-    assert rel[~closed].max() <= 1e-13
-    assert rel[closed].max() <= 1e-9
+    ref_mean, ref_std = np.array([_mp_moments(mp, m, s) for m, s in zip(mu.tolist(), sigma.tolist())]).T
+    mean_err, std_err = np.abs(mean / ref_mean - 1.0), np.abs(std / ref_std - 1.0)
+    print(f"largest relative error: mean {mean_err.max():.3g}, std {std_err.max():.3g}")
+    assert mean_err.max() <= 1e-12
+    assert std_err.max() <= 1e-11
+
+
+def test_moments_of_an_element_do_not_depend_on_its_batch():
+    rng = np.random.default_rng(21)
+    mu = np.concatenate([[m for m, _, _ in _SEAMS], rng.uniform(MU_LO, MU_HI, 5000), rng.uniform(-1.0, 2.0, 4980)])
+    sigma = np.concatenate([[s for _, s, _ in _SEAMS],
+                            np.exp(rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 9980))])
+    mean, std = strategy._moments(mu, sigma)
+    alone = np.array([strategy._moments(mu[i : i + 1], sigma[i : i + 1]) for i in range(mu.size)])[:, :, 0]
+    assert np.array_equal(alone, np.stack([mean, std], axis=1))
 
 
 _MU_SIGMAS = [SIGMA_MIN, 1e-4, 0.01, 0.0299, 0.03, 0.3, 3.0, 300.0, SIGMA_MAX]
