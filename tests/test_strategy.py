@@ -208,16 +208,23 @@ def _mp_moments(mp, mu, sigma):
         return float(mu + sigma * d), float(mp.sqrt(var))
 
 
-def test_moments_match_mpmath():
-    # the former seams, five parents deep in a tail, and 400 random points:
-    # half over the whole box, half with mu in [-1, 2], where the former
-    # regimes met
+def test_moments_deep_tail_against_mpmath():
+    # parents far outside [0, 1], where the density on it is one steep exponential
     mp = pytest.importorskip("mpmath")
-    deep = [(-50.0, 0.5), (-50.0, 0.2), (-5.0, 0.05), (41.0, 0.5), (-30.0, 0.6)]
+    mu, sigma = np.array([[-50.0, 0.5], [-50.0, 0.2], [-5.0, 0.05], [41.0, 0.5], [-30.0, 0.6]]).T
+    mean, std = strategy._moments(mu, sigma)
+    ref_mean, ref_std = np.array([_mp_moments(mp, m, s) for m, s in zip(mu.tolist(), sigma.tolist())]).T
+    assert np.abs(mean / ref_mean - 1.0).max() <= 1e-12
+    assert np.abs(std / ref_std - 1.0).max() <= 1e-11
+
+
+def test_moments_match_mpmath():
+    # the former seams and 400 random points: half over the whole box, half
+    # with mu in [-1, 2], where the former regimes met
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20)
-    mu = np.concatenate([[m for m, _, _ in _SEAMS], [m for m, _ in deep],
-                         rng.uniform(MU_LO, MU_HI, 200), rng.uniform(-1.0, 2.0, 200)])
-    sigma = np.concatenate([[s for _, s, _ in _SEAMS], [s for _, s in deep],
+    mu = np.concatenate([[m for m, _, _ in _SEAMS], rng.uniform(MU_LO, MU_HI, 200), rng.uniform(-1.0, 2.0, 200)])
+    sigma = np.concatenate([[s for _, s, _ in _SEAMS],
                             np.exp(rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 400))])
     mean, std = strategy._moments(mu, sigma)
     ref_mean, ref_std = np.array([_mp_moments(mp, m, s) for m, s in zip(mu.tolist(), sigma.tolist())]).T
@@ -225,6 +232,34 @@ def test_moments_match_mpmath():
     print(f"largest relative error: mean {mean_err.max():.3g}, std {std_err.max():.3g}")
     assert mean_err.max() <= 1e-12
     assert std_err.max() <= 1e-11
+
+
+def test_array_moments_match_scalar_reference():
+    # the seam points, half of 1e5 random points over the whole box, and half
+    # with mu in [-1, 2], where the reference's three regimes meet. The two
+    # evaluators are independent: the reference's closed forms cancel digits
+    # of the variance near the subnormal-mass seam and its tail expansion is
+    # truncated, so where the two differ most, the array moments must be the
+    # ones nearer 100-digit mpmath.
+    rng = np.random.default_rng(20)
+    half = 50_000
+    mu = np.concatenate([[m for m, _, _ in _SEAMS], rng.uniform(MU_LO, MU_HI, half), rng.uniform(-1.0, 2.0, half)])
+    log_sigma = rng.uniform(math.log(SIGMA_MIN), math.log(SIGMA_MAX), 2 * half)
+    sigma = np.concatenate([[s for _, s, _ in _SEAMS], np.exp(log_sigma)])
+    mean, std = strategy._moments(mu, sigma)
+    ref_mean, ref_std, ref_regime = np.array([scalar_moments(m, s) for m, s in zip(mu, sigma)]).T
+    regime = ref_regime.astype(int)
+    assert np.bincount(regime).min() >= 10_000
+    assert np.abs(mean - ref_mean).max() <= 5e-13
+    rel = np.abs(std - ref_std) / ref_std
+    assert rel[regime == QUADRATURE].max() <= 1e-11
+    assert rel[regime != QUADRATURE].max() <= 1e-6
+    mp = pytest.importorskip("mpmath")
+    worst = np.unique(np.concatenate([np.argsort(np.abs(mean - ref_mean))[-20:], np.argsort(rel)[-20:]]))
+    for i in worst.tolist():
+        mp_mean, mp_std = _mp_moments(mp, float(mu[i]), float(sigma[i]))
+        assert abs(mean[i] - mp_mean) <= abs(ref_mean[i] - mp_mean) + 1e-16, (mu[i], sigma[i])
+        assert abs(std[i] - mp_std) <= abs(ref_std[i] - mp_std) + 1e-16 * mp_std, (mu[i], sigma[i])
 
 
 def test_moments_of_an_element_do_not_depend_on_its_batch():
