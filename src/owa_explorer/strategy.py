@@ -32,12 +32,10 @@ FEAS_EPS = 1e-12
 T_DEGENERATE = 1e-9
 
 SQRT12 = math.sqrt(12.0)
-_SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# 128-point Gauss-Legendre rule on [0, 1]; `_moments` lays it on a window
-# over which the log density varies by at most 40, and there the moments it
-# gives are good to ~1e-13 relative
+# 128-point Gauss-Legendre rule on [0, 1]; `_window` lays it on a window
+# over which the log density varies by at most 40, and there the moments and
+# bin masses it gives are good to ~1e-13 relative
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(128)
 _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
@@ -110,50 +108,48 @@ def _coordinates(points) -> tuple[np.ndarray, np.ndarray]:
     return r, t
 
 
-def _log_ndtr_c(x: float) -> float:
-    """log P(N(0,1) > x), valid for any x, asymptotic beyond erfc range."""
-    if x < 36.0:
-        return math.log(0.5 * math.erfc(x / _SQRT2))
-    ix2 = 1.0 / (x * x)
-    tail = -ix2 * (1.0 - ix2 * (3.0 - 15.0 * ix2))
-    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(tail)
+def _window(mu: np.ndarray, sigma: np.ndarray, length: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Gauss-Legendre rule for the normal density of parent (mu, sigma)
+    on [0, length], per element of the 1-D arrays mu and sigma (length may
+    be one per element), so that no element depends on the others.
 
-
-# numpy has no erfc; this keeps the scalar one, value for value
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _moments(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation of the [0, 1]-truncated normal, per element
-    of the 1-D arrays mu and sigma, by one rule for all, so that no element
-    depends on the others.
-
-    A parent above 1/2 is mirrored onto 1 - mu, so the density peaks on
-    [0, 1] at p = max(mu, 0). With d = p - mu and r = sqrt(d^2 + 80
-    sigma^2), the density is within e^-40 of its peak for offsets y = x - p
-    in [-(r + d), r - d]. The rule covers that window's part of [0, 1],
-    with r - d taken as 80 sigma^2 / (r + d) to avoid cancellation, and
-    weights exp(-y (y + 2d) / 2 sigma^2), so the sums keep their relative
-    digits however narrow the density or remote its parent.
+    A parent above length/2 is mirrored onto length - mu, so the density
+    peaks on [0, length] at p = max(mu, 0), at a distance d = p - mu from
+    its parent. With r = sqrt(d^2 + 80 sigma^2), the density is within
+    e^-40 of its peak for offsets y = x - p in [-(r + d), r - d]. The rule
+    covers that window's part of [0, length], with r - d taken as 80
+    sigma^2 / (r + d) to avoid cancellation, and weights exp(-y (y + 2d) /
+    2 sigma^2), the density over its peak value: the sums keep their
+    relative digits however narrow the density or remote its parent.
+    Returns the mirror mask, p, the window's width, and the nodes y and
+    weights, one row of them per element; the weights times the width sum
+    to the integral over [0, length] of the density over its value at p.
     """
-    mirror = mu > 0.5
-    mu = np.minimum(mu, 1.0 - mu)
+    mirror = mu > 0.5 * length
+    mu = np.minimum(mu, length - mu)
     peak = np.maximum(mu, 0.0)
     d = peak - mu
     s2 = sigma * sigma
     width = 80.0 * s2
     rd = np.sqrt(d * d + width) + d
     lo = -np.minimum(rd, peak)
-    hi = np.minimum(width / rd, 1.0 - peak)
-    # in place on three (points x nodes) buffers: large batches then skip
+    span = np.minimum(width / rd, length - peak) - lo
+    # in place on two (elements x nodes) buffers: large batches then skip
     # the page faults of fresh temporaries
-    y = np.multiply.outer(hi - lo, _GL_X)
+    y = np.multiply.outer(span, _GL_X)
     y += lo[:, None]
     w = y + (d + d)[:, None]
     w *= y
     w *= (-0.5 / s2)[:, None]
     np.exp(w, out=w)
     w *= _GL_W
+    return mirror, peak, span, y, w
+
+
+def _moments(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of the [0, 1]-truncated normal, per element
+    of the 1-D arrays mu and sigma, from the rule of `_window` on [0, 1]."""
+    mirror, peak, _, y, w = _window(mu, sigma, 1.0)
     m0 = w.sum(axis=1)
     tmp = np.multiply(w, y)
     shift = tmp.sum(axis=1) / m0
@@ -278,36 +274,35 @@ def _solve_sigma(
     return mu, sigma, mean, std
 
 
-# numpy's SIMD log and exp may differ from libm's in the last bit; these
-# keep the scalar functions, value for value
-_log_ndtr_c_array = np.frompyfunc(_log_ndtr_c, 1, 1)
-_exp = np.frompyfunc(math.exp, 1, 1)
-_expm1 = np.frompyfunc(math.expm1, 1, 1)
+# (point, bin) rows per pass of `_bin_masses`: its (rows x nodes) buffers
+# then take 1 MiB each, whatever the batch
+_BLOCK_ROWS = 1024
 
 
 def _bin_masses(mu: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized probability masses of the n equal bins of [0, 1], one
-    row per element of the 1-D arrays mu and sigma."""
-    xi = (np.arange(n + 1) / n - mu[:, None]) / sigma[:, None]
-    lo, hi = xi[:, :-1], xi[:, 1:]
-    # each bin from the tail it lies in; a bin straddling 0 takes the lower
-    # tail (halving is exact either way)
-    upper = lo >= 0.0
-    near, far = np.where(upper, lo, -hi), np.where(upper, hi, -lo)
-    masses = 0.5 * (_erfc(near / _SQRT2).astype(np.float64) - _erfc(far / _SQRT2).astype(np.float64))
-    tail = masses.sum(axis=1) == 0.0
-    if tail.any():
-        # the whole support sits in one far tail of the parent: log tail
-        # probabilities relative to the heaviest bin boundary; a parent
-        # above 0.5 is mirrored, so its mass hugs 1 and the reference is the
-        # last boundary
-        mirror = (mu[tail] > 0.5)[:, None]
-        ls = _log_ndtr_c_array(np.where(mirror, -xi[tail], xi[tail])).astype(np.float64)
-        heavy = np.where(mirror, ls[:, 1:], ls[:, :-1])
-        light = np.where(mirror, ls[:, :-1], ls[:, 1:])
-        ref = np.where(mirror[:, 0], ls[:, -1], ls[:, 0])[:, None]
-        masses[tail] = _exp(heavy - ref).astype(np.float64) * -_expm1(light - heavy).astype(np.float64)
-    return masses
+    row per element of the 1-D arrays mu and sigma.
+
+    Bin j is the rule of `_window` on [0, e_j+1 - e_j] for the parent mu -
+    e_j: its width times its weights is the mass over the density at the
+    bin's point p_j nearest mu. Times exp((d - d_j)(d + d_j) / 2 sigma^2),
+    with d and d_j the distances from mu to [0, 1] and to the bin, it is
+    relative to the density's largest value on [0, 1]. That factor is taken
+    as (p - p_j)((p - mu) + (p_j - mu)), with p the point of [0, 1] nearest
+    mu: the points are edges or mu itself, so each difference keeps its
+    digits however far out the parent or near an edge, and the factor is 1
+    at the bin holding p, whose mass cannot underflow.
+    """
+    edges = np.arange(n + 1) / n
+    masses = np.empty(mu.size * n)
+    for start in range(0, masses.size, _BLOCK_ROWS):
+        i, j = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, masses.size)), n)
+        m, s, lo, hi = mu[i], sigma[i], edges[j], edges[j + 1]
+        _, _, span, _, w = _window(m - lo, s, hi - lo)
+        p, pj = np.clip(m, 0.0, 1.0), np.clip(m, lo, hi)
+        scale = np.exp((p - pj) * ((p - m) + (pj - m)) / (2.0 * s * s))
+        masses[start : start + i.size] = span * w.sum(axis=1) * scale
+    return masses.reshape(mu.size, n)
 
 
 def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, NumericalError | DataError]]:

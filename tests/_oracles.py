@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: moments come from
 adaptive quadrature over the raw density, and the clustering oracle merges
 by explicit within-cluster sum-of-squares increase computed from the
 vectors themselves. The scalar solve keeps the weight solve as it was
-before it took arrays, as the reference for the array one; the chunked
+before it took arrays, as the reference for the array one, and the scalar
+bin masses keep the discretization as erfc tails, as it was before it took
+the moments' quadrature rule; the chunked
 exact-difference distances and the O(m^3) Ward scan keep those stages as
 they were before the Gram form and the nearest-neighbour chain, the
 union-find cut keeps the tree cut as it was before its one pass over the
@@ -291,6 +293,7 @@ def verify_manifest(out_dir) -> bool:
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # quadrature over [0, 1] where sigma >= _GL_SIGMA and the boundary layer
 # sigma^2 / distance >= _GL_MIN_LAYER
 _GL_SIGMA = 0.03
@@ -454,11 +457,21 @@ def solve_bisect(r: np.ndarray, t: np.ndarray, max_iter: int = 200):
     return mu, sigma, mean, std
 
 
+def _log_ndtr_c(x: float) -> float:
+    """log P(N(0,1) > x), valid for any x, asymptotic beyond erfc range."""
+    if x < 36.0:
+        return math.log(0.5 * math.erfc(x / _SQRT2))
+    ix2 = 1.0 / (x * x)
+    tail = -ix2 * (1.0 - ix2 * (3.0 - 15.0 * ix2))
+    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(tail)
+
+
 def bin_masses_scalar(mu: float, sigma: float, n: int) -> np.ndarray:
     """Unnormalized masses of the n equal bins of [0, 1] for one (mu, sigma),
-    bin by bin with math.erfc, and through log tail probabilities when every
-    mass underflows: the reference for the array `strategy._bin_masses`,
-    which must equal it bit for bit."""
+    bin by bin as differences of math.erfc tails, and through log tail
+    probabilities when every mass underflows: the bin masses as they were
+    before they came from the moments' quadrature rule, the independent
+    reference for the array `strategy._bin_masses`."""
     xi = [((j / n) - mu) / sigma for j in range(n + 1)]
     masses = np.empty(n)
     for j in range(n):
@@ -473,12 +486,12 @@ def bin_masses_scalar(mu: float, sigma: float, n: int) -> np.ndarray:
     # whole support sits in one far tail of the parent: work with log tail
     # probabilities relative to the heaviest bin boundary
     if mu > 0.5:  # mass hugs 1: mirror, reuse the left-tail path
-        ls = [strategy._log_ndtr_c(-x) for x in xi]  # log P(parent < boundary)
+        ls = [_log_ndtr_c(-x) for x in xi]  # log P(parent < boundary)
         ref = ls[n]
         for j in range(n):
             masses[j] = math.exp(ls[j + 1] - ref) * -math.expm1(ls[j] - ls[j + 1])
     else:
-        ls = [strategy._log_ndtr_c(x) for x in xi]  # log P(parent > boundary)
+        ls = [_log_ndtr_c(x) for x in xi]  # log P(parent > boundary)
         ref = ls[0]
         for j in range(n):
             masses[j] = math.exp(ls[j] - ref) * -math.expm1(ls[j + 1] - ls[j])

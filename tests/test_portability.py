@@ -1,6 +1,6 @@
 """Which output bytes depend on the machine: the acceptance run, and the
-truncated-normal moments of the weight solve, with numpy's default SIMD
-dispatch against the same with its AVX-512 paths disabled.
+truncated-normal moments and bin masses of the weight solve, with numpy's
+default SIMD dispatch against the same with its AVX-512 paths disabled.
 
 numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each run is a
 child process and only the second child's environment sets it. A host or
@@ -38,6 +38,10 @@ HEIGHTS_REL = 1e-10  # measured at most 3.2e-11
 # measured at most 3.3e-16 (1.3e-11 when the moments had three regimes); the
 # weights still differ more, because the solve stops at a tolerance
 MOMENTS_REL = 4e-15
+# the normalized bin masses of 10 bins at the same (mu, sigma): measured at
+# most 1.1e-16, and 2.2e-16 on 2100 random pairs (6.2e-14 when the masses
+# were erfc tails)
+BIN_WEIGHTS_ABS = 1e-15
 # parents inside [0, 1], near it and far out, from near point masses to
 # near uniform densities
 MOMENT_MU, MOMENT_SIGMA = (
@@ -57,10 +61,12 @@ from owa_explorer import strategy
 from owa_explorer.pipeline import PipelineConfig, run_pipeline
 manifest, out, m, seed, k, mu, sigma = sys.argv[1:8]
 run_pipeline(PipelineConfig(stack_manifest=Path(manifest), m=int(m), seed=int(seed), k=int(k), k_max=15, out=Path(out)))
-moments = strategy._moments(np.array(json.loads(mu)), np.array(json.loads(sigma)))
+mu, sigma = np.array(json.loads(mu)), np.array(json.loads(sigma))
+masses = strategy._bin_masses(mu, sigma, 10)
 print(json.dumps({
     "features": {name: __cpu_features__[name] for name in sys.argv[8:]},
-    "moments": [a.tolist() for a in moments],
+    "moments": [a.tolist() for a in strategy._moments(mu, sigma)],
+    "weights": (masses / masses.sum(axis=1, keepdims=True)).tolist(),
 }))
 """
 
@@ -96,6 +102,7 @@ def test_outputs_with_avx512_disabled(tmp_path, synth_stack):
     (mean, std), (mean2, std2) = np.array(one["moments"]), np.array(two["moments"])
     assert np.abs(mean2 / mean - 1.0).max() <= MOMENTS_REL
     assert np.abs(std2 / std - 1.0).max() <= MOMENTS_REL
+    assert np.abs(np.array(one["weights"]) - np.array(two["weights"])).max() <= BIN_WEIGHTS_ABS
 
     for name in IDENTICAL:
         assert (default / name).read_bytes() == (disabled / name).read_bytes(), name
