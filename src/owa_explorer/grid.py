@@ -519,10 +519,6 @@ class CriterionStack:
     def n(self) -> int:
         return len(self.layers)
 
-    def value_matrix(self) -> np.ndarray:
-        """(valid pixel count, n) matrix of criterion values at valid cells."""
-        return np.column_stack([layer.values[self.valid_mask] for layer in self.layers])
-
 
 def build_stack(layers: list[tuple[str, Raster]], weights) -> CriterionStack:
     """Assemble a stack from (name, raster) pairs and raw positive weights.

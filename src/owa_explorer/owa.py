@@ -29,50 +29,75 @@ from .strategy import ExperimentalDesign, generate_weights_batch
 from .strategy import generate_weights  # noqa: F401
 
 
+# Bytes of maps held per round of store writes: the chunk buffer of a
+# 1024-map run, so for m above 512 a round is one chunk. No byte depends on it.
+_ROUND_BYTES = 8 << 20
+
+
 @dataclass(frozen=True)
 class PixelPermutationCache:
-    """Criterion values and weights of every valid pixel, each row sorted
-    by ascending value (ties broken by criterion index), and the digest of
-    the validity mask they were taken under."""
+    """Every valid pixel's criterion weights V and products V*Z, each
+    pixel's criteria ordered by ascending value (ties broken by criterion
+    index), as C-contiguous (n, valid pixels) arrays, and the digest of the
+    validity mask they were taken under."""
 
-    z_sorted: np.ndarray  # (valid pixels, n)
-    v_sorted: np.ndarray
+    vt: np.ndarray  # (n, valid pixels): V transposed
+    vzt: np.ndarray  # (n, valid pixels): (V*Z) transposed
     digest: bytes
 
 
 def rank_pixels(stack: CriterionStack) -> PixelPermutationCache:
-    """The criterion values and weights of every valid pixel, sorted by a
-    stable ascending argsort of the values, in place one _PIXEL_CHUNK of
-    pixels at a time: only one chunk's permutation is held beside them."""
+    """The sorted weights and products of every valid pixel, by a stable
+    ascending argsort of its values, gathered one _PIXEL_CHUNK of grid
+    cells at a time: only one block's values and order are held beside them."""
     digest = mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask)
-    z, v = stack.value_matrix(), stack.criterion_weights.v
-    v_sorted = np.empty_like(z)
-    for start in range(0, len(z), _PIXEL_CHUNK):
-        part = z[start : start + _PIXEL_CHUNK]
-        # mode "clip" (the permutation is in range) writes into out with no temporary
-        np.take(v, np.argsort(part, axis=1, kind="stable"), out=v_sorted[start : start + _PIXEL_CHUNK], mode="clip")
-        part.sort(axis=1, kind="stable")  # moves equal values as the stable argsort does
-    return PixelPermutationCache(z_sorted=z, v_sorted=v_sorted, digest=digest)
+    v = stack.criterion_weights.v
+    vt = np.empty((stack.n, int(stack.valid_mask.sum())))
+    vzt = np.empty_like(vt)
+    done = 0
+    for start in range(0, stack.meta.size, _PIXEL_CHUNK):
+        cells = np.flatnonzero(stack.valid_mask[start : start + _PIXEL_CHUNK]) + start
+        cols = slice(done, done + cells.size)
+        z = np.empty((stack.n, cells.size))  # filled row by row: np.stack would hold it twice
+        for j, layer in enumerate(stack.layers):
+            np.take(layer.values, cells, out=z[j])
+        order = np.argsort(z, axis=0, kind="stable")
+        z.sort(axis=0, kind="stable")  # moves equal values as the stable argsort does
+        # a row at a time, mode "clip" (order is in range): numpy buffers a
+        # strided (n, cells) out, and any out in mode "raise"
+        for j in range(stack.n):
+            np.take(v, order[j], out=vt[j, cols], mode="clip")
+            np.multiply(vt[j, cols], z[j], out=vzt[j, cols])
+        done += cells.size
+    return PixelPermutationCache(vt=vt, vzt=vzt, digest=digest)
 
 
 def _map_values(cache: PixelPermutationCache, W: np.ndarray, pixels: slice, out: np.ndarray) -> np.ndarray:
     """One map per row of the (maps x n) order weights W over some pixels, as
-    (W (V*Z)^T) / (W V^T), written into out (C-contiguous maps x pixels) and
-    returned. einsum, unlike a BLAS product, sums each value in the same
-    order for any number of rows or pixels, so no byte depends on the chunk."""
-    np.einsum("ij,pj->ip", W, cache.v_sorted[pixels] * cache.z_sorted[pixels], out=out)
-    out /= np.einsum("ij,pj->ip", W, cache.v_sorted[pixels])
+    (W (V*Z)^T) / (W V^T), written into out (maps x pixels, any strides)
+    and returned. Each value's numerator and divisor are summed over the
+    criteria in index order, one multiply and one add per term, whatever
+    the rows, pixels or out, so no byte depends on the chunk or round."""
+    np.einsum("ij,jp->ip", W, cache.vzt[:, pixels], out=out)
+    out /= np.einsum("ij,jp->ip", W, cache.vt[:, pixels])
     return out
+
+
+def _round_width(m: int, pixel_count: int) -> int:
+    """Pixels per round of store writes: _ROUND_BYTES of maps in whole
+    _PIXEL_CHUNK chunks, at least one, all pixels when they fit."""
+    return min(pixel_count, max(1, _ROUND_BYTES // (8 * m * _PIXEL_CHUNK)) * _PIXEL_CHUNK)
 
 
 def map_pass_bytes(m: int, pixel_count: int, n: int, memory_budget: int) -> int:
     """Bytes that batch_compute holds at most for m maps over pixel_count
     pixels and n criteria (float64): d^2 and its Gram temporary, the sorted
-    cache, the order weights, and per pixel of one chunk its maps with their
-    divisor, a row of V*Z and its mean; ranking holds less. Raises
-    ConfigError, naming the need, if memory_budget is below it."""
-    chunk = min(pixel_count, _PIXEL_CHUNK)
-    need = 8 * (2 * m * m + 2 * pixel_count * n + m * n + chunk * (2 * m + n + 1))
+    cache, the order weights, the round buffer of maps, and per pixel of
+    one chunk a divisor and a mean or, while ranking, its values and
+    their order. Raises ConfigError, naming the need, if memory_budget is
+    below it."""
+    chunk, width = min(pixel_count, _PIXEL_CHUNK), _round_width(m, pixel_count)
+    need = 8 * (2 * m * m + 2 * pixel_count * n + m * n + width * m + chunk * (m + 2 * n + 1))
     if need > memory_budget:
         raise ConfigError(
             f"{m} maps over {pixel_count} pixels need memory_budget_mib >= {-(-need >> 20)}, "
@@ -92,9 +117,10 @@ def batch_compute(
     Every design point is solved in one array pass. If any has no order
     weights, NumericalError is raised for the smallest failing index, naming
     every failing index, before the pixels are ranked or the store is
-    created. One pass over the fixed _PIXEL_CHUNK chunks of pixels then
-    evaluates all maps, writes each map's segment to the store and adds
-    the chunk's Gram sums, holding no more than map_pass_bytes.
+    created. One pass over rounds of whole _PIXEL_CHUNK chunks of pixels
+    (see _round_width) then evaluates all maps chunk by chunk, writes each
+    map's segment of the round to the store and adds each chunk's Gram sums
+    in chunk order, holding no more than map_pass_bytes.
     """
     if n != stack.n:
         raise DataError(f"design expects {n} criteria, stack has {stack.n}")
@@ -110,14 +136,18 @@ def batch_compute(
     cache = rank_pixels(stack)
     store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
     gram, product = np.zeros((m, m)), np.empty((m, m))
-    buffer = np.empty(m * min(pixel_count, _PIXEL_CHUNK))  # reused: no chunk pays for fresh pages
+    width = _round_width(m, pixel_count)
+    buffer = np.empty(m * width)  # reused: no round pays for fresh pages
     try:
-        for start in range(0, pixel_count, _PIXEL_CHUNK):
-            width = min(_PIXEL_CHUNK, pixel_count - start)
-            cols = _map_values(cache, W, slice(start, start + width), buffer[: m * width].reshape(m, width))
+        for start in range(0, pixel_count, width):
+            maps = buffer[: m * min(width, pixel_count - start)].reshape(m, -1)
+            chunks = [slice(c, c + _PIXEL_CHUNK) for c in range(0, maps.shape[1], _PIXEL_CHUNK)]
+            for c in chunks:
+                _map_values(cache, W, slice(start + c.start, start + c.stop), maps[:, c])
             for i in range(m):
-                store.write_row(i, cols[i], start)
-            add_gram(gram, cols, product)  # centres cols in place: after the writes
+                store.write_row(i, maps[i], start)
+            for c in chunks:
+                add_gram(gram, maps[:, c], product)  # centres the chunk in place: after the writes
     except BaseException:
         store.close()
         raise

@@ -11,7 +11,8 @@ exact-difference distances and the O(m^3) Ward scan keep those stages as
 they were before the Gram form and the nearest-neighbour chain, the
 union-find cut keeps the tree cut as it was before its one pass over the
 ids, and the scalar body parse keeps the grid reader as it was before its
-numpy kernel.
+numpy kernel. The criterion-order maps spell out, as a loop, the
+summation order that the map kernel states.
 The bisection oracles are the exception: they reuse the library's array
 moments on purpose, because they check the root finders alone. `pairwise_from_store`
 is no oracle: it gives tests the run's own distances over a store.
@@ -235,6 +236,28 @@ def owa_map_per_map(z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     order = np.argsort(z, axis=1, kind="stable")
     coef = np.asarray(v)[order] * np.asarray(w)
     return (coef * np.take_along_axis(z, order, axis=1)).sum(axis=1) / coef.sum(axis=1)
+
+
+def value_matrix(stack) -> np.ndarray:
+    """The (valid pixels x n) criterion values of a stack, a column per
+    layer, unsorted: the raw input of the map oracles."""
+    return np.column_stack([layer.values[stack.valid_mask] for layer in stack.layers])
+
+
+def owa_maps_in_criterion_order(z: np.ndarray, v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The (maps x pixels) OWA maps of the raw (pixels x n) criterion values
+    z, the criterion weights v and the (maps x n) order weights W, each
+    pixel's values sorted on their own, with numerator and divisor summed
+    by an explicit multiply-add loop over the criteria in index order:
+    the order the map kernel states, one rounding per multiply and per add."""
+    order = np.argsort(z, axis=1, kind="stable")
+    vs = np.asarray(v)[order]
+    vzs = vs * np.take_along_axis(z, order, axis=1)
+    num, den = W[:, :1] * vzs[:, 0], W[:, :1] * vs[:, 0]
+    for j in range(1, z.shape[1]):
+        num = np.add(num, np.multiply(W[:, j : j + 1], vzs[:, j]))
+        den = np.add(den, np.multiply(W[:, j : j + 1], vs[:, j]))
+    return num / den
 
 
 def write_ascii_grid_per_cell(raster) -> str:
@@ -469,7 +492,8 @@ def _log_ndtr_c(x: float) -> float:
 def bin_masses_scalar(mu: float, sigma: float, n: int) -> np.ndarray:
     """Unnormalized masses of the n equal bins of [0, 1] for one (mu, sigma),
     bin by bin as differences of math.erfc tails, and through log tail
-    probabilities when every mass underflows: the bin masses as they were
+    probabilities when the masses sum to less than the smallest normal
+    number (subnormal masses carry too few digits): the bin masses as they were
     before they came from the moments' quadrature rule, the independent
     reference for the array `strategy._bin_masses`."""
     xi = [((j / n) - mu) / sigma for j in range(n + 1)]
@@ -481,7 +505,7 @@ def bin_masses_scalar(mu: float, sigma: float, n: int) -> np.ndarray:
         else:  # lower tail; exact for a bin straddling 0 too (halving is exact)
             masses[j] = 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
     total = masses.sum()
-    if total > 0.0 and math.isfinite(total):
+    if total >= sys.float_info.min and math.isfinite(total):
         return masses
     # whole support sits in one far tail of the parent: work with log tail
     # probabilities relative to the heaviest bin boundary

@@ -24,6 +24,7 @@ from _oracles import (
     merge_tree_members,
     pairwise_from_store,
     quad_truncnorm_moments,
+    value_matrix,
     within_variance_via_between,
 )
 from owa_explorer import strategy
@@ -62,7 +63,7 @@ def criterion(number: int, title: str):
 def test_criterion_1_corner_strategy_exactness(synth_stack, tmp_path):
     with criterion(1, "corner strategies reproduce min / max / WLC within 1e-12"):
         _, stack = synth_stack
-        z = stack.value_matrix()
+        z = value_matrix(stack)
         v = stack.criterion_weights.v
         corners = (DecisionPoint(0.0, 0.0), DecisionPoint(1.0, 0.0), DecisionPoint(0.5, 1.0))
         design = ExperimentalDesign(points=corners)

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import gram_from_store, owa_map_per_map
+from _oracles import gram_from_store, owa_map_per_map, owa_maps_in_criterion_order, value_matrix
 
 import owa_explorer
 from owa_explorer.errors import ConfigError, DataError, NumericalError
 from owa_explorer.grid import GridMeta, Raster, build_stack
-from owa_explorer.cluster import _PIXEL_CHUNK
+from owa_explorer import owa
+from owa_explorer.cluster import _PIXEL_CHUNK, add_gram
 from owa_explorer.mapstore import MapStore, mask_digest
 from owa_explorer.owa import _map_values, batch_compute, map_pass_bytes, rank_pixels
 from owa_explorer.strategy import (
@@ -39,16 +40,35 @@ def _owa_value(z, v, w) -> float:
 
 def test_rank_pixels_examples():
     def order(vals):
-        # distinct criterion weights: v_sorted names the criterion at each rank
+        # distinct criterion weights: the pixel's column of vt names the
+        # criterion at each rank, and vzt holds those weights times the sorted values
         stack = _one_pixel_stack(vals, [1.0, 2.0, 4.0])
         cache = rank_pixels(stack)
-        assert cache.z_sorted[0].tolist() == sorted(vals)
-        return [int(np.flatnonzero(stack.criterion_weights.v == x)[0]) for x in cache.v_sorted[0]]
+        assert cache.vt.shape == cache.vzt.shape == (3, 1)
+        assert cache.vzt[:, 0].tolist() == (cache.vt[:, 0] * sorted(vals)).tolist()
+        return [int(np.flatnonzero(stack.criterion_weights.v == x)[0]) for x in cache.vt[:, 0]]
 
     assert order([0.3, 0.1, 0.9]) == [1, 0, 2]
     # tie between criteria 0 and 2 broken by index
     assert order([0.3, 0.1, 0.3]) == [1, 0, 2]
     assert order([0.1, 0.5, 0.9]) == [0, 1, 2]
+
+
+def test_map_values_sum_the_criteria_in_index_order(synth_stack):
+    # bit for bit against the explicit multiply-add loop over the criteria,
+    # whatever the chunk width, the rows of W taken, or the strides of out
+    # (a column slice of a wider buffer, as the map pass's rounds give it)
+    _, stack = synth_stack
+    W = np.random.default_rng(19).random((9, stack.n))
+    expected = owa_maps_in_criterion_order(value_matrix(stack), stack.criterion_weights.v, W)
+    cache, pixels = rank_pixels(stack), expected.shape[1]
+    for width in (1, 7, 1024):
+        for rows in (np.arange(9), np.array([2, 3, 4]), np.array([7, 0, 7])):
+            wide = np.full((len(rows), pixels + 5), np.nan)
+            for start in range(0, pixels, width):
+                out = wide[:, 2 + start : 2 + min(start + width, pixels)]
+                assert _map_values(cache, W[rows], slice(start, start + width), out) is out
+            assert wide[:, 2 : 2 + pixels].tobytes() == expected[rows].tobytes(), (width, rows)
 
 
 def test_owa_value_min_corner():
@@ -77,7 +97,7 @@ def test_batch_corners_on_small_stack(tmp_path, small_stack):
     store, _, _ = batch_compute(small_stack, _corner_design(), small_stack.n, tmp_path / "maps.bin")
     # the store holds the valid pixels only: nodata cells never enter a map
     assert store.pixel_count == int(small_stack.valid_mask.sum()) < small_stack.meta.size
-    z = small_stack.value_matrix()
+    z = value_matrix(small_stack)
     v = small_stack.criterion_weights.v
     low, high, wlc = store.rows(0, 3)
     assert np.abs(low - z.min(axis=1)).max() <= 1e-12
@@ -218,14 +238,75 @@ def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, syn
         assert out.read_bytes() == expected, f"OPENBLAS_NUM_THREADS={threads}"
 
 
+def _chunk_at_a_time(stack, W, path):
+    """The store bytes and Gram sums of the map pass as it was before its
+    rounds: each chunk evaluated into a buffer of its own, written map by
+    map, then its Gram sums added."""
+    cache, m = rank_pixels(stack), len(W)
+    pixels = cache.vt.shape[1]
+    gram, product = np.zeros((m, m)), np.empty((m, m))
+    with MapStore.create(path, m=m, pixel_count=pixels, digest=cache.digest) as store:
+        for start in range(0, pixels, _PIXEL_CHUNK):
+            cols = np.empty((m, min(_PIXEL_CHUNK, pixels - start)))
+            _map_values(cache, W, slice(start, start + _PIXEL_CHUNK), cols)
+            for i in range(m):
+                store.write_row(i, cols[i], start)
+            add_gram(gram, cols, product)
+    return path.read_bytes(), gram
+
+
+@pytest.mark.parametrize("m", [1, 2, 13])
+def test_batch_rounds_match_a_chunk_at_a_time_pass(tmp_path, monkeypatch, synth_stack, small_stack, m):
+    # rounds of 1, 2 and 3 chunks, a round of every pixel, and a round
+    # smaller than a chunk (which takes one chunk), over a stack of 3 whole
+    # chunks and a short one and over one smaller than a chunk: each map's
+    # part of a round is one write, and neither the store nor the Gram
+    # sums change by a byte
+    design = ExperimentalDesign(points=sample_design(13, seed=7).points[:m])
+    write_row, widths = MapStore.write_row, []
+
+    def counted(store, i, values, start=0):
+        widths.append(values.size)
+        return write_row(store, i, values, start)
+
+    for name, stack in (("synth", synth_stack[1]), ("small", small_stack)):
+        pixels = int(stack.valid_mask.sum())
+        store_bytes, gram = _chunk_at_a_time(stack, generate_weights_batch(design.points, stack.n)[0], tmp_path / "ref.bin")
+        for chunks in (1, 2, 3, None, 0):
+            monkeypatch.setattr(owa, "_ROUND_BYTES", 8 * m * _PIXEL_CHUNK * chunks if chunks is not None else 8 << 20)
+            monkeypatch.setattr(MapStore, "write_row", counted)
+            widths.clear()
+            got, _, got_gram = batch_compute(stack, design, stack.n, tmp_path / "maps.bin")
+            got.close()
+            monkeypatch.setattr(MapStore, "write_row", write_row)
+            step = pixels if chunks is None else max(chunks, 1) * _PIXEL_CHUNK
+            rounds = [min(step, pixels - start) for start in range(0, pixels, step)]
+            assert widths == [w for w in rounds for _ in range(m)], (name, chunks)
+            assert (tmp_path / "maps.bin").read_bytes() == store_bytes, (name, chunks)
+            assert got_gram.tobytes() == gram.tobytes(), (name, chunks)
+    assert 3 * _PIXEL_CHUNK < int(synth_stack[1].valid_mask.sum()) < 4 * _PIXEL_CHUNK
+    assert int(small_stack.valid_mask.sum()) < _PIXEL_CHUNK
+
+
+def test_round_width():
+    # 8 MiB of maps in whole chunks: one chunk for any m above 512, every
+    # pixel when they fit
+    assert owa._round_width(1024, 16057) == owa._round_width(5000, 16057) == _PIXEL_CHUNK
+    assert owa._round_width(512, 16057) == 2 * _PIXEL_CHUNK
+    assert owa._round_width(64, 16057) == 16057
+    assert owa._round_width(1, 10**7) == 1 << 20
+    assert owa._round_width(3, 100) == 100
+
+
 def test_batch_peak_memory_within_budget(tmp_path):
-    # the stated need bounds the traced peak where the sorted cache is most
-    # of it, so ranking may hold little beside it (16 maps over a
-    # 128x128x10 stack), and where d^2 and its Gram temporary are (402 maps
-    # over 256 pixels); a budget of the need passes the check and one byte
-    # less does not
+    # the stated need bounds the traced peak where ranking is most of it
+    # (one map over a 128x128x10 stack), where the round buffer of maps
+    # is much of it (16 maps over the same stack), and where d^2 and its
+    # Gram temporary are (402 maps over 256 pixels); a budget of the need
+    # passes the check and one byte less does not
     corners = ExperimentalDesign(points=_corner_design().points * 134)
-    shapes = [(128, 10, sample_design(16, seed=7)), (16, 2, corners)]
+    one = ExperimentalDesign(points=_corner_design().points[2:])
+    shapes = [(128, 10, one), (128, 10, sample_design(16, seed=7)), (16, 2, corners)]
     for side, n, design in shapes:
         meta = GridMeta(ncols=side, nrows=side, xllcorner=0, yllcorner=0, cellsize=1)
         rng = np.random.default_rng(5)
@@ -236,7 +317,7 @@ def test_batch_peak_memory_within_budget(tmp_path):
             map_pass_bytes(design.m, meta.size, n, need - 1)
         tracemalloc.start()
         try:
-            batch_compute(stack, design, n, tmp_path / f"{side}.bin")[0].close()
+            batch_compute(stack, design, n, tmp_path / f"{side}-{design.m}.bin")[0].close()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,7 +331,7 @@ def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):
     lines = (out / "weights.csv").read_text().splitlines()[1:]
     W = np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
     assert W.shape == (cfg.m, stack.n)
-    z, v = stack.value_matrix(), stack.criterion_weights.v
+    z, v = value_matrix(stack), stack.criterion_weights.v
     worst = max(
         float(np.abs(store.rows(i, i + 1)[0] - owa_map_per_map(z, v, W[i])).max()) for i in range(cfg.m)
     )

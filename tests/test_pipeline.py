@@ -413,7 +413,8 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     store = MapStore.open(out / "maps.bin")
     _, recomputed = pairwise_from_store(store)
     m, pixels, n = store.m, store.pixel_count, 4  # synth_dir holds 4 criteria
-    need = 8 * (2 * m * m + 2 * pixels * n + m * n + min(pixels, 1024) * (2 * m + n + 1))
+    assert pixels < 1024  # one chunk, and a round of every pixel
+    need = 8 * (2 * m * m + 2 * pixels * n + m * n + pixels * m + pixels * (m + 2 * n + 1))
     assert manifest.metrics == {"distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "valid_pixels": pixels}
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"

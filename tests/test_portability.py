@@ -1,6 +1,7 @@
-"""Which output bytes depend on the machine: the acceptance run, and the
-truncated-normal moments and bin masses of the weight solve, with numpy's
-default SIMD dispatch against the same with its AVX-512 paths disabled.
+"""Which output bytes depend on the machine: the acceptance run, the map
+kernel, and the truncated-normal moments and bin masses of the weight
+solve, with numpy's default SIMD dispatch against the same with its
+AVX-512 paths disabled.
 
 numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each run is a
 child process and only the second child's environment sets it. A host or
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import owa_explorer
+from _oracles import owa_maps_in_criterion_order, value_matrix
 from conftest import DESIGN_SEED, K_RUN, M_RUN
 from owa_explorer.mapstore import MapStore
 
@@ -48,6 +50,8 @@ MOMENT_MU, MOMENT_SIGMA = (
     a.ravel().tolist()
     for a in np.meshgrid(np.r_[-50.0, -10.0, np.linspace(-3.0, 4.0, 71), 11.0, 51.0], np.logspace(-6, 3, 28))
 )
+# seeds the random order weights of the map kernel's check (the kernel takes any)
+KERNEL_SEED = 19
 
 _RUN_SCRIPT = """
 import json, sys
@@ -58,13 +62,26 @@ try:
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__
 from owa_explorer import strategy
-from owa_explorer.pipeline import PipelineConfig, run_pipeline
-manifest, out, m, seed, k, mu, sigma = sys.argv[1:8]
+from owa_explorer.grid import build_stack
+from owa_explorer.owa import _map_values, rank_pixels
+from owa_explorer.pipeline import PipelineConfig, load_stack_manifest, run_pipeline
+manifest, out, m, seed, k, mu, sigma, kernel_seed = sys.argv[1:9]
 run_pipeline(PipelineConfig(stack_manifest=Path(manifest), m=int(m), seed=int(seed), k=int(k), k_max=15, out=Path(out)))
 mu, sigma = np.array(json.loads(mu)), np.array(json.loads(sigma))
 masses = strategy._bin_masses(mu, sigma, 10)
+layers, weights, _ = load_stack_manifest(manifest)
+cache = rank_pixels(build_stack(layers, weights))
+W = np.random.default_rng(int(kernel_seed)).random((9, cache.vt.shape[0]))
+pixels = cache.vt.shape[1]
+kernel = []
+for width in (1, 7, 1024):  # chunks of each width into a column slice of a wider buffer
+    wide = np.empty((9, pixels + 5))
+    for start in range(0, pixels, width):
+        _map_values(cache, W, slice(start, start + width), wide[:, 2 + start : 2 + min(start + width, pixels)])
+    kernel.append(wide[:, 2 : 2 + pixels].tobytes().hex())
 print(json.dumps({
-    "features": {name: __cpu_features__[name] for name in sys.argv[8:]},
+    "features": {name: __cpu_features__[name] for name in sys.argv[9:]},
+    "kernel": kernel,
     "moments": [a.tolist() for a in strategy._moments(mu, sigma)],
     "weights": (masses / masses.sum(axis=1, keepdims=True)).tolist(),
 }))
@@ -78,7 +95,7 @@ def _run(manifest, out, disable):
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
     if disable:
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
-    args = [manifest, out, M_RUN, DESIGN_SEED, K_RUN, json.dumps(MOMENT_MU), json.dumps(MOMENT_SIGMA), *targets]
+    args = [manifest, out, M_RUN, DESIGN_SEED, K_RUN, json.dumps(MOMENT_MU), json.dumps(MOMENT_SIGMA), KERNEL_SEED, *targets]
     proc = subprocess.run([sys.executable, "-c", _RUN_SCRIPT, *map(str, args)],
                           env=env, check=True, timeout=300, capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -93,11 +110,16 @@ def _table(path):
     reason="numpy dispatches to no AVX-512 target on this host",
 )
 def test_outputs_with_avx512_disabled(tmp_path, synth_stack):
-    manifest, _ = synth_stack
+    manifest, stack = synth_stack
     default, disabled = tmp_path / "default", tmp_path / "disabled"
     one, two = _run(manifest, default, disable=False), _run(manifest, disabled, disable=True)
     assert any(one["features"].values())
     assert not any(two["features"].values())
+
+    # the map kernel sums the criteria in index order under either dispatch
+    W = np.random.default_rng(KERNEL_SEED).random((9, stack.n))
+    loop = owa_maps_in_criterion_order(value_matrix(stack), stack.criterion_weights.v, W).tobytes().hex()
+    assert one["kernel"] == two["kernel"] == [loop] * 3
 
     (mean, std), (mean2, std2) = np.array(one["moments"]), np.array(two["moments"])
     assert np.abs(mean2 / mean - 1.0).max() <= MOMENTS_REL
