@@ -28,7 +28,6 @@ from .strategy import (  # noqa: F401
     sample_design,
 )
 from .owa import (  # noqa: F401
-    PixelPermutationCache,
     batch_compute,
     rank_pixels,
 )

@@ -198,12 +198,13 @@ def _each_row(store: MapStore):
 def _cluster_means(store: MapStore, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = int(labels.max())
     sums = np.zeros((k, store.pixel_count))
-    counts = np.bincount(labels - 1, minlength=k).astype(np.int64)
+    counts = np.bincount(labels - 1, minlength=k).astype(np.float64)  # divides without a cast buffer
     if (counts == 0).any():
         raise DataError(f"cluster {int(np.argmax(counts == 0)) + 1} has no members")
     for i, row in enumerate(_each_row(store)):
         sums[labels[i] - 1] += row
-    return sums / counts[:, None], counts
+    sums /= counts[:, None]
+    return sums, counts
 
 
 def within_variance(store: MapStore, labels: np.ndarray) -> float:
@@ -251,12 +252,15 @@ def suggest_k(curve: list[tuple[int, float]]) -> int:
 
 def cluster_summaries(store: MapStore, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise mean and population standard deviation of each cluster's
-    maps: two (k, pixel_count) arrays whose row c holds label c + 1."""
+    maps: two (k, pixel_count) arrays whose row c holds label c + 1, and
+    besides them one map row at a time."""
     if len(labels) != store.m:
         raise DataError(f"{len(labels)} labels for {store.m} maps")
     means, counts = _cluster_means(store, labels)
     sq = np.zeros_like(means)
     for i, row in enumerate(_each_row(store)):
         c = labels[i] - 1
-        sq[c] += np.square(row - means[c])
-    return means, np.sqrt(sq / counts[:, None])
+        row -= means[c]
+        sq[c] += np.square(row, out=row)
+    sq /= counts[:, None]
+    return means, np.sqrt(sq, out=sq)

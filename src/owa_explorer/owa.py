@@ -14,7 +14,6 @@ from __future__ import annotations
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,52 +33,30 @@ from .strategy import generate_weights  # noqa: F401
 _ROUND_BYTES = 8 << 20
 
 
-@dataclass(frozen=True)
-class PixelPermutationCache:
-    """Every valid pixel's criterion weights V and products V*Z, each
-    pixel's criteria ordered by ascending value (ties broken by criterion
-    index), as C-contiguous (n, valid pixels) arrays, and the digest of the
-    validity mask they were taken under."""
-
-    vt: np.ndarray  # (n, valid pixels): V transposed
-    vzt: np.ndarray  # (n, valid pixels): (V*Z) transposed
-    digest: bytes
-
-
-def rank_pixels(stack: CriterionStack) -> PixelPermutationCache:
-    """The sorted weights and products of every valid pixel, by a stable
-    ascending argsort of its values, gathered one _PIXEL_CHUNK of grid
-    cells at a time: only one block's values and order are held beside them."""
-    digest = mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask)
-    v = stack.criterion_weights.v
-    vt = np.empty((stack.n, int(stack.valid_mask.sum())))
-    vzt = np.empty_like(vt)
-    done = 0
-    for start in range(0, stack.meta.size, _PIXEL_CHUNK):
-        cells = np.flatnonzero(stack.valid_mask[start : start + _PIXEL_CHUNK]) + start
-        cols = slice(done, done + cells.size)
-        z = np.empty((stack.n, cells.size))  # filled row by row: np.stack would hold it twice
-        for j, layer in enumerate(stack.layers):
-            np.take(layer.values, cells, out=z[j])
-        order = np.argsort(z, axis=0, kind="stable")
-        z.sort(axis=0, kind="stable")  # moves equal values as the stable argsort does
-        # a row at a time, mode "clip" (order is in range): numpy buffers a
-        # strided (n, cells) out, and any out in mode "raise"
-        for j in range(stack.n):
-            np.take(v, order[j], out=vt[j, cols], mode="clip")
-            np.multiply(vt[j, cols], z[j], out=vzt[j, cols])
-        done += cells.size
-    return PixelPermutationCache(vt=vt, vzt=vzt, digest=digest)
+def rank_pixels(stack: CriterionStack, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The criterion weights V and products V*Z of the given grid cells,
+    each cell's criteria ordered by a stable ascending argsort of its
+    values (ties broken by criterion index), as two C-contiguous
+    (n, len(cells)) arrays: V transposed and (V*Z) transposed."""
+    z = np.empty((stack.n, cells.size))  # filled row by row: np.stack would hold it twice
+    for j, layer in enumerate(stack.layers):
+        np.take(layer.values, cells, out=z[j])
+    order = np.argsort(z, axis=0, kind="stable")
+    z.sort(axis=0, kind="stable")  # moves equal values as the stable argsort does
+    vt = np.take(stack.criterion_weights.v, order)
+    z *= vt
+    return vt, z
 
 
-def _map_values(cache: PixelPermutationCache, W: np.ndarray, pixels: slice, out: np.ndarray) -> np.ndarray:
-    """One map per row of the (maps x n) order weights W over some pixels, as
-    (W (V*Z)^T) / (W V^T), written into out (maps x pixels, any strides)
-    and returned. Each value's numerator and divisor are summed over the
-    criteria in index order, one multiply and one add per term, whatever
-    the rows, pixels or out, so no byte depends on the chunk or round."""
-    np.einsum("ij,jp->ip", W, cache.vzt[:, pixels], out=out)
-    out /= np.einsum("ij,jp->ip", W, cache.vt[:, pixels])
+def _map_values(W: np.ndarray, vt: np.ndarray, vzt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One map per row of the (maps x n) order weights W over the pixels of
+    the (n x pixels) V^T and (V*Z)^T, as (W (V*Z)^T) / (W V^T), written into
+    out (maps x pixels, any strides) and returned. Each value's numerator
+    and divisor are summed over the criteria in index order, one multiply
+    and one add per term, whatever the rows, pixels or out, so no byte
+    depends on the chunk or round."""
+    np.einsum("ij,jp->ip", W, vzt, out=out)
+    out /= np.einsum("ij,jp->ip", W, vt)
     return out
 
 
@@ -91,13 +68,14 @@ def _round_width(m: int, pixel_count: int) -> int:
 
 def map_pass_bytes(m: int, pixel_count: int, n: int, memory_budget: int) -> int:
     """Bytes that batch_compute holds at most for m maps over pixel_count
-    pixels and n criteria (float64): d^2 and its Gram temporary, the sorted
-    cache, the order weights, the round buffer of maps, and per pixel of
-    one chunk a divisor and a mean or, while ranking, its values and
-    their order. Raises ConfigError, naming the need, if memory_budget is
-    below it."""
+    pixels and n criteria (float64): d^2 and its Gram temporary, the order
+    weights, the round buffer of maps, the grid cell of each pixel, and per
+    pixel of one chunk its sorted weights and products (and their order
+    while ranking), and per map a divisor and the copy numpy divides in
+    place of the strided maps. Raises ConfigError, naming the need, if
+    memory_budget is below it."""
     chunk, width = min(pixel_count, _PIXEL_CHUNK), _round_width(m, pixel_count)
-    need = 8 * (2 * m * m + 2 * pixel_count * n + m * n + width * m + chunk * (m + 2 * n + 1))
+    need = 8 * (2 * m * m + m * n + width * m + pixel_count + chunk * (2 * m + 3 * n))
     if need > memory_budget:
         raise ConfigError(
             f"{m} maps over {pixel_count} pixels need memory_budget_mib >= {-(-need >> 20)}, "
@@ -118,9 +96,9 @@ def batch_compute(
     weights, NumericalError is raised for the smallest failing index, naming
     every failing index, before the pixels are ranked or the store is
     created. One pass over rounds of whole _PIXEL_CHUNK chunks of pixels
-    (see _round_width) then evaluates all maps chunk by chunk, writes each
-    map's segment of the round to the store and adds each chunk's Gram sums
-    in chunk order, holding no more than map_pass_bytes.
+    (see _round_width) then ranks each chunk and evaluates all maps on it,
+    writes each map's segment of the round to the store and adds each
+    chunk's Gram sums in chunk order, holding no more than map_pass_bytes.
     """
     if n != stack.n:
         raise DataError(f"design expects {n} criteria, stack has {stack.n}")
@@ -133,8 +111,9 @@ def batch_compute(
         msg = f"design point {i} (r={p.r}, t={p.t}): {exc}; failing design indices: {every}"
         raise NumericalError(msg) from exc
 
-    cache = rank_pixels(stack)
-    store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=cache.digest)
+    digest = mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask)
+    store = MapStore.create(store_path, m=m, pixel_count=pixel_count, digest=digest)
+    cells = np.flatnonzero(stack.valid_mask)  # the grid cell of each pixel, in store order
     gram, product = np.zeros((m, m)), np.empty((m, m))
     width = _round_width(m, pixel_count)
     buffer = np.empty(m * width)  # reused: no round pays for fresh pages
@@ -143,7 +122,7 @@ def batch_compute(
             maps = buffer[: m * min(width, pixel_count - start)].reshape(m, -1)
             chunks = [slice(c, c + _PIXEL_CHUNK) for c in range(0, maps.shape[1], _PIXEL_CHUNK)]
             for c in chunks:
-                _map_values(cache, W, slice(start + c.start, start + c.stop), maps[:, c])
+                _map_values(W, *rank_pixels(stack, cells[start + c.start : start + c.stop]), maps[:, c])
             for i in range(m):
                 store.write_row(i, maps[i], start)
             for c in chunks:

@@ -406,6 +406,22 @@ def test_summaries_mean_bounded_by_members(tmp_path):
         assert (mean <= member_rows.max(axis=0) + 1e-12).all()
 
 
+def test_summaries_hold_their_two_arrays_and_one_map_row(tmp_path):
+    # the means and the squared deviations are divided and rooted in place,
+    # and each map is centred in its read buffer: beside the two (k, P)
+    # results the traced peak is one map row and a few KiB of objects
+    k, pixels = 5, 20000
+    store = _store_from_rows(tmp_path, np.random.default_rng(37).random((12, pixels)))
+    tracemalloc.start()
+    try:
+        cluster_summaries(store, np.arange(12) % k + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (2 * k + 1) * pixels + (8 << 10)
+    assert peak <= bound, (peak, bound)
+
+
 def test_summaries_reject_labels_of_another_length(tmp_path):
     store = _store_from_rows(tmp_path, np.zeros((3, 4)))
     with pytest.raises(DataError, match=r"^2 labels for 3 maps$"):

@@ -34,8 +34,8 @@ def _one_pixel_stack(z, v):
 
 def _owa_value(z, v, w) -> float:
     """One pixel's OWA value, through the run's ranking and map kernel."""
-    cache = rank_pixels(_one_pixel_stack(z, v))
-    return float(_map_values(cache, np.asarray(w, dtype=np.float64)[None, :], slice(None), np.empty((1, 1)))[0, 0])
+    vt, vzt = rank_pixels(_one_pixel_stack(z, v), np.arange(1))
+    return float(_map_values(np.asarray(w, dtype=np.float64)[None, :], vt, vzt, np.empty((1, 1)))[0, 0])
 
 
 def test_rank_pixels_examples():
@@ -43,15 +43,42 @@ def test_rank_pixels_examples():
         # distinct criterion weights: the pixel's column of vt names the
         # criterion at each rank, and vzt holds those weights times the sorted values
         stack = _one_pixel_stack(vals, [1.0, 2.0, 4.0])
-        cache = rank_pixels(stack)
-        assert cache.vt.shape == cache.vzt.shape == (3, 1)
-        assert cache.vzt[:, 0].tolist() == (cache.vt[:, 0] * sorted(vals)).tolist()
-        return [int(np.flatnonzero(stack.criterion_weights.v == x)[0]) for x in cache.vt[:, 0]]
+        vt, vzt = rank_pixels(stack, np.arange(1))
+        assert vt.shape == vzt.shape == (3, 1)
+        assert vzt[:, 0].tolist() == (vt[:, 0] * sorted(vals)).tolist()
+        return [int(np.flatnonzero(stack.criterion_weights.v == x)[0]) for x in vt[:, 0]]
 
     assert order([0.3, 0.1, 0.9]) == [1, 0, 2]
     # tie between criteria 0 and 2 broken by index
     assert order([0.3, 0.1, 0.3]) == [1, 0, 2]
     assert order([0.1, 0.5, 0.9]) == [0, 1, 2]
+
+
+def test_rank_pixels_of_cell_subsets_match_all_cells():
+    # a 7 x 5 grid of 4 criteria drawn from three values, so most cells tie,
+    # and one cell holding -0.0 beside a 0.0: any subset of cells ranks as
+    # the same columns of the all-cells call, bit for bit, ties in
+    # criterion-index order and -0.0 keeping its sign bit
+    meta = GridMeta(ncols=7, nrows=5, xllcorner=0, yllcorner=0, cellsize=1)
+    z = np.random.default_rng(29).choice([0.0, 0.25, 0.5], size=(4, meta.size))
+    z[:, 12] = [0.5, -0.0, 0.0, 0.25]
+    v = np.array([1.0, 2.0, 4.0, 8.0])
+    stack = build_stack([(f"c{j}", Raster(meta, z[j])) for j in range(4)], v)
+    every = np.arange(meta.size)
+    vt, vzt = rank_pixels(stack, every)
+    for cells in (np.array([12]), np.array([30, 3, 12, 8, 9, 21, 0]), np.arange(5, 16), every):
+        sub_vt, sub_vzt = rank_pixels(stack, cells)
+        assert sub_vt.shape == sub_vzt.shape == (4, cells.size)
+        assert sub_vt.flags.c_contiguous and sub_vzt.flags.c_contiguous
+        assert sub_vt.tobytes() == vt[:, cells].tobytes(), cells
+        assert sub_vzt.tobytes() == vzt[:, cells].tobytes(), cells
+    w = stack.criterion_weights.v
+    for cell in every:
+        ranked = sorted(range(4), key=lambda j: (z[j, cell], j))
+        assert vt[:, cell].tobytes() == w[ranked].tobytes(), cell
+        assert vzt[:, cell].tobytes() == (w[ranked] * z[ranked, cell]).tobytes(), cell
+    assert vt[:, 12].tolist() == w[[1, 2, 3, 0]].tolist()  # -0.0 ties 0.0 and ranks first, by index
+    assert np.signbit(vzt[0, 12]) and not np.signbit(vzt[1, 12])
 
 
 def test_map_values_sum_the_criteria_in_index_order(synth_stack):
@@ -61,13 +88,14 @@ def test_map_values_sum_the_criteria_in_index_order(synth_stack):
     _, stack = synth_stack
     W = np.random.default_rng(19).random((9, stack.n))
     expected = owa_maps_in_criterion_order(value_matrix(stack), stack.criterion_weights.v, W)
-    cache, pixels = rank_pixels(stack), expected.shape[1]
+    (vt, vzt), pixels = rank_pixels(stack, np.flatnonzero(stack.valid_mask)), expected.shape[1]
     for width in (1, 7, 1024):
         for rows in (np.arange(9), np.array([2, 3, 4]), np.array([7, 0, 7])):
             wide = np.full((len(rows), pixels + 5), np.nan)
             for start in range(0, pixels, width):
                 out = wide[:, 2 + start : 2 + min(start + width, pixels)]
-                assert _map_values(cache, W[rows], slice(start, start + width), out) is out
+                cols = slice(start, start + width)
+                assert _map_values(W[rows], vt[:, cols], vzt[:, cols], out) is out
             assert wide[:, 2 : 2 + pixels].tobytes() == expected[rows].tobytes(), (width, rows)
 
 
@@ -219,7 +247,8 @@ def test_batch_bytes_identical_across_block_sizes_and_blas_threads(tmp_path, syn
     for name, s in (("synth", stack), ("small", small_stack)):
         store, W, gram = batch_compute(s, design, s.n, tmp_path / f"{name}.bin")
         with store:
-            rows = _map_values(rank_pixels(s), W, slice(None), np.empty((store.m, store.pixel_count)))
+            ranked = rank_pixels(s, np.flatnonzero(s.valid_mask))
+            rows = _map_values(W, *ranked, np.empty((store.m, store.pixel_count)))
             assert store.rows(0, store.m).tobytes() == rows.tobytes(), name
             assert gram.tobytes() == gram_from_store(store).tobytes(), name
     pixels = int(stack.valid_mask.sum())
@@ -242,13 +271,15 @@ def _chunk_at_a_time(stack, W, path):
     """The store bytes and Gram sums of the map pass as it was before its
     rounds: each chunk evaluated into a buffer of its own, written map by
     map, then its Gram sums added."""
-    cache, m = rank_pixels(stack), len(W)
-    pixels = cache.vt.shape[1]
+    (vt, vzt), m = rank_pixels(stack, np.flatnonzero(stack.valid_mask)), len(W)
+    pixels = vt.shape[1]
     gram, product = np.zeros((m, m)), np.empty((m, m))
-    with MapStore.create(path, m=m, pixel_count=pixels, digest=cache.digest) as store:
+    digest = mask_digest(stack.meta.ncols, stack.meta.nrows, stack.valid_mask)
+    with MapStore.create(path, m=m, pixel_count=pixels, digest=digest) as store:
         for start in range(0, pixels, _PIXEL_CHUNK):
             cols = np.empty((m, min(_PIXEL_CHUNK, pixels - start)))
-            _map_values(cache, W, slice(start, start + _PIXEL_CHUNK), cols)
+            chunk = slice(start, start + _PIXEL_CHUNK)
+            _map_values(W, vt[:, chunk], vzt[:, chunk], cols)
             for i in range(m):
                 store.write_row(i, cols[i], start)
             add_gram(gram, cols, product)
@@ -322,6 +353,24 @@ def test_batch_peak_memory_within_budget(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= need, (side, peak / need)
+
+
+def test_batch_peak_memory_holds_no_pixel_cache(tmp_path):
+    # two maps over a 256x256x10 stack: a cache of 16 bytes per pixel and
+    # criterion (10 MiB) would be over five times the need, so the traced
+    # peak stays under it only if the pass ranks each chunk where it uses it
+    meta = GridMeta(ncols=256, nrows=256, xllcorner=0, yllcorner=0, cellsize=1)
+    rng = np.random.default_rng(5)
+    stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(10)], rng.random(10) + 0.5)
+    design = sample_design(2, seed=7)
+    need = map_pass_bytes(design.m, meta.size, stack.n, 1 << 40)
+    tracemalloc.start()
+    try:
+        batch_compute(stack, design, stack.n, tmp_path / "maps.bin")[0].close()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need < 16 * meta.size * stack.n / 5, (peak, need)
 
 
 def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):

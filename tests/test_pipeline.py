@@ -414,7 +414,7 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     _, recomputed = pairwise_from_store(store)
     m, pixels, n = store.m, store.pixel_count, 4  # synth_dir holds 4 criteria
     assert pixels < 1024  # one chunk, and a round of every pixel
-    need = 8 * (2 * m * m + 2 * pixels * n + m * n + pixels * m + pixels * (m + 2 * n + 1))
+    need = 8 * (2 * m * m + m * n + pixels * m + pixels + pixels * (2 * m + 3 * n))
     assert manifest.metrics == {"distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "valid_pixels": pixels}
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"
@@ -1005,7 +1005,7 @@ def test_cli_run_over_budget_exits_2_before_the_solve(completed_run, tmp_path, m
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "stage 'load'" in err
-    assert "need memory_budget_mib >= 4, got 1" in err
+    assert "need memory_budget_mib >= 5, got 1" in err
     assert {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 

@@ -70,14 +70,16 @@ run_pipeline(PipelineConfig(stack_manifest=Path(manifest), m=int(m), seed=int(se
 mu, sigma = np.array(json.loads(mu)), np.array(json.loads(sigma))
 masses = strategy._bin_masses(mu, sigma, 10)
 layers, weights, _ = load_stack_manifest(manifest)
-cache = rank_pixels(build_stack(layers, weights))
-W = np.random.default_rng(int(kernel_seed)).random((9, cache.vt.shape[0]))
-pixels = cache.vt.shape[1]
+stack = build_stack(layers, weights)
+vt, vzt = rank_pixels(stack, np.flatnonzero(stack.valid_mask))
+W = np.random.default_rng(int(kernel_seed)).random((9, vt.shape[0]))
+pixels = vt.shape[1]
 kernel = []
 for width in (1, 7, 1024):  # chunks of each width into a column slice of a wider buffer
     wide = np.empty((9, pixels + 5))
     for start in range(0, pixels, width):
-        _map_values(cache, W, slice(start, start + width), wide[:, 2 + start : 2 + min(start + width, pixels)])
+        cols = slice(start, start + width)
+        _map_values(W, vt[:, cols], vzt[:, cols], wide[:, 2 + start : 2 + min(start + width, pixels)])
     kernel.append(wide[:, 2 : 2 + pixels].tobytes().hex())
 print(json.dumps({
     "features": {name: __cpu_features__[name] for name in sys.argv[9:]},
