@@ -241,12 +241,21 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 def _seventeen_digits(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """round-half-even(x * 10^(16 - e)) as int64, exact where the product
     lies in [2^53, 2^63)."""
-    s = 16 - e
-    p = x * _POW10[s]
+    p = x * _POW10[16 - e]
     x_hi, x_lo = _split(x)
-    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
-    err = x_lo * b_lo - (((p - x_hi * b_hi) - x_lo * b_hi) - x_hi * b_lo)
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # err = x_lo b_lo - (((p - x_hi b_hi) - x_lo b_hi) - x_hi b_lo), b holding b_hi then b_lo,
+    # and each product written over an operand it has spent
+    b = _POW10_HI[16 - e]
+    err = x_hi * b
+    np.subtract(p, err, out=err)
+    err -= np.multiply(x_lo, b, out=b)
+    np.take(_POW10_LO, 16 - e, out=b, mode="wrap")  # in range; the default mode copies out first
+    err -= np.multiply(x_hi, b, out=x_hi)
+    np.subtract(np.multiply(x_lo, b, out=b), err, out=err)
+    del x_hi, x_lo, b  # freed before the result is built
+    got = p.astype(np.int64)
+    got += np.rint(err, out=err).astype(np.int64)
+    return got
 
 
 def _digit_words() -> np.ndarray:
@@ -330,7 +339,7 @@ def _format_cells(v: np.ndarray, start: int, ncols: int) -> str:
     return words.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-# The reader's body kernel, _BLOCK_CELLS tokens at a time. A plain token (an
+# The reader's body kernel, _READ_CELLS tokens at a time. A plain token (an
 # optional "-", digits, at most one ".") is D / 10^f, f the digits after the
 # point: where D < 2^53 and f <= 22 one division of exact doubles rounds
 # correctly (Clinger 1990, "How to read floating point numbers accurately").
@@ -339,6 +348,9 @@ def _format_cells(v: np.ndarray, start: int, ncols: int) -> str:
 # double does. float() reads the rest. A token is right-aligned in a row of
 # _TOKEN_BYTES bytes, the point a 0 digit, and each little-endian 8-byte word
 # becomes the integer it spells by multiply-shift steps (Langdale & Lemire 2019).
+# A block is four of the writer's: numpy lets go of the GIL inside each call,
+# so grids parsed on two threads trade it fewer times.
+_READ_CELLS = 16384
 _TOKEN_BYTES = 24  # "-0.00012345678901234567" is the longest plain cell
 _ROW = np.dtype(f"V{_TOKEN_BYTES}")
 _SPACE = np.isin(np.arange(33), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])  # str.split's, of bytes <= 32
@@ -359,22 +371,20 @@ def _parse_body(data: bytes, start: int, size: int) -> np.ndarray:
     # the row that ends at each offset; the header puts 51 or more bytes before the first token
     rows_at = np.ndarray((buf.size - _TOKEN_BYTES + 1,), _ROW, data, strides=(1,))
     values = np.empty(min(size, (buf.size - start + 1) // 2))  # no more cells than the body can hold
-    # a window holds about _BLOCK_CELLS tokens of the body's mean length
-    span = min((buf.size - start) * _BLOCK_CELLS // max(values.size, 1) * 5 // 4, _BLOCK_CELLS * _TOKEN_BYTES)
+    # a window holds about _READ_CELLS tokens of the body's mean length
+    span = min((buf.size - start) * _READ_CELLS // max(values.size, 1) * 5 // 4, _READ_CELLS * _TOKEN_BYTES)
+    cells = min(_READ_CELLS, values.size)
+    scratch = np.empty((2, cells, _TOKEN_BYTES), np.uint8), np.empty((4, cells), np.int64)  # every block's
     count, pos, rejected = 0, start, None
     while pos < buf.size:
         stop = min(pos + span, buf.size)
         if cut := _TOKEN.match(data, stop):  # the window ends after the token it would cut
             stop = cut.end()
-        seps = pos + np.flatnonzero(buf[pos:stop] <= 32)
-        seps = np.append(seps[_SPACE[buf[seps]]], stop)
-        starts = np.append(pos, seps[:-1] + 1)
-        tokens = np.flatnonzero(seps > starts)[:_BLOCK_CELLS]
-        starts, ends = starts[tokens], seps[tokens]
-        pos = int(ends[-1]) if tokens.size == _BLOCK_CELLS else stop
+        starts, ends = _token_bounds(buf, pos, stop)
+        pos = int(ends[-1]) if ends.size == _READ_CELLS else stop
         if count + ends.size <= size:  # a longer body is refused by its count alone
             block = values[count:count + ends.size]
-            odd = _read_plain(buf, rows_at, starts, ends, block)
+            odd = _read_plain(buf, rows_at, starts, ends, block, scratch)
             for j, a, b in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
                 try:
                     block[j] = float(data[a:b])
@@ -394,39 +404,90 @@ def _parse_body(data: bytes, start: int, size: int) -> np.ndarray:
     return values
 
 
-def _read_plain(buf, rows_at, starts, ends, out: np.ndarray) -> np.ndarray:
+def _token_bounds(buf: np.ndarray, pos: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end offsets of the first _READ_CELLS tokens of buf[pos:stop]."""
+    seps = pos + np.flatnonzero(buf[pos:stop] <= 32)
+    seps = np.append(seps[_SPACE[buf[seps]]], stop)
+    starts = np.append(pos, seps[:-1] + 1)
+    tokens = np.flatnonzero(seps > starts)[:_READ_CELLS]
+    return starts[tokens], seps[tokens]
+
+
+def _byte_count(ones: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per row of the (n, _TOKEN_BYTES) bytes `ones`, each 0 or 1, their
+    sum, into the int64 out: a row's three words add without a carry, and
+    a word times 0x0101010101010101 holds its byte sum in its top byte."""
+    w, total = ones.view("<u8"), out.view(np.uint64)
+    np.add(w[:, 0], w[:, 1], out=total)
+    total += w[:, 2]
+    total *= 0x0101010101010101
+    total >>= 56
+    return out
+
+
+def _read_plain(buf, rows_at, starts, ends, out: np.ndarray, scratch) -> np.ndarray:
     """Writes to out the value of each plain token of buf[starts:ends] and
-    returns the indices of the others, whose out it leaves unset."""
-    n, length = ends.size, ends - starts
-    rows = rows_at[ends - _TOKEN_BYTES].view(np.uint8).reshape(n, _TOKEN_BYTES)
-    rows &= _CLEAR[np.maximum(_TOKEN_BYTES - length, 0)].view(np.uint8).reshape(n, _TOKEN_BYTES)
+    returns the indices of the others, whose out it leaves unset. Every
+    array of scratch, (2, k, _TOKEN_BYTES) bytes and (4, k) int64 for some
+    k >= ends.size, is overwritten."""
+    n = ends.size
+    rows, ones = scratch[0][:, :n]  # (n, _TOKEN_BYTES) each
+    n_points, after, digits, tmp = scratch[1][:, :n]
+    rows.view(_ROW)[:, 0] = rows_at[np.subtract(ends, _TOKEN_BYTES, out=tmp)]  # np.take would copy rows_at
+    np.maximum(np.subtract(starts, tmp, out=tmp), 0, out=tmp)  # the bytes before the token
+    # np.take's default mode copies out first; every index here is in range, or -1 for the last entry
+    np.take(_CLEAR, tmp, out=ones.view(_ROW)[:, 0], mode="wrap")
+    rows &= ones
     rows -= np.uint8(48)  # a digit byte becomes its value; "." becomes 254
-    words = [b.view("<u8") for b in (rows < 10, rows == 254)]  # 1 in the bytes of digits, of a point
-    # a row's three words add without a carry; a word times 0x0101010101010101 holds its byte sum in its top byte
-    n_digits, n_points = (((w[:, 0] + w[:, 1] + w[:, 2]) * 0x0101010101010101 >> 56).view(np.int64) for w in words)
-    negative = buf[starts] == 45
-    plain = (n_digits + n_points + negative == length) & (n_points <= 1) & (n_digits > 0)
-    rows *= words[0].view(np.uint8)
+    _byte_count(np.equal(rows, 254, out=ones.view(bool)), n_points)
+    points = n_points.any()
+    if points:  # likewise a word times _AFTER holds the _AFTER byte of its point's column, if any
+        w, a, t = ones.view("<u8"), after.view(np.uint64), tmp.view(np.uint64)
+        np.multiply(w[:, 0], _AFTER[0], out=a)
+        a >>= 56
+        for k in (1, 2):
+            np.multiply(w[:, k], _AFTER[k], out=t)
+            t >>= 56
+            a += t
+        after -= 1
+    n_digits = _byte_count(np.less(rows, 10, out=ones.view(bool)), digits)
+    rows *= ones
     w = rows.view("<u8")  # in place, each word (columns 0-7, 8-15, 16-23) becomes the number it spells
     for keep, times, shift in _EIGHT_DIGITS:
         w &= keep
         w *= times
         w >>= shift
-    plain &= w[:, 0] < 100  # so that the digits fit in int64
-    full = (np.minimum(w[:, 0], 100) * 10**16 + w[:, 1] * 10**8 + w[:, 2]).view(np.int64)
-    after, digits = np.zeros(n, np.int64), full  # digits after the point, and D
-    if n_points.any():  # drop the 0 digit the point's column counts as
-        # likewise a word times _AFTER holds the _AFTER byte of its point's column, if any
-        after = sum(words[1][:, k] * _AFTER[k] >> 56 for k in range(3)).view(np.int64) - 1
-        low = full % _INT_POW10[np.minimum(after, 18)]  # index -1 is 10^18 > full: no digit dropped
-        digits, after = low + (full - low) // 10, np.maximum(after, 0)
+    plain = (n_digits > 0) & (n_points <= 1) & (w[:, 0] < 100)  # so that the digits fit in int64
+    negative = buf[starts] == 45
+    n_digits += n_points
+    n_digits += negative
+    plain &= n_digits == np.subtract(ends, starts, out=tmp)
+    full, t = digits.view(np.uint64), tmp.view(np.uint64)  # D, while the point's column counts
+    np.minimum(w[:, 0], 100, out=full)
+    full *= 10**16
+    full += np.multiply(w[:, 1], 10**8, out=t)
+    full += w[:, 2]
+    if points:  # drop the 0 digit the point's column counts as; -1 indexes 10^18 > D: none dropped
+        powers = np.take(_INT_POW10, np.minimum(after, 18, out=tmp), out=n_points, mode="wrap")
+        low = np.remainder(digits, powers, out=tmp)
+        digits -= low
+        digits //= 10
+        digits += low
+        np.maximum(after, 0, out=after)
+    else:
+        after[:] = 0
     fast = plain & (digits < 2**53) & (after <= 22)
-    out[:] = digits / _POW10[np.minimum(after, 22)]
-    s = after + (digits < 10**16)  # digits after the point of D padded to 17 digits
+    np.divide(digits, np.take(_POW10, np.minimum(after, 22, out=tmp), out=out, mode="wrap"), out=out)
+    s = np.add(after, digits < 10**16, out=tmp)  # digits after the point of D padded to 17 digits
     i = np.flatnonzero(plain & ~fast & (digits < 10**17) & (s >= 2) & (s <= 20))
     if i.size:
-        # D >= 2^53 here, so the quotient has two roundings: about 1 in 6 is the neighbour
-        d17, c, e = digits[i] * 10 ** (s[i] - after[i]), out[i], 16 - s[i]
+        # D >= 2^53 here, so the quotient has two roundings: about 1 in 6 is the neighbour.
+        # The byte rows are spent: they hold D padded to 17 digits, the exponents and the quotients.
+        d17, e, c = scratch[0].view(np.int64).reshape(6, -1)[:3, : i.size]
+        np.take(digits, i, out=d17, mode="wrap")
+        np.multiply(d17, 10, out=d17, where=d17 < 10**16)
+        np.subtract(16, np.take(s, i, out=e, mode="wrap"), out=e)
+        c = np.take(out, i, out=c.view(np.float64), mode="wrap")
         got = _seventeen_digits(c, e)
         miss = np.flatnonzero(got != d17)
         c[miss] = np.nextafter(c[miss], np.where(got[miss] < d17[miss], np.inf, 0.0))

@@ -12,8 +12,10 @@ the criterion weight reordered the same way.
 
 from __future__ import annotations
 
-# Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+import os
+import threading
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,51 @@ from .strategy import ExperimentalDesign, generate_weights_batch
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
 from .strategy import generate_weights  # noqa: F401
+
+
+def pool_size(items: int, threads: int | None = None) -> int:
+    """Threads that pool_map runs `items` items on: `threads`, by default
+    the CPUs this process may run on, at most one per item, at least one."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(threads, items))
+
+
+def pool_map(fn: Callable, items: Sequence, threads: int | None = None) -> list:
+    """[fn(item) for item in items], computed by the calling thread and
+    pool_size(len(items), threads) - 1 helper threads, each taking the next
+    item not yet taken. After a call raises, no further item is started;
+    once every running call has returned, the failure of the first failed
+    item in order is raised. No helper outlives the call, and one thread
+    runs everything on the caller without starting any."""
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, once every running call has returned
+                with lock:
+                    failures[i] = exc
+
+    helpers = pool_size(len(items), threads) - 1
+    if helpers:
+        with ThreadPoolExecutor(helpers) as pool:  # leaving the block joins the helpers
+            futures = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for future in futures:
+            future.result()
+    else:
+        work()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # Bytes of maps held per round of store writes: the chunk buffer of a
@@ -66,16 +113,35 @@ def _round_width(m: int, pixel_count: int) -> int:
     return min(pixel_count, max(1, _ROUND_BYTES // (8 * m * _PIXEL_CHUNK)) * _PIXEL_CHUNK)
 
 
-def map_pass_bytes(m: int, pixel_count: int, n: int, memory_budget: int) -> int:
-    """Bytes that batch_compute holds at most for m maps over pixel_count
-    pixels and n criteria (float64): d^2 and its Gram temporary, the order
-    weights, the round buffer of maps, the grid cell of each pixel, and per
-    pixel of one chunk its sorted weights and products (and their order
-    while ranking), and per map a divisor and the copy numpy divides in
-    place of the strided maps. Raises ConfigError, naming the need, if
-    memory_budget is below it."""
+def _map_pass_need(m: int, pixel_count: int, n: int, threads: int) -> int:
     chunk, width = min(pixel_count, _PIXEL_CHUNK), _round_width(m, pixel_count)
-    need = 8 * (2 * m * m + m * n + width * m + pixel_count + chunk * (2 * m + 3 * n))
+    return 8 * (2 * m * m + m * n + width * m + pixel_count + threads * chunk * (2 * m + 3 * n))
+
+
+def _round_threads(m: int, pixel_count: int, threads: int | None) -> int:
+    """The pool size of batch_compute's first round, its widest."""
+    return pool_size(-(-_round_width(m, pixel_count) // _PIXEL_CHUNK), threads)
+
+
+def map_pass_threads(m: int, pixel_count: int, n: int, memory_budget: int, threads: int | None = None) -> int:
+    """The pool size for batch_compute: one thread per chunk of a round,
+    up to `threads` (see pool_size), and fewer, down to one, while
+    map_pass_bytes on that many would exceed memory_budget."""
+    size = _round_threads(m, pixel_count, threads)
+    while size > 1 and _map_pass_need(m, pixel_count, n, size) > memory_budget:
+        size -= 1
+    return size
+
+
+def map_pass_bytes(m: int, pixel_count: int, n: int, memory_budget: int, threads: int = 1) -> int:
+    """Bytes that batch_compute on `threads` threads holds at most for m
+    maps over pixel_count pixels and n criteria (float64): d^2 and its Gram
+    temporary, the order weights, the round buffer of maps, the grid cell
+    of each pixel, and for the chunk each thread works on, per pixel its
+    sorted weights and products (and their order while ranking), and per
+    map a divisor and the copy numpy divides in place of the strided maps.
+    Raises ConfigError, naming the need, if memory_budget is below it."""
+    need = _map_pass_need(m, pixel_count, n, _round_threads(m, pixel_count, threads))
     if need > memory_budget:
         raise ConfigError(
             f"{m} maps over {pixel_count} pixels need memory_budget_mib >= {-(-need >> 20)}, "
@@ -85,7 +151,7 @@ def map_pass_bytes(m: int, pixel_count: int, n: int, memory_budget: int) -> int:
 
 
 def batch_compute(
-    stack: CriterionStack, design: ExperimentalDesign, n: int, store_path: str | Path
+    stack: CriterionStack, design: ExperimentalDesign, n: int, store_path: str | Path, threads: int = 1
 ) -> tuple[MapStore, np.ndarray, np.ndarray]:
     """Compute and persist one map per design point, in design order;
     returns the store it wrote, still open (the caller closes it), the
@@ -97,8 +163,10 @@ def batch_compute(
     every failing index, before the pixels are ranked or the store is
     created. One pass over rounds of whole _PIXEL_CHUNK chunks of pixels
     (see _round_width) then ranks each chunk and evaluates all maps on it,
-    writes each map's segment of the round to the store and adds each
-    chunk's Gram sums in chunk order, holding no more than map_pass_bytes.
+    the chunks of a round shared out by pool_map over `threads` threads, writes
+    each map's segment of the round to the store and adds each chunk's
+    Gram sums in chunk order, holding no more than map_pass_bytes. No byte
+    depends on the thread count.
     """
     if n != stack.n:
         raise DataError(f"design expects {n} criteria, stack has {stack.n}")
@@ -121,8 +189,11 @@ def batch_compute(
         for start in range(0, pixel_count, width):
             maps = buffer[: m * min(width, pixel_count - start)].reshape(m, -1)
             chunks = [slice(c, c + _PIXEL_CHUNK) for c in range(0, maps.shape[1], _PIXEL_CHUNK)]
-            for c in chunks:
-                _map_values(W, *rank_pixels(stack, cells[start + c.start : start + c.stop]), maps[:, c])
+            pool_map(
+                lambda c: _map_values(W, *rank_pixels(stack, cells[start + c.start : start + c.stop]), maps[:, c]),
+                chunks,
+                threads,
+            )
             for i in range(m):
                 store.write_row(i, maps[i], start)
             for c in chunks:

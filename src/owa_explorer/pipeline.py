@@ -37,7 +37,7 @@ from .cluster import (
 from .errors import ConfigError, DataError
 from .grid import GridMeta, Raster, build_stack, decode_text, grid_text, parse_ascii_grid, read_text, write_ascii_grid
 from .mapstore import MapStore, mask_digest, store_size
-from .owa import batch_compute, map_pass_bytes
+from .owa import batch_compute, map_pass_bytes, map_pass_threads, pool_map
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
 
 
@@ -50,7 +50,7 @@ class PipelineConfig:
     k_max: int = 15
     out: Path = Path("out")
     memory_budget_mib: int = 512
-    workers: int | None = None  # deprecated: no stage uses threads
+    workers: int | None = None  # deprecated: the pool sizes itself
     write_distances: bool = False
 
     def __post_init__(self):
@@ -67,7 +67,10 @@ class PipelineConfig:
         if self.workers is not None:
             if self.workers < 1:
                 raise ConfigError(f"workers must be >= 1, got {self.workers}")
-            msg = "config key 'workers' is deprecated and has no effect: every stage runs on one thread"
+            msg = (
+                "config key 'workers' is deprecated and has no effect: the load and aggregate stages "
+                "size their thread pool from the CPUs and the memory budget"
+            )
             warnings.warn(msg, DeprecationWarning, stacklevel=3)
         if self.memory_budget_mib < 1:
             raise ConfigError(f"memory budget must be >= 1 MiB, got {self.memory_budget_mib}")
@@ -126,12 +129,16 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     )
 
 
-def _read_hashed(path: Path, digests: dict[str, str], decode=decode_text) -> str | bytes:
-    """What decode makes of a file's bytes; records the SHA-256 of the bytes
-    in digests under its path."""
+def _read_hashed(path: Path, decode=decode_text) -> tuple[str, str | bytes]:
+    """The SHA-256 of a file's bytes, and what decode makes of them."""
     data = path.read_bytes()
-    digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return decode(data, path)
+    return hashlib.sha256(data).hexdigest(), decode(data, path)
+
+
+def _read_grid(path: Path) -> tuple[str, Raster]:
+    """The SHA-256 of a grid file's bytes, and the grid parsed from them."""
+    digest, text = _read_hashed(path, grid_text)
+    return digest, parse_ascii_grid(text, path)
 
 
 def _parse_weight(token: str) -> float | None:
@@ -148,7 +155,7 @@ def _parse_weight(token: str) -> float | None:
     return weight if math.isfinite(weight) else None
 
 
-def load_stack_manifest(path: str | Path):
+def load_stack_manifest(path: str | Path, threads: int | None = None):
     """Read the stack manifest: one `name,path,weight` row per criterion,
     split on commas, or on whitespace when the row holds no comma.
 
@@ -156,16 +163,19 @@ def load_stack_manifest(path: str | Path):
     like `7/13`. Every weight is parsed before any grid is read; if any is
     not a finite number > 0, DataError names the line and the token of each.
     Paths are relative to the manifest file, and a grid's DataError names
-    its file. Returns the (name, raster) layers, their weights and the
-    SHA-256 digests of the manifest and of each grid, keyed by path, taken
-    from the very bytes that were parsed.
+    its file. The grids are read and parsed by pool_map over `threads`, so
+    an error is the first failing grid's, in manifest order. Returns the
+    (name, raster) layers, their weights and the SHA-256 digests of the
+    manifest and of each grid, keyed by path, taken from the very bytes
+    that were parsed.
     """
     path = Path(path)
     base = path.parent
     rows = []
     bad = []
-    digests: dict[str, str] = {}
-    for lineno, line in enumerate(_read_hashed(path, digests).splitlines(), start=1):
+    digest, text = _read_hashed(path)
+    digests = {str(path): digest}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -187,7 +197,9 @@ def load_stack_manifest(path: str | Path):
     if not rows:
         raise DataError(f"{path}: empty stack manifest")
     paths = [(base / grid_path).resolve() for _, grid_path, _ in rows]
-    layers = [(name, parse_ascii_grid(_read_hashed(p, digests, grid_text), p)) for (name, _, _), p in zip(rows, paths)]
+    grids = pool_map(_read_grid, paths, threads)
+    digests.update((str(p), digest) for p, (digest, _) in zip(paths, grids))
+    layers = [(name, raster) for (name, _, _), (_, raster) in zip(rows, grids)]
     return layers, [weight for _, _, weight in rows], digests
 
 
@@ -478,10 +490,17 @@ def _staged(out: Path, owned: re.Pattern):
     stage.rmdir()
 
 
-def run_pipeline(config: PipelineConfig) -> RunManifest:
+def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunManifest:
     """Sample, aggregate, cluster; stage every output and publish it in
     config.out (see _staged). A stage failure propagates with the stage
     name attached.
+
+    The load stage parses the grids, and the aggregate stage evaluates the
+    chunks of each round of the map pass, on a pool of one thread per CPU
+    (see owa.pool_map), at most one per grid or chunk; the map pass's pool
+    is made smaller, down to one, until its need fits the memory budget
+    (see owa.map_pass_threads). _threads, for tests, caps both pools in
+    place of the CPU count. No output byte depends on the pool sizes.
     """
     started = datetime.now(timezone.utc).isoformat()
     durations: dict[str, float] = {}
@@ -495,10 +514,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     with _staged(config.out, _RUN_OWNS) as out_dir:
         try:
             t0 = clock("load")
-            layers, weights, inputs = load_stack_manifest(config.stack_manifest)
+            layers, weights, inputs = load_stack_manifest(config.stack_manifest, _threads)
             stack = build_stack(layers, weights)
-            pixels = int(stack.valid_mask.sum())
-            need = map_pass_bytes(config.m, pixels, stack.n, config.memory_budget_mib << 20)
+            del layers  # the stack holds them from here on
+            meta, valid_mask, pixels = stack.meta, stack.valid_mask, int(stack.valid_mask.sum())
+            threads = map_pass_threads(config.m, pixels, stack.n, config.memory_budget_mib << 20, _threads)
+            need = map_pass_bytes(config.m, pixels, stack.n, config.memory_budget_mib << 20, threads)
             _check_free_disk(out_dir, config.m, pixels, config.write_distances)  # both checks before the solve
             durations["load"] = time.perf_counter() - t0
 
@@ -508,9 +529,10 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             durations["sample"] = time.perf_counter() - t0
 
             t0 = clock("aggregate")
-            mask = Raster(replace(stack.meta, nodata_value=-9999.0), stack.valid_mask.astype(np.float64))
+            mask = Raster(replace(meta, nodata_value=-9999.0), valid_mask.astype(np.float64))
             (out_dir / "mask.asc").write_text(write_ascii_grid(mask))
-            store, W, gram = batch_compute(stack, design, stack.n, out_dir / "maps.bin")
+            store, W, gram = batch_compute(stack, design, stack.n, out_dir / "maps.bin", threads)
+            del stack, mask  # the later stages read the maps from the store
             with store:
                 (out_dir / "weights.csv").write_text(format_weights_csv(W))
                 durations["aggregate"] = time.perf_counter() - t0
@@ -529,7 +551,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
                 if config.k is not None:
                     t0 = clock("summaries")
-                    _cluster_outputs(store, design, tree, config.k, stack.meta, stack.valid_mask, out_dir)
+                    _cluster_outputs(store, design, tree, config.k, meta, valid_mask, out_dir)
                     durations["summaries"] = time.perf_counter() - t0
         except Exception as exc:  # named in place: keeps its type and fields (errno)
             if isinstance(exc, OSError) and exc.strerror is not None:
@@ -545,7 +567,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             started=started,
             finished=datetime.now(timezone.utc).isoformat(),
             durations=durations,
-            metrics={"distance_pairs_recomputed": pairs_recomputed, "map_pass_bytes": need, "valid_pixels": pixels},
+            metrics={
+                "distance_pairs_recomputed": pairs_recomputed,
+                "map_pass_bytes": need,
+                "threads": threads,
+                "valid_pixels": pixels,
+            },
         )
         manifest.write(out_dir / "run_manifest.json")
     return manifest

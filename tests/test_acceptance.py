@@ -12,6 +12,7 @@ sample. The synthetic stack uses seed 11. The stack and the pipeline run
 are the `synth_stack` and `pipeline_run` fixtures in conftest.py.
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -37,7 +38,7 @@ from owa_explorer.cluster import (
 from owa_explorer.grid import parse_ascii_grid
 from owa_explorer.mapstore import MapStore
 from owa_explorer.owa import batch_compute
-from owa_explorer.pipeline import PipelineConfig, run_pipeline
+from owa_explorer.pipeline import analyze, run_pipeline
 from owa_explorer.strategy import (
     SQRT12,
     DecisionPoint,
@@ -183,29 +184,27 @@ def test_criterion_7_structural_reproduction(pipeline_run):
 
 
 def test_criterion_8_determinism(pipeline_run, tmp_path_factory):
-    with criterion(8, "byte-identical outputs across reruns and worker counts 1 and 4"):
+    with criterion(8, "byte-identical outputs of run and analyze --k 8 across reruns and pool sizes 1, 2 and 3"):
         out, cfg, _ = pipeline_run
-        reruns = []
-        for workers in (1, 4):
-            rerun_out = tmp_path_factory.mktemp(f"rerun_w{workers}")
-            with pytest.warns(DeprecationWarning, match="no effect"):  # workers is deprecated
-                rerun_cfg = PipelineConfig(
-                    stack_manifest=cfg.stack_manifest, m=cfg.m, seed=cfg.seed, k=cfg.k,
-                    k_max=cfg.k_max, out=rerun_out, workers=workers,
-                )
-            run_pipeline(rerun_cfg)
-            reruns.append(rerun_out)
         names = sorted(
             p.name for p in out.iterdir() if p.is_file() and p.name != "run_manifest.json"
         )
         assert "maps.bin" in names and "weights.csv" in names
-        for rerun_out in reruns:
+        cuts = []
+        for threads in (1, 2, 3):
+            rerun_out = tmp_path_factory.mktemp(f"rerun_t{threads}")
+            manifest = run_pipeline(dataclasses.replace(cfg, out=rerun_out), _threads=threads)
+            assert manifest.metrics["threads"] == min(threads, 4)  # the fixture's 4015 valid pixels are 4 chunks
             rerun_names = sorted(
                 p.name for p in rerun_out.iterdir() if p.is_file() and p.name != "run_manifest.json"
             )
             assert rerun_names == names
             for name in names:
                 assert (out / name).read_bytes() == (rerun_out / name).read_bytes(), name
+            cut_out = tmp_path_factory.mktemp(f"cut8_t{threads}")
+            analyze(rerun_out, 8, out_dir=cut_out)
+            cuts.append({p.name: p.read_bytes() for p in cut_out.iterdir()})
+        assert len(cuts[0]) == 2 * 8 + 5 and cuts[1] == cuts[0] and cuts[2] == cuts[0]
 
 
 def test_criterion_9_design_sampling():

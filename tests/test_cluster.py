@@ -102,7 +102,7 @@ def test_gram_recomputes_few_pairs_on_acceptance_store(pipeline_run):
     assert 0 < recomputed <= 0.01 * pairs
     metrics = json.loads((out / "run_manifest.json").read_text())["metrics"]
     assert metrics.pop("distance_pairs_recomputed") == recomputed
-    assert set(metrics) == {"map_pass_bytes", "valid_pixels"}
+    assert set(metrics) == {"map_pass_bytes", "threads", "valid_pixels"}
 
 
 def test_ward_matches_scan_over_exact_distances_on_acceptance_store(pipeline_run):

@@ -10,6 +10,7 @@ from owa_explorer import grid
 from owa_explorer.errors import DataError
 from owa_explorer.grid import (
     _BLOCK_CELLS,
+    _READ_CELLS,
     CriterionWeights,
     GridMeta,
     Raster,
@@ -321,13 +322,13 @@ def test_parse_rejects_near_plain_tokens_as_float_does(token):
 
 
 def test_parse_reads_a_token_longer_than_a_block():
-    _assert_parse_matches_oracle(["0.25", "0." + "7" * (_BLOCK_CELLS * grid._TOKEN_BYTES * 3), "-1"])
+    _assert_parse_matches_oracle(["0.25", "0." + "7" * (_READ_CELLS * grid._TOKEN_BYTES * 3), "-1"])
 
 
 @pytest.mark.parametrize(
     "nrows, ncols",
     [(1, 1), (1, _BLOCK_CELLS - 1), (1, _BLOCK_CELLS), (1, _BLOCK_CELLS + 1), (1, 3 * _BLOCK_CELLS + 1),
-     (3 * _BLOCK_CELLS + 1, 1)],
+     (3 * _BLOCK_CELLS + 1, 1), (1, _READ_CELLS - 1), (1, _READ_CELLS), (1, 2 * _READ_CELLS + 1)],
 )
 def test_parse_matches_scalar_oracle_across_blocks(nrows, ncols):
     rng = np.random.default_rng(nrows + ncols)
@@ -361,7 +362,7 @@ def test_writer_cells_in_the_plain_range_need_no_float(monkeypatch):
     ("1e999", "nan", "cell 5 is not finite: '1e999'"),
 ])
 def test_parse_error_precedence_spans_blocks(early, late, named):
-    cells = ["0.5"] * (3 * _BLOCK_CELLS)
+    cells = ["0.5"] * (3 * _READ_CELLS)
     cells[5], cells[-5] = early, late
     text = f"ncols {len(cells)}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n" + " ".join(cells)
     with pytest.raises(DataError, match=re.escape(named)):

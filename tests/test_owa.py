@@ -1,7 +1,10 @@
+import itertools
 import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer import owa
 from owa_explorer.cluster import _PIXEL_CHUNK, add_gram
 from owa_explorer.mapstore import MapStore, mask_digest
-from owa_explorer.owa import _map_values, batch_compute, map_pass_bytes, rank_pixels
+from owa_explorer.owa import _map_values, batch_compute, map_pass_bytes, map_pass_threads, pool_map, rank_pixels
 from owa_explorer.strategy import (
     DecisionPoint,
     ExperimentalDesign,
@@ -290,9 +293,9 @@ def _chunk_at_a_time(stack, W, path):
 def test_batch_rounds_match_a_chunk_at_a_time_pass(tmp_path, monkeypatch, synth_stack, small_stack, m):
     # rounds of 1, 2 and 3 chunks, a round of every pixel, and a round
     # smaller than a chunk (which takes one chunk), over a stack of 3 whole
-    # chunks and a short one and over one smaller than a chunk: each map's
-    # part of a round is one write, and neither the store nor the Gram
-    # sums change by a byte
+    # chunks and a short one and over one smaller than a chunk, on 1 and 3
+    # threads: each map's part of a round is one write, and neither the
+    # store nor the Gram sums change by a byte
     design = ExperimentalDesign(points=sample_design(13, seed=7).points[:m])
     write_row, widths = MapStore.write_row, []
 
@@ -303,18 +306,18 @@ def test_batch_rounds_match_a_chunk_at_a_time_pass(tmp_path, monkeypatch, synth_
     for name, stack in (("synth", synth_stack[1]), ("small", small_stack)):
         pixels = int(stack.valid_mask.sum())
         store_bytes, gram = _chunk_at_a_time(stack, generate_weights_batch(design.points, stack.n)[0], tmp_path / "ref.bin")
-        for chunks in (1, 2, 3, None, 0):
+        for chunks, threads in itertools.product((1, 2, 3, None, 0), (1, 3)):
             monkeypatch.setattr(owa, "_ROUND_BYTES", 8 * m * _PIXEL_CHUNK * chunks if chunks is not None else 8 << 20)
             monkeypatch.setattr(MapStore, "write_row", counted)
             widths.clear()
-            got, _, got_gram = batch_compute(stack, design, stack.n, tmp_path / "maps.bin")
+            got, _, got_gram = batch_compute(stack, design, stack.n, tmp_path / "maps.bin", threads)
             got.close()
             monkeypatch.setattr(MapStore, "write_row", write_row)
             step = pixels if chunks is None else max(chunks, 1) * _PIXEL_CHUNK
             rounds = [min(step, pixels - start) for start in range(0, pixels, step)]
-            assert widths == [w for w in rounds for _ in range(m)], (name, chunks)
-            assert (tmp_path / "maps.bin").read_bytes() == store_bytes, (name, chunks)
-            assert got_gram.tobytes() == gram.tobytes(), (name, chunks)
+            assert widths == [w for w in rounds for _ in range(m)], (name, chunks, threads)
+            assert (tmp_path / "maps.bin").read_bytes() == store_bytes, (name, chunks, threads)
+            assert got_gram.tobytes() == gram.tobytes(), (name, chunks, threads)
     assert 3 * _PIXEL_CHUNK < int(synth_stack[1].valid_mask.sum()) < 4 * _PIXEL_CHUNK
     assert int(small_stack.valid_mask.sum()) < _PIXEL_CHUNK
 
@@ -371,6 +374,89 @@ def test_batch_peak_memory_holds_no_pixel_cache(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= need < 16 * meta.size * stack.n / 5, (peak, need)
+
+
+def test_batch_peak_memory_counts_a_chunk_per_thread(tmp_path):
+    # each thread of the pass ranks and evaluates a chunk of its own: the
+    # need on 2 and 3 threads grows by one chunk's scratch per thread and
+    # bounds the traced peak, and a thread beyond the chunks of a round
+    # adds nothing
+    meta = GridMeta(ncols=128, nrows=128, xllcorner=0, yllcorner=0, cellsize=1)
+    rng = np.random.default_rng(5)
+    n, design = 10, sample_design(16, seed=7)
+    stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(n)], rng.random(n) + 0.5)
+    for threads in (2, 3):
+        need = map_pass_bytes(design.m, meta.size, n, 1 << 40, threads)
+        grown = need - map_pass_bytes(design.m, meta.size, n, 1 << 40, threads - 1)
+        assert grown == 8 * _PIXEL_CHUNK * (2 * design.m + 3 * n)
+        tracemalloc.start()
+        try:
+            batch_compute(stack, design, n, tmp_path / f"{threads}.bin", threads)[0].close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (threads, peak / need)
+    assert map_pass_bytes(16, 1000, n, 1 << 40, 3) == map_pass_bytes(16, 1000, n, 1 << 40)
+
+
+def test_map_pass_threads_fit_the_budget():
+    # the pool shrinks, never below one thread, until the need fits: a
+    # budget that holds the pass on one thread holds it on any host
+    m, pixels, n = 16, 16 * _PIXEL_CHUNK, 10
+    one, two = (map_pass_bytes(m, pixels, n, 1 << 40, threads) for threads in (1, 2))
+    assert map_pass_threads(m, pixels, n, 1 << 40, 64) == 16  # one per chunk of the round
+    assert map_pass_threads(m, pixels, n, two, 64) == 2
+    assert map_pass_threads(m, pixels, n, two - 1, 64) == 1
+    assert map_pass_threads(m, pixels, n, one - 1, 64) == 1
+    assert map_pass_threads(m, _PIXEL_CHUNK, n, 1 << 40, 64) == 1
+    assert map_pass_threads(m, pixels, n, 1 << 40) == owa.pool_size(16)
+
+
+def test_pool_size():
+    assert owa.pool_size(0) == owa.pool_size(1) == owa.pool_size(5, 1) == 1
+    assert owa.pool_size(5, 3) == 3 and owa.pool_size(2, 8) == 2
+    assert owa.pool_size(1 << 20) == len(os.sched_getaffinity(0))
+
+
+def test_pool_map_keeps_item_order_under_contention(monkeypatch):
+    # more threads than cores, switching every microsecond: each item is
+    # computed once and its result lands at its index; one thread runs on
+    # the caller and starts none
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = pool_map(lambda i: calls.append(i) or i * i, range(3000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(3000)] and sorted(calls) == list(range(3000))
+    monkeypatch.setattr(owa, "ThreadPoolExecutor", None)
+    assert pool_map(str, [1, 2], 1) == ["1", "2"] and pool_map(str, [], 4) == []
+
+
+@pytest.mark.parametrize("first_fails", [True, False])
+def test_pool_map_raises_the_first_failure_in_item_order(first_fails):
+    # item 1 fails while item 0 still runs: item 0 is waited for, no
+    # further item starts, the failure of the first failed item in order
+    # is raised, and no helper is left alive
+    failed, started, finished = threading.Event(), [], []
+
+    def fn(i):
+        started.append(i)
+        if i == 1:
+            failed.set()
+            raise ValueError("item 1")
+        assert failed.wait(30)
+        time.sleep(0.05)
+        finished.append(i)
+        if first_fails:
+            raise ValueError("item 0")
+
+    alive = threading.active_count()
+    with pytest.raises(ValueError, match="item 0" if first_fails else "item 1"):
+        pool_map(fn, range(6), 2)
+    assert sorted(started) == [0, 1] and finished == [0]
+    assert threading.active_count() == alive
 
 
 def test_batch_matches_per_map_oracle(synth_stack, pipeline_run):

@@ -2,9 +2,11 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -194,6 +196,22 @@ def test_load_stack_manifest_line_messages(tmp_path, text, message):
     with pytest.raises(DataError) as err:
         load_stack_manifest(path)
     assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_load_raises_the_first_malformed_grid_in_manifest_order(tmp_path, synth_dir, threads):
+    # the grids parse on a pool, yet the error is the first bad grid's in
+    # the manifest, whichever thread read it, and no helper outlives the load
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    for name, prefix in (("criterion_01.asc", " 0x"), ("criterion_03.asc", " 0y")):
+        grid = data / name
+        grid.write_text(grid.read_text().replace(" 0.", prefix, 1))
+    alive = threading.active_count()
+    path = data / "criterion_01.asc"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cell value '0x"):
+        load_stack_manifest(data / "stack_manifest.csv", threads)
+    assert threading.active_count() == alive
 
 
 @pytest.mark.parametrize("key", ["workers"])
@@ -415,7 +433,9 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     m, pixels, n = store.m, store.pixel_count, 4  # synth_dir holds 4 criteria
     assert pixels < 1024  # one chunk, and a round of every pixel
     need = 8 * (2 * m * m + m * n + pixels * m + pixels + pixels * (2 * m + 3 * n))
-    assert manifest.metrics == {"distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "valid_pixels": pixels}
+    assert manifest.metrics == {
+        "distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "threads": 1, "valid_pixels": pixels,
+    }
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"
     rerun = run_pipeline(dataclasses.replace(cfg, out=again, memory_budget_mib=1))

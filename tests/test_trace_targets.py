@@ -33,23 +33,33 @@ def test_every_trace_target_resolves():
     assert not missing, f"trace targets missing from owa_explorer: {missing}"
 
 
-def test_pool_names_are_kept_only_for_the_tracer(tmp_path, monkeypatch):
-    # owa and cluster import ThreadPoolExecutor, and owa generate_weights,
-    # only so the tracer can swap them; a run and an analyze that never
-    # touch them prove the imports idle
+def test_run_starts_its_pool_through_owa(tmp_path, monkeypatch):
+    # the tracer swaps owa.ThreadPoolExecutor for a pool that carries span
+    # parents to the helpers, so a run must build its pool through that
+    # name; analyze starts no thread, cluster's pool name stays idle, and
+    # owa's generate_weights is only for the tracer
     from owa_explorer import cluster, owa, pipeline
 
     def refuse(*args, **kwargs):
-        raise AssertionError("no stage may start a thread pool or solve one point alone")
+        raise AssertionError("this pool name or point solve must stay idle")
 
-    monkeypatch.setattr(owa, "ThreadPoolExecutor", refuse)
+    started = []
+
+    class Recorded(owa.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(owa, "ThreadPoolExecutor", Recorded)
     monkeypatch.setattr(cluster, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(owa, "generate_weights", refuse)
     manifest = pipeline.synth_generate(16, 12, 4, seed=5, out_dir=tmp_path / "data")
     run = tmp_path / "run"
     pipeline.run_pipeline(
-        pipeline.PipelineConfig(stack_manifest=manifest, m=6, seed=1, k=2, k_max=4, out=run)
+        pipeline.PipelineConfig(stack_manifest=manifest, m=6, seed=1, k=2, k_max=4, out=run), _threads=2
     )
+    assert started == [(1,)]  # the four grids' parse: one helper beside the caller
+    monkeypatch.setattr(owa, "ThreadPoolExecutor", refuse)
     pipeline.analyze(run, k=3, out_dir=tmp_path / "re")
     assert (run / "cluster2_mean.asc").exists()
     assert (tmp_path / "re" / "cluster3_mean.asc").exists()
