@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--m", type=int)
     p_run.add_argument("--k", type=int)
-    p_run.add_argument("--workers", type=int, help="deprecated: has no effect and warns")
     p_run.add_argument("--out", type=Path)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic criterion stack")
@@ -66,10 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--run-dir", required=True, type=Path)
     p_analyze.add_argument("--k", type=int, required=True)
     p_analyze.add_argument("--out", type=Path)
-    p_analyze.add_argument(
-        "--workers", type=int, default=1,
-        help="deprecated: has no effect, analyze computes no distances",
-    )
 
     p_render = sub.add_parser("render", help="render a grid to a 16-bit PGM image")
     p_render.add_argument("grid", type=Path)
@@ -86,7 +81,6 @@ def main(argv: list[str] | None = None) -> int:
                 "seed": args.seed,
                 "m": args.m,
                 "k": args.k,
-                "workers": args.workers,
                 "out": args.out and args.out.resolve(),  # flag paths are relative to the working directory
             }
             with warnings.catch_warnings():
@@ -113,9 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest_path = run_prep(args.config, args.out)
             print(f"wrote criterion stack manifest {manifest_path}")
         elif args.command == "analyze":
-            with warnings.catch_warnings():
-                warnings.simplefilter("always", DeprecationWarning)  # show it on stderr
-                analyze(args.run_dir, args.k, args.out, workers=args.workers)
+            analyze(args.run_dir, args.k, args.out)
             print(f"re-clustered {args.run_dir} with k={args.k}")
         elif args.command == "render":
             render_pgm(read_grid(args.grid), args.out)

@@ -87,6 +87,8 @@ class MapStore:
                 raise DataError(f"{path}: not a map store (bad magic {magic!r})")
             if version != VERSION:
                 raise DataError(f"{path}: unsupported store version {version}")
+            if m < 1 or pixel_count < 1:
+                raise DataError(f"{path}: store needs m >= 1 and pixels >= 1, got {m}, {pixel_count}")
             expected = store_size(m, pixel_count)
             if size != expected:
                 raise DataError(f"{path}: store size {size}, expected {expected}")

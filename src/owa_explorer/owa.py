@@ -113,41 +113,27 @@ def _round_width(m: int, pixel_count: int) -> int:
     return min(pixel_count, max(1, _ROUND_BYTES // (8 * m * _PIXEL_CHUNK)) * _PIXEL_CHUNK)
 
 
-def _map_pass_need(m: int, pixel_count: int, n: int, threads: int) -> int:
-    chunk, width = min(pixel_count, _PIXEL_CHUNK), _round_width(m, pixel_count)
-    return 8 * (2 * m * m + m * n + width * m + pixel_count + threads * chunk * (2 * m + 3 * n))
-
-
-def _round_threads(m: int, pixel_count: int, threads: int | None) -> int:
-    """The pool size of batch_compute's first round, its widest."""
-    return pool_size(-(-_round_width(m, pixel_count) // _PIXEL_CHUNK), threads)
-
-
-def map_pass_threads(m: int, pixel_count: int, n: int, memory_budget: int, threads: int | None = None) -> int:
-    """The pool size for batch_compute: one thread per chunk of a round,
-    up to `threads` (see pool_size), and fewer, down to one, while
-    map_pass_bytes on that many would exceed memory_budget."""
-    size = _round_threads(m, pixel_count, threads)
-    while size > 1 and _map_pass_need(m, pixel_count, n, size) > memory_budget:
-        size -= 1
-    return size
-
-
-def map_pass_bytes(m: int, pixel_count: int, n: int, memory_budget: int, threads: int = 1) -> int:
-    """Bytes that batch_compute on `threads` threads holds at most for m
-    maps over pixel_count pixels and n criteria (float64): d^2 and its Gram
-    temporary, the order weights, the round buffer of maps, the grid cell
-    of each pixel, and for the chunk each thread works on, per pixel its
-    sorted weights and products (and their order while ranking), and per
-    map a divisor and the copy numpy divides in place of the strided maps.
-    Raises ConfigError, naming the need, if memory_budget is below it."""
-    need = _map_pass_need(m, pixel_count, n, _round_threads(m, pixel_count, threads))
+def map_pass_plan(m: int, pixel_count: int, n: int, memory_budget: int, threads: int | None = None) -> tuple[int, int]:
+    """The pool size for batch_compute over m maps, pixel_count pixels and
+    n criteria (float64), and the bytes the pass then holds at most: d^2
+    and its Gram temporary, the order weights, the round buffer of maps and
+    the grid cell of each pixel, and per thread, for its chunk, each pixel's
+    sorted weights and products (and their order while ranking) and each
+    map's divisor and the copy numpy divides in place of the strided maps.
+    The pool is one thread per chunk of the widest round, up to `threads`
+    (see pool_size), as many as memory_budget holds, at least one; if even
+    one thread exceeds memory_budget, ConfigError names its need."""
+    width = _round_width(m, pixel_count)
+    fixed = 8 * (2 * m * m + m * n + width * m + pixel_count)
+    each = 8 * min(pixel_count, _PIXEL_CHUNK) * (2 * m + 3 * n)
+    size = max(1, min(pool_size(-(-width // _PIXEL_CHUNK), threads), (memory_budget - fixed) // each))
+    need = fixed + size * each
     if need > memory_budget:
         raise ConfigError(
             f"{m} maps over {pixel_count} pixels need memory_budget_mib >= {-(-need >> 20)}, "
             f"got {memory_budget / 2**20:g}"
         )
-    return need
+    return size, need
 
 
 def batch_compute(
@@ -165,7 +151,8 @@ def batch_compute(
     (see _round_width) then ranks each chunk and evaluates all maps on it,
     the chunks of a round shared out by pool_map over `threads` threads, writes
     each map's segment of the round to the store and adds each chunk's
-    Gram sums in chunk order, holding no more than map_pass_bytes. No byte
+    Gram sums in chunk order. map_pass_plan gives a pool size that fits a
+    memory budget and the bytes the pass then holds at most. No byte
     depends on the thread count.
     """
     if n != stack.n:

@@ -37,7 +37,7 @@ from .cluster import (
 from .errors import ConfigError, DataError
 from .grid import GridMeta, Raster, build_stack, decode_text, grid_text, parse_ascii_grid, read_text, write_ascii_grid
 from .mapstore import MapStore, mask_digest, store_size
-from .owa import batch_compute, map_pass_bytes, map_pass_threads, pool_map
+from .owa import batch_compute, map_pass_plan, pool_map
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
 
 
@@ -497,10 +497,10 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
 
     The load stage parses the grids, and the aggregate stage evaluates the
     chunks of each round of the map pass, on a pool of one thread per CPU
-    (see owa.pool_map), at most one per grid or chunk; the map pass's pool
-    is made smaller, down to one, until its need fits the memory budget
-    (see owa.map_pass_threads). _threads, for tests, caps both pools in
-    place of the CPU count. No output byte depends on the pool sizes.
+    (see owa.pool_map), at most one per grid or chunk, and the map pass's
+    pool at most as many as its need fits in the memory budget (see
+    owa.map_pass_plan). _threads, for tests, caps both pools in place of
+    the CPU count. No output byte depends on the pool sizes.
     """
     started = datetime.now(timezone.utc).isoformat()
     durations: dict[str, float] = {}
@@ -518,8 +518,7 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
             stack = build_stack(layers, weights)
             del layers  # the stack holds them from here on
             meta, valid_mask, pixels = stack.meta, stack.valid_mask, int(stack.valid_mask.sum())
-            threads = map_pass_threads(config.m, pixels, stack.n, config.memory_budget_mib << 20, _threads)
-            need = map_pass_bytes(config.m, pixels, stack.n, config.memory_budget_mib << 20, threads)
+            threads, need = map_pass_plan(config.m, pixels, stack.n, config.memory_budget_mib << 20, _threads)
             _check_free_disk(out_dir, config.m, pixels, config.write_distances)  # both checks before the solve
             durations["load"] = time.perf_counter() - t0
 
@@ -617,6 +616,9 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
         mask_raster = parse_ascii_grid(grid_text(mask_path.read_bytes(), mask_path), mask_path)
         valid_mask = mask_raster.values == 1.0
         store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
+        valid = int(valid_mask.sum())
+        if valid != store.pixel_count:
+            raise DataError(f"{store.path}: {store.pixel_count} pixels, {mask_path} has {valid} valid cells")
         tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
         curve = variance_ratio_curve(tree, min(k_max, store.m))
         with _staged(out, _ANALYZE_OWNS) as stage:

@@ -18,7 +18,7 @@ from owa_explorer.grid import GridMeta, Raster, build_stack
 from owa_explorer import owa
 from owa_explorer.cluster import _PIXEL_CHUNK, add_gram
 from owa_explorer.mapstore import MapStore, mask_digest
-from owa_explorer.owa import _map_values, batch_compute, map_pass_bytes, map_pass_threads, pool_map, rank_pixels
+from owa_explorer.owa import _map_values, batch_compute, map_pass_plan, pool_map, rank_pixels
 from owa_explorer.strategy import (
     DecisionPoint,
     ExperimentalDesign,
@@ -345,10 +345,10 @@ def test_batch_peak_memory_within_budget(tmp_path):
         meta = GridMeta(ncols=side, nrows=side, xllcorner=0, yllcorner=0, cellsize=1)
         rng = np.random.default_rng(5)
         stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(n)], rng.random(n) + 0.5)
-        need = map_pass_bytes(design.m, meta.size, n, 1 << 40)
-        assert map_pass_bytes(design.m, meta.size, n, need) == need
+        _, need = map_pass_plan(design.m, meta.size, n, 1 << 40, 1)
+        assert map_pass_plan(design.m, meta.size, n, need, 1) == (1, need)
         with pytest.raises(ConfigError, match=f"{design.m} maps over {meta.size} pixels need memory_budget_mib >="):
-            map_pass_bytes(design.m, meta.size, n, need - 1)
+            map_pass_plan(design.m, meta.size, n, need - 1, 1)
         tracemalloc.start()
         try:
             batch_compute(stack, design, n, tmp_path / f"{side}-{design.m}.bin")[0].close()
@@ -366,7 +366,7 @@ def test_batch_peak_memory_holds_no_pixel_cache(tmp_path):
     rng = np.random.default_rng(5)
     stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(10)], rng.random(10) + 0.5)
     design = sample_design(2, seed=7)
-    need = map_pass_bytes(design.m, meta.size, stack.n, 1 << 40)
+    _, need = map_pass_plan(design.m, meta.size, stack.n, 1 << 40, 1)
     tracemalloc.start()
     try:
         batch_compute(stack, design, stack.n, tmp_path / "maps.bin")[0].close()
@@ -386,8 +386,9 @@ def test_batch_peak_memory_counts_a_chunk_per_thread(tmp_path):
     n, design = 10, sample_design(16, seed=7)
     stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(n)], rng.random(n) + 0.5)
     for threads in (2, 3):
-        need = map_pass_bytes(design.m, meta.size, n, 1 << 40, threads)
-        grown = need - map_pass_bytes(design.m, meta.size, n, 1 << 40, threads - 1)
+        size, need = map_pass_plan(design.m, meta.size, n, 1 << 40, threads)
+        assert size == threads
+        grown = need - map_pass_plan(design.m, meta.size, n, 1 << 40, threads - 1)[1]
         assert grown == 8 * _PIXEL_CHUNK * (2 * design.m + 3 * n)
         tracemalloc.start()
         try:
@@ -396,20 +397,59 @@ def test_batch_peak_memory_counts_a_chunk_per_thread(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= need, (threads, peak / need)
-    assert map_pass_bytes(16, 1000, n, 1 << 40, 3) == map_pass_bytes(16, 1000, n, 1 << 40)
+    assert map_pass_plan(16, 1000, n, 1 << 40, 3) == map_pass_plan(16, 1000, n, 1 << 40, 1)
 
 
 def test_map_pass_threads_fit_the_budget():
-    # the pool shrinks, never below one thread, until the need fits: a
-    # budget that holds the pass on one thread holds it on any host
+    # the pool is as large as the budget holds, never below one thread: a
+    # budget that holds the pass on one thread holds it on any host, and
+    # one that does not is refused
     m, pixels, n = 16, 16 * _PIXEL_CHUNK, 10
-    one, two = (map_pass_bytes(m, pixels, n, 1 << 40, threads) for threads in (1, 2))
-    assert map_pass_threads(m, pixels, n, 1 << 40, 64) == 16  # one per chunk of the round
-    assert map_pass_threads(m, pixels, n, two, 64) == 2
-    assert map_pass_threads(m, pixels, n, two - 1, 64) == 1
-    assert map_pass_threads(m, pixels, n, one - 1, 64) == 1
-    assert map_pass_threads(m, _PIXEL_CHUNK, n, 1 << 40, 64) == 1
-    assert map_pass_threads(m, pixels, n, 1 << 40) == owa.pool_size(16)
+    one, two = (map_pass_plan(m, pixels, n, 1 << 40, threads)[1] for threads in (1, 2))
+    assert map_pass_plan(m, pixels, n, 1 << 40, 64)[0] == 16  # one per chunk of the round
+    assert map_pass_plan(m, pixels, n, two, 64) == (2, two)
+    assert map_pass_plan(m, pixels, n, two - 1, 64) == (1, one)
+    with pytest.raises(ConfigError, match=f"need memory_budget_mib >= {-(-one >> 20)}, got "):
+        map_pass_plan(m, pixels, n, one - 1, 64)
+    assert map_pass_plan(m, _PIXEL_CHUNK, n, 1 << 40, 64)[0] == 1
+    assert map_pass_plan(m, pixels, n, 1 << 40)[0] == owa.pool_size(16)
+
+
+def _lowered_plan(m, pixel_count, n, memory_budget, threads):
+    """map_pass_plan as a loop: one thread per chunk of the widest round,
+    then one thread fewer at a time, down to one, while the need exceeds
+    the budget; None where even one thread does not fit."""
+    chunk, width = min(pixel_count, _PIXEL_CHUNK), owa._round_width(m, pixel_count)
+
+    def need(size):
+        return 8 * (2 * m * m + m * n + width * m + pixel_count + size * chunk * (2 * m + 3 * n))
+
+    size = owa.pool_size(-(-width // _PIXEL_CHUNK), threads)
+    while size > 1 and need(size) > memory_budget:
+        size -= 1
+    return (size, need(size)) if need(size) <= memory_budget else None
+
+
+def test_map_pass_plan_matches_a_pool_lowering_loop():
+    # budgets one byte below, at and one byte above the need of every pool
+    # size, and one that holds any, over rounds of one chunk (m = 513), two
+    # (m = 512) and many (m = 16), with fewer pixels than a chunk, one
+    # chunk and more
+    cases = 0
+    sizes = (_PIXEL_CHUNK - 1, _PIXEL_CHUNK, _PIXEL_CHUNK + 1, 20 * _PIXEL_CHUNK + 7)
+    for m, pixels, n, threads in itertools.product((16, 512, 513), sizes, (2, 10), (None, 1, 64)):
+        widest = owa.pool_size(-(-owa._round_width(m, pixels) // _PIXEL_CHUNK), threads)
+        for size in range(1, widest + 1):
+            need = _lowered_plan(m, pixels, n, 1 << 50, size)[1]
+            for budget in (need - 1, need, need + 1, 1 << 50):
+                want = _lowered_plan(m, pixels, n, budget, threads)
+                if want is None:
+                    with pytest.raises(ConfigError):
+                        map_pass_plan(m, pixels, n, budget, threads)
+                else:
+                    assert map_pass_plan(m, pixels, n, budget, threads) == want, (m, pixels, n, threads, budget)
+                cases += 1
+    assert cases > 300
 
 
 def test_pool_size():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _oracles import pairwise_from_store, verify_manifest
-from owa_explorer import owa, pipeline
+from owa_explorer import mapstore, owa, pipeline
 from owa_explorer.cli import main
 from owa_explorer.cluster import ward_linkage
 from owa_explorer.errors import ConfigError, DataError, NumericalError
@@ -261,12 +261,14 @@ def test_pipeline_import_leaves_prep_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_run_rejects_zero_workers(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("stack_manifest = x\nout = out\n")
-    assert main(["run", "--config", str(cfg_path), "--workers", "0"]) == 2
-    assert "workers" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize(
+    "command", [["run", "--config", "run.cfg"], ["analyze", "--run-dir", "run", "--k", "2"]], ids=["run", "analyze"]
+)
+def test_cli_refuses_workers_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_config_validation(tmp_path):
@@ -316,7 +318,9 @@ def test_cli_run_workers_warns_on_stderr(tmp_path, synth_dir):
     src = Path(pipeline.__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
-    args = ["run", "--config", str(cfg_path), "--workers", "2", "--out", str(tmp_path / "w2")]
+    with cfg_path.open("a") as f:
+        f.write("workers = 2\n")
+    args = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "w2")]
     proc = subprocess.run([sys.executable, "-m", "owa_explorer.cli", *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -686,6 +690,28 @@ def test_cli_analyze_header_only_design_is_data_error(completed_run, tmp_path, c
     assert "design.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["no maps", "no pixels", "a pixel short"])
+def test_cli_analyze_store_header_of_another_shape_is_data_error(completed_run, tmp_path, capsys, edit):
+    # the header's counts, with the file cut to match so the size check
+    # passes: an empty store is refused when opened, and one pixel short of
+    # mask.asc's valid cells before anything is staged
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    header = mapstore._HEADER
+    with open(run / "maps.bin", "r+b") as f:
+        magic, version, m, pixels, digest = header.unpack(f.read(header.size))
+        m, pixels = {"no maps": (0, pixels), "no pixels": (m, 0), "a pixel short": (m, pixels - 1)}[edit]
+        f.seek(0)
+        f.write(header.pack(magic, version, m, pixels, digest))
+        f.truncate(mapstore.store_size(m, pixels))
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(tmp_path / "re")]) == 3
+    err = capsys.readouterr().err
+    assert f"{run / 'maps.bin'}: " in err, err
+    assert ("mask.asc has" in err) == (edit == "a pixel short"), err
+    assert not (tmp_path / "re").exists()
+
+
 @pytest.mark.parametrize("name", ["merge_tree.csv", "run_manifest.json"])
 def test_analyze_requires_run_file(completed_run, tmp_path, name):
     out, _, _ = completed_run
@@ -867,17 +893,6 @@ def test_analyze_workers_deprecated(completed_run, tmp_path):
     assert (tmp_path / "two" / "segmentation.csv").read_bytes() == (
         tmp_path / "one" / "segmentation.csv"
     ).read_bytes()
-
-
-def test_cli_analyze_workers_warns(completed_run, tmp_path, capsys):
-    out, _, _ = completed_run
-    args = ["analyze", "--run-dir", str(out), "--k", "2", "--out", str(tmp_path / "re")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(args) == 0
-    with pytest.warns(DeprecationWarning, match="no effect"):
-        assert main(args + ["--workers", "2"]) == 0
-    capsys.readouterr()
 
 
 def test_failure_quarantines_partial_outputs(tmp_path, synth_dir):
