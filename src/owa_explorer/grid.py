@@ -83,13 +83,14 @@ class Raster:
         return self.values != self.meta.nodata_value
 
 
-def decode_text(data: bytes, path: str | Path) -> str:
-    """The bytes read from path as UTF-8 text; a byte that is not raises
-    DataError naming the file and the byte's offset."""
+def decode_text(data: bytes, path: str | Path | None = None) -> str:
+    """data as UTF-8 text; a byte that is not raises DataError naming the
+    byte's offset, and the file when path is given."""
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8") from None
+        where = "" if path is None else f"{path}: "
+        raise DataError(f"{where}byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -97,15 +98,9 @@ def read_text(path: str | Path) -> str:
     return decode_text(Path(path).read_bytes(), path)
 
 
-def grid_text(data: bytes, path: str | Path) -> bytes | str:
-    """A grid file's bytes if they are ASCII, else its text (see decode_text),
-    so that a byte that is not UTF-8, or a token that is not ASCII, keeps its message."""
-    return data if data.isascii() else decode_text(data, path)
-
-
 def read_grid(path: str | Path) -> Raster:
     """The grid in the file at path; a DataError names the file."""
-    return parse_ascii_grid(grid_text(Path(path).read_bytes(), path), path)
+    return parse_ascii_grid(Path(path).read_bytes(), path)
 
 
 def parse_ascii_grid(text: str | bytes, path: str | Path | None = None) -> Raster:
@@ -113,7 +108,9 @@ def parse_ascii_grid(text: str | bytes, path: str | Path | None = None) -> Raste
 
     Header keys are case-insensitive; NODATA_value is optional and defaults
     to -9999. The body must hold exactly ncols*nrows whitespace-separated
-    numbers in row-major order; each reads as float() reads it.
+    numbers in row-major order; each reads as float() reads it. A str is
+    parsed as its UTF-8 bytes; the first byte that is not UTF-8 is refused
+    by its offset, else the first token that is not ASCII by name.
     """
     try:
         return Raster(*_parse_ascii_grid(text))  # built once the parser's copy of a str is dropped
@@ -129,14 +126,11 @@ _TOKEN = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]+")
 
 def _parse_ascii_grid(text: str | bytes) -> tuple[GridMeta, np.ndarray]:
     if isinstance(text, str):
-        if not text.isascii():
-            # str.split would also split at non-ASCII spaces, and float() reads non-ASCII digits
-            token = next(t for t in re.split(r"[ \t\n\r\f\v]+", text) if not t.isascii())
-            raise DataError(f"token {token!r} is not ASCII")
-        text = text.encode("ascii")
-    elif not text.isascii():
-        at = re.search(rb"[\x80-\xff]", text).start()
-        raise DataError(f"byte {text[at]:#04x} at offset {at} is not ASCII")
+        text = text.encode(errors="surrogatepass")  # a lone surrogate then fails the UTF-8 check
+    if not text.isascii():
+        # str.split would also split at non-ASCII spaces, and float() reads non-ASCII digits
+        token = next(t for t in re.split(r"[ \t\n\r\f\v]+", decode_text(text)) if not t.isascii())
+        raise DataError(f"token {token!r} is not ASCII")
     # the header is at most six key-value pairs; the loop below looks one token past them
     head = list(itertools.islice(_TOKEN.finditer(text), 14))
     tokens = [m.group().decode() for m in head]
@@ -587,9 +581,6 @@ def build_stack(layers: list[tuple[str, Raster]], weights) -> CriterionStack:
     Weights may be un-normalized (e.g. expert vote fractions); they are
     normalized to sum to 1 here.
     """
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if len(layers) != weights.size:
-        raise DataError(f"got {len(layers)} layers but {weights.size} weights")
     if len(layers) < 2:
         raise DataError(f"a stack needs at least 2 layers, got {len(layers)}")
     names = tuple(name for name, _ in layers)

@@ -35,7 +35,7 @@ from .cluster import (
     cut,
 )
 from .errors import ConfigError, DataError
-from .grid import GridMeta, Raster, build_stack, decode_text, grid_text, parse_ascii_grid, read_text, write_ascii_grid
+from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_text, write_ascii_grid
 from .mapstore import MapStore, mask_digest, store_size
 from .owa import batch_compute, map_pass_plan, pool_map
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
@@ -129,16 +129,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     )
 
 
-def _read_hashed(path: Path, decode=decode_text) -> tuple[str, str | bytes]:
-    """The SHA-256 of a file's bytes, and what decode makes of them."""
+def _read_grid(path: Path) -> tuple[str, Raster | DataError]:
+    """The SHA-256 of a grid file's bytes, and the grid parsed from them or
+    the DataError that says why they do not parse."""
     data = path.read_bytes()
-    return hashlib.sha256(data).hexdigest(), decode(data, path)
-
-
-def _read_grid(path: Path) -> tuple[str, Raster]:
-    """The SHA-256 of a grid file's bytes, and the grid parsed from them."""
-    digest, text = _read_hashed(path, grid_text)
-    return digest, parse_ascii_grid(text, path)
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        return digest, parse_ascii_grid(data, path)
+    except DataError as exc:  # returned, so that the load names every bad grid
+        return digest, exc
 
 
 def _parse_weight(token: str) -> float | None:
@@ -162,9 +161,9 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
     The weight column accepts either a number or a votes/total fraction
     like `7/13`. Every weight is parsed before any grid is read; if any is
     not a finite number > 0, DataError names the line and the token of each.
-    Paths are relative to the manifest file, and a grid's DataError names
-    its file. The grids are read and parsed by pool_map over `threads`, so
-    an error is the first failing grid's, in manifest order. Returns the
+    Paths are relative to the manifest file. The grids are read and parsed
+    by pool_map over `threads`; one DataError names each grid that does not
+    parse with its first problem, in manifest order. Returns the
     (name, raster) layers, their weights and the SHA-256 digests of the
     manifest and of each grid, keyed by path, taken from the very bytes
     that were parsed.
@@ -173,9 +172,9 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
     base = path.parent
     rows = []
     bad = []
-    digest, text = _read_hashed(path)
-    digests = {str(path): digest}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    data = path.read_bytes()
+    digests = {str(path): hashlib.sha256(data).hexdigest()}
+    for lineno, line in enumerate(decode_text(data, path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -198,6 +197,9 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
         raise DataError(f"{path}: empty stack manifest")
     paths = [(base / grid_path).resolve() for _, grid_path, _ in rows]
     grids = pool_map(_read_grid, paths, threads)
+    failed = [str(grid) for _, grid in grids if isinstance(grid, DataError)]
+    if failed:
+        raise DataError("; ".join(failed))
     digests.update((str(p), digest) for p, (digest, _) in zip(paths, grids))
     layers = [(name, raster) for (name, _, _), (_, raster) in zip(rows, grids)]
     return layers, [weight for _, _, weight in rows], digests
@@ -310,7 +312,8 @@ def _read_design_csv(path: Path) -> ExperimentalDesign:
     """Parse the design `format_design_csv` wrote; a wrong header, a row
     that is not `index,r,t` with numbers, an index that is not the row's
     position (maps.bin records are matched to rows by position), or no
-    rows at all raises DataError naming the file and the line."""
+    rows at all raises DataError naming the file and the line; points
+    outside the strategy space raise ExperimentalDesign's, naming the file."""
     lines = read_text(path).splitlines()
     header = lines[0] if lines else ""
     if header != _DESIGN_HEADER:
@@ -329,7 +332,10 @@ def _read_design_csv(path: Path) -> ExperimentalDesign:
         points.append(DecisionPoint(r, t))
     if not points:
         raise DataError(f"{path}: no design points")
-    return ExperimentalDesign(points=tuple(points))
+    try:
+        return ExperimentalDesign(points=tuple(points))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def format_weights_csv(W: np.ndarray) -> str:
@@ -611,9 +617,9 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
         design = _read_design_csv(run_dir / "design.csv")
         if design.m != store.m:
             raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
-        # parsed here, not by grid.read_grid: the traced benchmark times parse_ascii_grid as pipeline calls it
         mask_path = run_dir / "mask.asc"
-        mask_raster = parse_ascii_grid(grid_text(mask_path.read_bytes(), mask_path), mask_path)
+        # not grid.read_grid: perfbench/tracer.py wraps parse_ascii_grid in pipeline's namespace
+        mask_raster = parse_ascii_grid(mask_path.read_bytes(), mask_path)
         valid_mask = mask_raster.values == 1.0
         store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
         valid = int(valid_mask.sum())

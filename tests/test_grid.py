@@ -125,7 +125,7 @@ def test_parse_header_value_with_underscore():
 def test_parse_bytes_not_ascii_names_path_and_offset():
     data = (HEADER_2X1 + "0.2 0.\xe9").encode("latin-1")
     offset = len(data) - 1
-    with pytest.raises(DataError, match=f"g.asc: byte 0xe9 at offset {offset} is not ASCII"):
+    with pytest.raises(DataError, match=f"^g.asc: byte 0xe9 at offset {offset} is not UTF-8$"):
         parse_ascii_grid(data, "g.asc")
 
 

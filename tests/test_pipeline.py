@@ -19,7 +19,7 @@ from owa_explorer import mapstore, owa, pipeline
 from owa_explorer.cli import main
 from owa_explorer.cluster import ward_linkage
 from owa_explorer.errors import ConfigError, DataError, NumericalError
-from owa_explorer.grid import GridMeta, Raster, parse_ascii_grid, write_ascii_grid
+from owa_explorer.grid import GridMeta, Raster, parse_ascii_grid, read_grid, write_ascii_grid
 from owa_explorer.mapstore import MapStore
 from owa_explorer.pipeline import (
     PipelineConfig,
@@ -199,19 +199,31 @@ def test_load_stack_manifest_line_messages(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_load_raises_the_first_malformed_grid_in_manifest_order(tmp_path, synth_dir, threads):
-    # the grids parse on a pool, yet the error is the first bad grid's in
-    # the manifest, whichever thread read it, and no helper outlives the load
+def test_load_names_every_malformed_grid_in_manifest_order(tmp_path, synth_dir, threads):
+    # the grids parse on a pool, yet one error names each bad grid with its
+    # first problem, in manifest order, and no helper outlives the load
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     for name, prefix in (("criterion_01.asc", " 0x"), ("criterion_03.asc", " 0y")):
         grid = data / name
         grid.write_text(grid.read_text().replace(" 0.", prefix, 1))
     alive = threading.active_count()
-    path = data / "criterion_01.asc"
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cell value '0x"):
+    with pytest.raises(DataError) as err:
         load_stack_manifest(data / "stack_manifest.csv", threads)
+    first, second = str(err.value).split("; ")
+    assert first.startswith(f"{data / 'criterion_01.asc'}: cell value '0x")
+    assert second.startswith(f"{data / 'criterion_03.asc'}: cell value '0y")
     assert threading.active_count() == alive
+
+
+def test_load_raises_a_missing_grid_as_os_error(tmp_path, synth_dir):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    (data / "criterion_02.asc").unlink()
+    grid = data / "criterion_01.asc"
+    grid.write_text(grid.read_text().replace(" 0.", " 0x", 1))
+    with pytest.raises(FileNotFoundError, match="criterion_02.asc"):
+        load_stack_manifest(data / "stack_manifest.csv", 1)
 
 
 @pytest.mark.parametrize("key", ["workers"])
@@ -681,6 +693,22 @@ def test_cli_analyze_names_every_design_point_above_the_parabola(completed_run, 
     assert not (tmp_path / "re").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,0.9,0.9", "design point 0 (r=0.9, t=0.9) outside the strategy space; failing design indices: 0"),
+    ("2,nan,0.5", "(r, t) = (nan, 0.5) outside the unit square"),
+], ids=["above the parabola", "nan"])
+def test_cli_analyze_names_design_csv_for_a_point_outside_the_space(completed_run, tmp_path, capsys, row, message):
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    rows = (run / "design.csv").read_text().splitlines()
+    rows[1 + int(row.split(",")[0])] = row
+    (run / "design.csv").write_text("".join(line + "\n" for line in rows))
+    assert main(["analyze", "--run-dir", str(run), "--k", "3", "--out", str(tmp_path / "re")]) == 3
+    assert f"{run / 'design.csv'}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
 def test_cli_analyze_header_only_design_is_data_error(completed_run, tmp_path, capsys):
     out, _, _ = completed_run
     run = tmp_path / "run"
@@ -844,6 +872,34 @@ def test_cli_run_input_not_text(tmp_path, synth_dir, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert f"{(data / 'criterion_02.asc').resolve()}: byte 0xff" in capsys.readouterr().err
     assert not list(tmp_path.rglob("maps.bin"))
+
+
+# one fault in the cells of a 2x1 grid, and the message every route gives for it
+GRID_FAULTS = [
+    ("latin-1 byte", b"0.2 0.\xe9", "byte 0xe9 at offset 76 is not UTF-8"),
+    ("no-break space", "0.2\xa00.3 0.4".encode(), "token '0.2\\xa00.3' is not ASCII"),
+    ("Arabic-Indic digit", "0.2 \u0661".encode(), "token '\u0661' is not ASCII"),
+]
+
+
+@pytest.mark.parametrize("body, message", [c[1:] for c in GRID_FAULTS], ids=[c[0] for c in GRID_FAULTS])
+def test_grid_fault_reads_the_same_by_every_route(tmp_path, synth_dir, capsys, body, message):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    grid = (data / "criterion_01.asc").resolve()
+    grid.write_bytes(b"ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 5\nNODATA_value -9999\n" + body)
+    expected = f"{grid}: {message}"
+    routes = [lambda: parse_ascii_grid(grid.read_bytes(), grid), lambda: read_grid(grid)]
+    if message.startswith("token"):  # text cannot hold a byte that is not UTF-8
+        routes.append(lambda: parse_ascii_grid(grid.read_bytes().decode(), grid))
+    for route in routes:
+        with pytest.raises(DataError) as err:
+            route()
+        assert str(err.value) == expected
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"stack_manifest = {data}/stack_manifest.csv\nm = 6\nk_max = 4\nout = out\n")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert f"{expected}\n" in capsys.readouterr().err
 
 
 def test_cli_analyze_input_not_text(completed_run, tmp_path, capsys):
