@@ -93,14 +93,8 @@ def main(argv: list[str] | None = None) -> int:
             manifest = synth_generate(args.width, args.height, args.n, args.seed, args.out)
             print(f"wrote synthetic stack manifest {manifest}")
         elif args.command == "sample":
-            if args.m < 1:
-                raise ConfigError(f"--m must be >= 1, got {args.m}")
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             print(format_design_csv(sample_design(args.m, args.seed)), end="")
         elif args.command == "weights":
-            if args.n < 2:
-                raise ConfigError(f"--n must be >= 2, got {args.n}")
             w = generate_weights(DecisionPoint(args.r, args.t), args.n)
             print(format_weights_csv(w.w[None, :]), end="")
         elif args.command == "prep":

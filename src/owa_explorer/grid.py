@@ -539,9 +539,22 @@ class CriterionStack:
                 f"got {len(self.names)} names, {len(self.layers)} layers, "
                 f"{len(self.criterion_weights)} weights"
             )
+        faults, checked = [], []
         for name, layer in zip(self.names, self.layers):
             if not self.meta.aligned_with(layer.meta):
-                raise DataError(f"layer {name!r} is not aligned with the stack frame")
+                faults.append(f"layer {name!r} is not aligned with the stack frame")
+            vals = layer.values
+            valid = layer.valid_mask
+            lo = vals[valid].min(initial=0.0)
+            hi = vals[valid].max(initial=1.0)
+            if lo < -VALUE_EPS or hi > 1.0 + VALUE_EPS:
+                faults.append(f"layer {name!r} has valid values in [{lo:.17g}, {hi:.17g}], outside [0, 1]")
+            elif lo < 0.0 or hi > 1.0:
+                clipped = np.where(valid, np.clip(vals, 0.0, 1.0), vals)
+                layer = Raster(layer.meta, clipped)
+            checked.append(layer)
+        if faults:  # every misaligned layer and every layer out of range, in stack order
+            raise DataError("; ".join(faults))
 
         mask = np.ones(self.meta.size, dtype=bool)
         for layer in self.layers:
@@ -549,21 +562,6 @@ class CriterionStack:
         if not mask.any():
             counts = ", ".join(f"{n!r} {int(r.valid_mask.sum())}" for n, r in zip(self.names, self.layers))
             raise DataError(f"no cell is valid in every layer; valid cells per layer: {counts}")
-
-        checked = []
-        for name, layer in zip(self.names, self.layers):
-            vals = layer.values
-            valid = layer.valid_mask
-            lo = vals[valid].min(initial=0.0)
-            hi = vals[valid].max(initial=1.0)
-            if lo < -VALUE_EPS or hi > 1.0 + VALUE_EPS:
-                raise DataError(
-                    f"layer {name!r} has valid values in [{lo:.17g}, {hi:.17g}], outside [0, 1]"
-                )
-            if lo < 0.0 or hi > 1.0:
-                clipped = np.where(valid, np.clip(vals, 0.0, 1.0), vals)
-                layer = Raster(layer.meta, clipped)
-            checked.append(layer)
 
         mask.flags.writeable = False
         object.__setattr__(self, "layers", tuple(checked))

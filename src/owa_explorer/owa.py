@@ -118,14 +118,14 @@ def map_pass_plan(m: int, pixel_count: int, n: int, memory_budget: int, threads:
     n criteria (float64), and the bytes the pass then holds at most: d^2
     and its Gram temporary, the order weights, the round buffer of maps and
     the grid cell of each pixel, and per thread, for its chunk, each pixel's
-    sorted weights and products (and their order while ranking) and each
-    map's divisor and the copy numpy divides in place of the strided maps.
+    sorted weights and products (and their order while ranking), each map's
+    divisor and numpy's two np.getbufsize() buffers for a strided division.
     The pool is one thread per chunk of the widest round, up to `threads`
     (see pool_size), as many as memory_budget holds, at least one; if even
     one thread exceeds memory_budget, ConfigError names its need."""
     width = _round_width(m, pixel_count)
     fixed = 8 * (2 * m * m + m * n + width * m + pixel_count)
-    each = 8 * min(pixel_count, _PIXEL_CHUNK) * (2 * m + 3 * n)
+    each = 8 * (min(pixel_count, _PIXEL_CHUNK) * (m + 3 * n) + 2 * np.getbufsize())
     size = max(1, min(pool_size(-(-width // _PIXEL_CHUNK), threads), (memory_budget - fixed) // each))
     need = fixed + size * each
     if need > memory_budget:

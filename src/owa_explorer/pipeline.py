@@ -54,26 +54,28 @@ class PipelineConfig:
     write_distances: bool = False
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ConfigError(f"m must be >= 2, got {self.m}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.k_max > self.m:
-            raise ConfigError(f"k_max ({self.k_max}) cannot exceed m ({self.m})")
-        if self.k is not None and not (1 <= self.k <= self.m):
-            raise ConfigError(f"k must be in [1, m], got {self.k}")
+        """Every value out of range is named in one ConfigError."""
+        faults = [
+            message
+            for bad, message in (
+                (self.m < 2, f"m must be >= 2, got {self.m}"),
+                (self.seed < 0, f"seed must be >= 0, got {self.seed}"),
+                (self.k_max < 1, f"k_max must be >= 1, got {self.k_max}"),
+                (self.k_max > self.m, f"k_max ({self.k_max}) cannot exceed m ({self.m})"),
+                (self.k is not None and not 1 <= self.k <= self.m, f"k must be in [1, m], got {self.k}"),
+                (self.workers is not None and self.workers < 1, f"workers must be >= 1, got {self.workers}"),
+                (self.memory_budget_mib < 1, f"memory budget must be >= 1 MiB, got {self.memory_budget_mib}"),
+            )
+            if bad
+        ]
+        if faults:
+            raise ConfigError("; ".join(faults))
         if self.workers is not None:
-            if self.workers < 1:
-                raise ConfigError(f"workers must be >= 1, got {self.workers}")
             msg = (
                 "config key 'workers' is deprecated and has no effect: the load and aggregate stages "
                 "size their thread pool from the CPUs and the memory budget"
             )
             warnings.warn(msg, DeprecationWarning, stacklevel=3)
-        if self.memory_budget_mib < 1:
-            raise ConfigError(f"memory budget must be >= 1 MiB, got {self.memory_budget_mib}")
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -103,30 +105,39 @@ def _parse_value(f: Field, text: str, base: Path):
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a flat `key = value` config file whose keys are the fields of
     PipelineConfig; an omitted key takes its field's default, and overrides
-    (from flags) win."""
+    (from flags) win. Every malformed line and every unknown, duplicate,
+    missing or unparsable key is named in one ConfigError."""
     path = Path(path)
     schema = {f.name: f for f in fields(PipelineConfig)}
     raw: dict[str, str] = {}
+    faults = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in schema:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            faults.append(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        elif key not in schema:
+            faults.append(f"{path}:{lineno}: unknown key {key!r}")
+        elif key in raw:
+            faults.append(f"{path}:{lineno}: duplicate key {key!r}")
+        else:
+            raw[key] = value
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
-    for f in schema.values():
-        if f.default is MISSING and f.name not in raw:
-            raise ConfigError(f"{path}: missing required key {f.name!r}")
-    return PipelineConfig(
-        **{name: _parse_value(f, raw[name], path.parent) for name, f in schema.items() if name in raw}
-    )
+    values = {}
+    for name, f in schema.items():
+        if name in raw:
+            try:
+                values[name] = _parse_value(f, raw[name], path.parent)
+            except ConfigError as exc:
+                faults.append(str(exc))
+        elif f.default is MISSING:
+            faults.append(f"{path}: missing required key {name!r}")
+    if faults:
+        raise ConfigError("; ".join(faults))
+    return PipelineConfig(**values)
 
 
 def _read_grid(path: Path) -> tuple[str, Raster | DataError]:
@@ -550,7 +561,7 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
 
                 t0 = clock("cluster")
                 tree = ward_linkage(d2)
-                curve = variance_ratio_curve(tree, min(config.k_max, tree.m))
+                curve = variance_ratio_curve(tree, config.k_max)
                 _write_tree_outputs(tree, curve, out_dir)
                 durations["cluster"] = time.perf_counter() - t0
 
@@ -583,15 +594,6 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
     return manifest
 
 
-def _read_run_k_max(run_dir: Path) -> int:
-    """The k_max that a finished run recorded in its manifest."""
-    path = run_dir / "run_manifest.json"
-    try:
-        return int(RunManifest.read(path).config["k_max"])
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise DataError(f"{path}: cannot read the run's k_max: {exc!r}") from None
-
-
 def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, workers: int = 1) -> None:
     """Re-cut a finished run's Ward tree with a new k, without recomputing
     maps, distances or the linkage.
@@ -599,7 +601,8 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
     Reads merge_tree.csv, design.csv, mask.asc, maps.bin and run_manifest.json
     from run_dir and checks them all before it creates any directory, then
     stages the outputs (see _staged). The curve's range, k_max, comes from
-    the run's manifest. `workers` is deprecated and has no effect.
+    the run's manifest; a k_max outside [1, m] is a DataError naming it.
+    `workers` is deprecated and has no effect.
     """
     if workers != 1:
         warnings.warn(
@@ -610,7 +613,11 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
         )
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else run_dir
-    k_max = _read_run_k_max(run_dir)
+    manifest_path = run_dir / "run_manifest.json"
+    try:
+        k_max = int(RunManifest.read(manifest_path).config["k_max"])
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{manifest_path}: cannot read the run's k_max: {exc!r}") from None
     with MapStore.open(run_dir / "maps.bin") as store:
         if not (1 <= k <= store.m):
             raise ConfigError(f"k must be in [1, {store.m}], got {k}")
@@ -626,7 +633,10 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
         if valid != store.pixel_count:
             raise DataError(f"{store.path}: {store.pixel_count} pixels, {mask_path} has {valid} valid cells")
         tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
-        curve = variance_ratio_curve(tree, min(k_max, store.m))
+        try:
+            curve = variance_ratio_curve(tree, k_max)
+        except DataError as exc:
+            raise DataError(f"{manifest_path}: {exc}") from None
         with _staged(out, _ANALYZE_OWNS) as stage:
             _write_tree_outputs(tree, curve, stage)
             _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, stage)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 SIGMA_MIN = 1e-6
 SIGMA_MAX = 1e3
@@ -78,12 +78,12 @@ class ExperimentalDesign:
     def __post_init__(self):
         if not self.points:
             raise ValueError("a design needs at least one point")
-        above = np.flatnonzero(~_under_parabola(*_coordinates(self.points)))
-        if above.size:
-            p = self.points[above[0]]
+        outside = np.flatnonzero(~_in_space(*_coordinates(self.points)))
+        if outside.size:
+            p = self.points[outside[0]]
             raise DataError(
-                f"design point {above[0]} (r={p.r}, t={p.t}) outside the strategy space; "
-                f"failing design indices: {', '.join(map(str, above))}"
+                f"design point {outside[0]} (r={p.r}, t={p.t}) outside the strategy space; "
+                f"failing design indices: {', '.join(map(str, outside))}"
             )
 
     @property
@@ -91,21 +91,15 @@ class ExperimentalDesign:
         return len(self.points)
 
 
-def _under_parabola(r, t):
-    """Elementwise t <= 4r(1-r), within FEAS_EPS: the strategy space's upper edge."""
-    return t <= 4.0 * r * (1.0 - r) + FEAS_EPS
+def _in_space(r, t):
+    """Elementwise: (r, t) lies in the strategy space, the unit square
+    under t = 4r(1-r) within FEAS_EPS; nan lies outside."""
+    return (0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0) & (t <= 4.0 * r * (1.0 - r) + FEAS_EPS)
 
 
 def _coordinates(points) -> tuple[np.ndarray, np.ndarray]:
-    """The r and t arrays of points; the first point outside the unit
-    square raises DataError."""
-    r = np.array([p.r for p in points], dtype=np.float64)
-    t = np.array([p.t for p in points], dtype=np.float64)
-    outside = ~((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0))
-    if outside.any():
-        p = points[int(np.argmax(outside))]
-        raise DataError(f"(r, t) = ({p.r}, {p.t}) outside the unit square")
-    return r, t
+    """The r and t arrays of points."""
+    return np.array([p.r for p in points], dtype=np.float64), np.array([p.t for p in points], dtype=np.float64)
 
 
 def _window(mu: np.ndarray, sigma: np.ndarray, length: float | np.ndarray) -> tuple[np.ndarray, ...]:
@@ -310,8 +304,8 @@ def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, Numeri
     array, and the error of each point that has none, keyed by its index in
     points and in ascending order; such a point's row holds nan.
 
-    A point outside the unit square raises DataError. A point above
-    the parabola gets a DataError. The zero-trade-off points and
+    n < 2 raises ConfigError. A point outside the strategy space (see
+    `_in_space`) gets a DataError. The zero-trade-off points and
     the vertex need no moment matching: (0, 0) puts all weight on the worst
     criterion, (1, 0) on the best, and (0.5, 1) is exactly uniform (order
     weights cancel there, so any deviation would be noise); other points
@@ -321,24 +315,24 @@ def generate_weights_batch(points, n: int) -> tuple[np.ndarray, dict[int, Numeri
     NumericalError. No result is clamped silently.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2 weights, got {n}")
+        raise ConfigError(f"n must be >= 2, got {n}")
     r, t = _coordinates(points)
     W = np.full((len(points), n), np.nan)
     failures = {}
-    under = _under_parabola(r, t)
-    for i in np.flatnonzero(~under):
+    inside = _in_space(r, t)
+    for i in np.flatnonzero(~inside):
         p = points[i]
         failures[int(i)] = DataError(f"(r, t) = ({p.r}, {p.t}) outside the strategy space")
 
     # a feasible point with r = 0 or r = 1 has t <= FEAS_EPS, so the
     # corners take the unit-mass rule too
-    flat = np.flatnonzero(under & (t <= T_DEGENERATE))
+    flat = np.flatnonzero(inside & (t <= T_DEGENERATE))
     W[flat] = 0.0
     W[flat, np.minimum((r[flat] * n).astype(np.int64), n - 1)] = 1.0
     vertex = (r == 0.5) & (t == 1.0)
     W[vertex] = 1.0 / n
 
-    solve = np.flatnonzero(under & (t > T_DEGENERATE) & ~vertex)
+    solve = np.flatnonzero(inside & (t > T_DEGENERATE) & ~vertex)
     if solve.size:
         mu, sigma, mean, std = _solve_sigma(r[solve], t[solve])
         target = t[solve] / SQRT12
@@ -370,14 +364,16 @@ def sample_design(m: int, seed: int) -> ExperimentalDesign:
     reproduces the same design.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1 design points, got {m}")
+        raise ConfigError(f"m must be >= 1, got {m}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     points: list[DecisionPoint] = []
     proposals = 0
     while len(points) < m:
         # k draws of (r, t) read the stream as 2k scalar draws would
         r, t = rng.random((2 * (m - len(points)) + 16, 2)).T
-        accepted = np.flatnonzero(_under_parabola(r, t))[: m - len(points)]
+        accepted = np.flatnonzero(_in_space(r, t))[: m - len(points)]
         points += map(DecisionPoint, r[accepted].tolist(), t[accepted].tolist())
         proposals += int(accepted[-1]) + 1 if len(points) == m else r.size
     return ExperimentalDesign(points=tuple(points), n_proposals=proposals)

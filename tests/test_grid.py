@@ -485,6 +485,19 @@ def test_build_stack_value_range(meta_2x1):
         build_stack([("bad", bad), ("ok", ok)], [1.0, 1.0])
 
 
+def test_build_stack_names_every_bad_layer(meta_2x1):
+    # two layers off the frame and two valued 1.5: one error naming all
+    # four in stack order
+    other = GridMeta(ncols=2, nrows=1, xllcorner=0.0, yllcorner=0.0, cellsize=6.0)
+    ok, off, high = (Raster(meta, np.array([0.2, v])) for meta, v in [(meta_2x1, 0.8), (other, 0.8), (meta_2x1, 1.5)])
+    with pytest.raises(DataError) as err:
+        build_stack([("a", ok), ("b", off), ("c", high), ("d", off), ("e", high)], [1.0] * 5)
+    assert str(err.value) == (
+        "layer 'b' is not aligned with the stack frame; layer 'c' has valid values in [0, 1.5], outside [0, 1]; "
+        "layer 'd' is not aligned with the stack frame; layer 'e' has valid values in [0, 1.5], outside [0, 1]"
+    )
+
+
 def test_build_stack_clamps_float_dust(meta_2x1):
     dusty = Raster(meta_2x1, np.array([1.0 + 1e-10, -1e-10]))
     ok = Raster(meta_2x1, np.array([0.2, 0.8]))

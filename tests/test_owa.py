@@ -358,6 +358,28 @@ def test_batch_peak_memory_within_budget(tmp_path):
         assert peak <= need, (side, peak / need)
 
 
+def test_batch_peak_memory_counts_one_divisor_per_map(tmp_path):
+    # above 512 maps a round is one chunk, so each chunk's slice of the
+    # round buffer is contiguous and numpy divides it in place without a
+    # copy: 600 maps over a 40x40x10 stack (a chunk and a shorter one)
+    # stay within a need that counts one divisor per map, below one that
+    # counted a second
+    meta = GridMeta(ncols=40, nrows=40, xllcorner=0, yllcorner=0, cellsize=1)
+    rng = np.random.default_rng(5)
+    n, design = 10, ExperimentalDesign(points=_corner_design().points * 200)
+    stack = build_stack([(f"c{j}", Raster(meta, rng.random(meta.size))) for j in range(n)], rng.random(n) + 0.5)
+    m, pixels = design.m, meta.size
+    _, need = map_pass_plan(m, pixels, n, 1 << 40, 1)
+    two_divisors = 8 * (2 * m * m + m * n + _PIXEL_CHUNK * m + pixels + _PIXEL_CHUNK * (2 * m + 3 * n))
+    tracemalloc.start()
+    try:
+        batch_compute(stack, design, n, tmp_path / "maps.bin")[0].close()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need < two_divisors, (peak, need, two_divisors)
+
+
 def test_batch_peak_memory_holds_no_pixel_cache(tmp_path):
     # two maps over a 256x256x10 stack: a cache of 16 bytes per pixel and
     # criterion (10 MiB) would be over five times the need, so the traced
@@ -389,7 +411,7 @@ def test_batch_peak_memory_counts_a_chunk_per_thread(tmp_path):
         size, need = map_pass_plan(design.m, meta.size, n, 1 << 40, threads)
         assert size == threads
         grown = need - map_pass_plan(design.m, meta.size, n, 1 << 40, threads - 1)[1]
-        assert grown == 8 * _PIXEL_CHUNK * (2 * design.m + 3 * n)
+        assert grown == 8 * (_PIXEL_CHUNK * (design.m + 3 * n) + 2 * np.getbufsize())
         tracemalloc.start()
         try:
             batch_compute(stack, design, n, tmp_path / f"{threads}.bin", threads)[0].close()
@@ -422,7 +444,7 @@ def _lowered_plan(m, pixel_count, n, memory_budget, threads):
     chunk, width = min(pixel_count, _PIXEL_CHUNK), owa._round_width(m, pixel_count)
 
     def need(size):
-        return 8 * (2 * m * m + m * n + width * m + pixel_count + size * chunk * (2 * m + 3 * n))
+        return 8 * (2 * m * m + m * n + width * m + pixel_count + size * (chunk * (m + 3 * n) + 2 * np.getbufsize()))
 
     size = owa.pool_size(-(-width // _PIXEL_CHUNK), threads)
     while size > 1 and need(size) > memory_budget:

@@ -165,6 +165,43 @@ def test_load_config_value_messages(tmp_path, line, message):
     assert str(err.value) == message
 
 
+def test_config_names_every_value_out_of_range(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("stack_manifest = x\nm = 1\nseed = -3\nk_max = 0\nk = 40\nmemory_budget_mib = 0\n")
+    message = (
+        "m must be >= 2, got 1; seed must be >= 0, got -3; k_max must be >= 1, got 0; "
+        "k must be in [1, m], got 40; memory budget must be >= 1 MiB, got 0"
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value) == message
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, faults",
+    [
+        ("stack_manifest = x\nm = ten\nseed = x\nbogus = 1\n", [
+            ":4: unknown key 'bogus'", "config key 'm' must be an integer, got 'ten'",
+            "config key 'seed' must be an integer, got 'x'",
+        ]),
+        ("m = ten\nm = 5\nbogus = 1\nk 3\n", [
+            ":2: duplicate key 'm'", ":3: unknown key 'bogus'", ":4: expected 'key = value', got 'k 3'",
+            ": missing required key 'stack_manifest'", "config key 'm' must be an integer, got 'ten'",
+        ]),
+    ],
+    ids=["unknown and unparsable", "every kind"],
+)
+def test_load_config_names_every_bad_line_and_key(tmp_path, text, faults):
+    # lines in file order, then missing and unparsable keys in field order
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value) == "; ".join(f"{cfg_path}{f}" if f[0] == ":" else f for f in faults)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -448,7 +485,7 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     _, recomputed = pairwise_from_store(store)
     m, pixels, n = store.m, store.pixel_count, 4  # synth_dir holds 4 criteria
     assert pixels < 1024  # one chunk, and a round of every pixel
-    need = 8 * (2 * m * m + m * n + pixels * m + pixels + pixels * (2 * m + 3 * n))
+    need = 8 * (2 * m * m + m * n + pixels * m + pixels + pixels * (m + 3 * n) + 2 * np.getbufsize())
     assert manifest.metrics == {
         "distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "threads": 1, "valid_pixels": pixels,
     }
@@ -695,7 +732,7 @@ def test_cli_analyze_names_every_design_point_above_the_parabola(completed_run, 
 
 @pytest.mark.parametrize("row, message", [
     ("0,0.9,0.9", "design point 0 (r=0.9, t=0.9) outside the strategy space; failing design indices: 0"),
-    ("2,nan,0.5", "(r, t) = (nan, 0.5) outside the unit square"),
+    ("2,nan,0.5", "design point 2 (r=nan, t=0.5) outside the strategy space; failing design indices: 2"),
 ], ids=["above the parabola", "nan"])
 def test_cli_analyze_names_design_csv_for_a_point_outside_the_space(completed_run, tmp_path, capsys, row, message):
     out, _, _ = completed_run
@@ -706,6 +743,23 @@ def test_cli_analyze_names_design_csv_for_a_point_outside_the_space(completed_ru
     (run / "design.csv").write_text("".join(line + "\n" for line in rows))
     assert main(["analyze", "--run-dir", str(run), "--k", "3", "--out", str(tmp_path / "re")]) == 3
     assert f"{run / 'design.csv'}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
+def test_cli_analyze_names_every_design_point_outside_the_space(completed_run, tmp_path, capsys):
+    # nan, outside the unit square and above the parabola: one message
+    # naming design.csv and every index
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    rows = (run / "design.csv").read_text().splitlines()
+    rows[2], rows[5], rows[10] = "1,nan,0.5", "4,0.5,1.5", "9,0.1,0.9"
+    (run / "design.csv").write_text("".join(line + "\n" for line in rows))
+    assert main(["analyze", "--run-dir", str(run), "--k", "3", "--out", str(tmp_path / "re")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {run / 'design.csv'}: design point 1 (r=nan, t=0.5) outside the strategy space; "
+        "failing design indices: 1, 4, 9\n"
+    )
     assert not (tmp_path / "re").exists()
 
 
@@ -807,6 +861,23 @@ def test_cli_analyze_checks_before_any_directory(completed_run, tmp_path, capsys
     assert main(["analyze", "--run-dir", str(run), "--k", "2"]) == 3
     assert not (run / "incomplete").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("k_max", [0, 99])
+def test_cli_analyze_names_the_manifest_for_a_k_max_outside_one_to_m(completed_run, tmp_path, capsys, k_max):
+    # the curve takes the manifest's k_max as it is: one above m is refused
+    # like zero, naming run_manifest.json, before anything is staged
+    out, _, _ = completed_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    manifest = json.loads((run / "run_manifest.json").read_text())
+    manifest["config"]["k_max"] = k_max
+    (run / "run_manifest.json").write_text(json.dumps(manifest))
+    assert main(["analyze", "--run-dir", str(run), "--k", "2", "--out", str(tmp_path / "re")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {run / 'run_manifest.json'}: k_max must be in [1, 14], got {k_max}\n"
+    )
+    assert not (tmp_path / "re").exists()
 
 
 _NO_CORNER = "ncols 2\nnrows 1\ncellsize 5\n0.2 0.8\n"
@@ -1096,7 +1167,7 @@ def test_cli_run_over_budget_exits_2_before_the_solve(completed_run, tmp_path, m
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "stage 'load'" in err
-    assert "need memory_budget_mib >= 5, got 1" in err
+    assert "need memory_budget_mib >= 4, got 1" in err
     assert {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
@@ -1280,7 +1351,7 @@ def test_cli_sample(capsys):
 
 
 @pytest.mark.parametrize(
-    "args, message", [(["sample", "--m", "0"], "--m must be >= 1, got 0"), (["weights", "--r", "0.5", "--t", "0.5", "--n", "1"], "--n must be >= 2, got 1")]
+    "args, message", [(["sample", "--m", "0"], "m must be >= 1, got 0"), (["weights", "--r", "0.5", "--t", "0.5", "--n", "1"], "n must be >= 2, got 1")]
 )
 def test_cli_rejects_too_few_points_or_weights(capsys, args, message):
     assert main(args) == 2

@@ -18,7 +18,7 @@ from _oracles import (
     solve_mu_bisect,
 )
 from owa_explorer import strategy
-from owa_explorer.errors import DataError, NumericalError
+from owa_explorer.errors import ConfigError, DataError, NumericalError
 from owa_explorer.strategy import (
     MOMENT_TOL,
     MU_HI,
@@ -38,12 +38,11 @@ UNIFORM_STD = 1.0 / SQRT12  # 0.288675...
 
 
 def _feasible(p):
-    """Whether a design may hold p: under the parabola t <= 4r(1-r)."""
+    """Whether a design may hold p: in the unit square, under the parabola t <= 4r(1-r)."""
     try:
         ExperimentalDesign(points=(p,))
     except DataError as exc:
-        if "outside the strategy space" not in str(exc):  # the unit-square check raises through
-            raise
+        assert str(exc).startswith(f"design point 0 (r={p.r}, t={p.t}) outside the strategy space;"), exc
         return False
     return True
 
@@ -55,10 +54,10 @@ def test_feasible_vertex_and_boundary():
 
 
 def test_feasible_rejects_out_of_square():
-    with pytest.raises(DataError, match=r"^\(r, t\) = \(-0\.1, 0\.5\) outside the unit square$"):
-        _feasible(DecisionPoint(-0.1, 0.5))
-    with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.5, 1\.1\) outside the unit square$"):
-        _feasible(DecisionPoint(0.5, 1.1))
+    # outside the unit square is outside the strategy space, nan included,
+    # and so is a hair past an edge where the parabola's FEAS_EPS would admit it
+    for r, t in [(-0.1, 0.5), (0.5, 1.1), (-1e-14, 0.0), (0.5, 1.0 + 1e-13), (math.nan, 0.5), (0.5, math.nan)]:
+        assert not _feasible(DecisionPoint(r, t)), (r, t)
 
 
 def _moments_of(*pairs):
@@ -548,8 +547,32 @@ def test_generate_weights_degenerate_bin():
 def test_generate_weights_infeasible():
     with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.2, 0\.65\) outside the strategy space$"):
         generate_weights(DecisionPoint(0.2, 0.65), 10)
-    with pytest.raises(DataError, match=r"^\(r, t\) = \(0.5, 1.5\) outside the unit square$"):
-        generate_weights_batch([DecisionPoint(0.4, 0.3), DecisionPoint(0.5, 1.5), DecisionPoint(-1.0, 0.0)], 10)
+    with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.5, 1\.5\) outside the strategy space$"):
+        generate_weights(DecisionPoint(0.5, 1.5), 10)
+
+
+def test_generate_weights_batch_reports_every_point_outside_the_space():
+    # nan, outside the unit square and above the parabola: one failure each,
+    # in index order, and the feasible point between them still solved
+    points = [DecisionPoint(math.nan, 0.5), DecisionPoint(0.3, 0.2), DecisionPoint(0.5, 1.5), DecisionPoint(0.1, 0.9)]
+    W, failures = generate_weights_batch(points, 10)
+    assert list(failures) == [0, 2, 3] and all(type(exc) is DataError for exc in failures.values())
+    assert {i: str(exc) for i, exc in failures.items()} == {
+        i: f"(r, t) = ({points[i].r}, {points[i].t}) outside the strategy space" for i in (0, 2, 3)
+    }
+    assert np.isnan(W[[0, 2, 3]]).all() and W[1].tolist() == generate_weights(points[1], 10).w.tolist()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_weights_batch([DecisionPoint(0.5, 0.5)], 1), "n must be >= 2, got 1"),
+    (lambda: generate_weights(DecisionPoint(0.5, 1.5), 0), "n must be >= 2, got 0"),
+    (lambda: sample_design(0, 3), "m must be >= 1, got 0"),
+    (lambda: sample_design(5, -1), "seed must be >= 0, got -1"),
+], ids=["batch n", "n before the point", "m", "seed"])
+def test_bounds_raise_config_error(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_empirical_risk_extremes():
@@ -635,8 +658,13 @@ def test_design_names_every_point_above_the_parabola():
     assert str(err.value) == (
         "design point 0 (r=0.1, t=0.9) outside the strategy space; failing design indices: 0, 2"
     )
-    with pytest.raises(DataError, match=r"^\(r, t\) = \(0\.5, 1\.5\) outside the unit square$"):
-        ExperimentalDesign(points=(DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 1.5)))
+    # outside the unit square, nan included, fails the same test and is named beside the rest
+    points = (DecisionPoint(0.3, 0.2), DecisionPoint(math.nan, 0.5), DecisionPoint(0.5, 1.5), DecisionPoint(0.1, 0.9))
+    with pytest.raises(DataError) as err:
+        ExperimentalDesign(points=points)
+    assert str(err.value) == (
+        "design point 1 (r=nan, t=0.5) outside the strategy space; failing design indices: 1, 2, 3"
+    )
 
 
 @pytest.mark.parametrize("m, seed", [(1, 0), (7, 3), (200, 7), (1000, 467)])
