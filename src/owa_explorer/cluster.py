@@ -10,6 +10,7 @@ Ties go to the smallest cluster id, so dendrograms are fully deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 
 # Unused here: the traced benchmark swaps this name (ROADMAP item 5 drops it).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -37,11 +38,34 @@ _BLOCK = 64
 class MergeTree:
     """m-1 merges of (cluster-a, cluster-b, height, new size).
 
-    Leaves are 0..m-1; the cluster born at step s has id m+s.
+    Leaves are 0..m-1; the cluster born at step s has id m+s. Each step
+    must join two distinct live clusters into one of their summed size at
+    a finite height >= 0; DataError names the first step that does not.
     """
 
     m: int
     merges: tuple[tuple[int, int, float, int], ...]
+
+    def __post_init__(self):
+        m, n = self.m, len(self.merges)
+        if n != m - 1:
+            raise DataError(f"step {min(n, m - 1)}: {m} maps need {m - 1} merges, the tree holds {n}")
+        sizes = dict.fromkeys(range(m), 1)  # live cluster id -> member count
+        for step, (a, b, height, new_size) in enumerate(self.merges):
+            if a == b:
+                raise DataError(f"step {step}: merges cluster {a} with itself")
+            for c in (a, b):
+                if c not in sizes:
+                    state = "was merged before" if 0 <= c < m + step else "does not exist yet"
+                    raise DataError(f"step {step}: cluster {c} {state}")
+            if new_size != sizes[a] + sizes[b]:
+                raise DataError(
+                    f"step {step}: new_size {new_size}, but clusters {a} and {b} hold {sizes[a]} + {sizes[b]}"
+                )
+            if not (math.isfinite(height) and height >= 0.0):
+                raise DataError(f"step {step}: height {height!r} is not finite and >= 0")
+            del sizes[a], sizes[b]
+            sizes[m + step] = new_size
 
 
 def add_gram(gram: np.ndarray, cols: np.ndarray, product: np.ndarray) -> None:

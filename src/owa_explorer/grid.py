@@ -1,4 +1,5 @@
-"""Raster core: ESRI ASCII grid I/O, aligned criterion stacks, validity masks.
+"""Raster core: ESRI ASCII grid I/O, aligned criterion stacks, validity masks,
+and the text and CSV table readers of every input file.
 
 Grids are single-band, row 0 is the northernmost row. A cell equal to the
 declared NODATA value is invalid; invalid cells are excluded from every
@@ -7,6 +8,7 @@ computation downstream. Rasters and stacks are immutable once built.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
@@ -96,6 +98,30 @@ def decode_text(data: bytes, path: str | Path | None = None) -> str:
 def read_text(path: str | Path) -> str:
     """The text of an input file (see decode_text)."""
     return decode_text(Path(path).read_bytes(), path)
+
+
+def read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
+    """parse(position, row) for each row of a CSV whose header names every
+    column, position counting the rows from 0; every row with a missing or
+    extra field, or that parse rejects with ValueError or DataError, is
+    named by file:line in one DataError."""
+    import csv  # here, not above: importing the run path leaves the CSV parser unloaded
+
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    absent = [c for c in columns if c not in (reader.fieldnames or ())]
+    if absent:
+        raise DataError(f"{path}:1: header lacks column(s) {', '.join(absent)}")
+    parsed, bad = [], []
+    for position, row in enumerate(reader):
+        try:
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(reader.fieldnames)} fields")
+            parsed.append(parse(position, row))
+        except (ValueError, DataError) as exc:
+            bad.append(f"{path}:{reader.line_num}: {exc}")
+    if bad:
+        raise DataError("; ".join(bad))
+    return parsed
 
 
 def read_grid(path: str | Path) -> Raster:

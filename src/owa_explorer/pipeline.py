@@ -35,7 +35,7 @@ from .cluster import (
     cut,
 )
 from .errors import ConfigError, DataError
-from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_text, write_ascii_grid
+from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_csv, read_text, write_ascii_grid
 from .mapstore import MapStore, mask_digest, store_size
 from .owa import batch_compute, map_pass_plan, pool_map
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
@@ -140,15 +140,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     return PipelineConfig(**values)
 
 
+def _attempt(read, *args):
+    """read(*args), or the DataError it raises, returned so that the caller names every bad input."""
+    try:
+        return read(*args)
+    except DataError as exc:
+        return exc
+
+
 def _read_grid(path: Path) -> tuple[str, Raster | DataError]:
     """The SHA-256 of a grid file's bytes, and the grid parsed from them or
     the DataError that says why they do not parse."""
     data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        return digest, parse_ascii_grid(data, path)
-    except DataError as exc:  # returned, so that the load names every bad grid
-        return digest, exc
+    return hashlib.sha256(data).hexdigest(), _attempt(parse_ascii_grid, data, path)
 
 
 def _parse_weight(token: str) -> float | None:
@@ -170,8 +174,9 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
     split on commas, or on whitespace when the row holds no comma.
 
     The weight column accepts either a number or a votes/total fraction
-    like `7/13`. Every weight is parsed before any grid is read; if any is
-    not a finite number > 0, DataError names the line and the token of each.
+    like `7/13`. Every row is parsed before any grid is read; one DataError
+    names, in line order, each row that is not `name,path,weight` and the
+    token of each weight that is not a finite number > 0.
     Paths are relative to the manifest file. The grids are read and parsed
     by pool_map over `threads`; one DataError names each grid that does not
     parse with its first problem, in manifest order. Returns the
@@ -181,8 +186,7 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
     """
     path = Path(path)
     base = path.parent
-    rows = []
-    bad = []
+    rows, faults, weight_rule = [], [], ""
     data = path.read_bytes()
     digests = {str(path): hashlib.sha256(data).hexdigest()}
     for lineno, line in enumerate(decode_text(data, path).splitlines(), start=1):
@@ -191,19 +195,18 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
             continue
         parts = line.split(",") if "," in line else line.split()
         if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 'name,path,weight', got {line!r}")
+            faults.append(f"{path}:{lineno}: expected 'name,path,weight', got {line!r}")
+            continue
         name, grid_path, weight_s = (p.strip() for p in parts)
         if name == "name" and weight_s == "weight":
             continue  # header row
         weight = _parse_weight(weight_s)
         if weight is None or weight <= 0:
-            bad.append(f"{path}:{lineno}: weight {weight_s!r}")
+            faults.append(f"{path}:{lineno}: weight {weight_s!r}")
+            weight_rule = "; criterion weights must be finite numbers > 0 or votes/total fractions with a nonzero total"
         rows.append((name, grid_path, weight))
-    if bad:
-        raise DataError(
-            "criterion weights must be finite numbers > 0 or votes/total fractions with a "
-            "nonzero total: " + "; ".join(bad)
-        )
+    if faults:
+        raise DataError("; ".join(faults) + weight_rule)
     if not rows:
         raise DataError(f"{path}: empty stack manifest")
     paths = [(base / grid_path).resolve() for _, grid_path, _ in rows]
@@ -268,8 +271,7 @@ def synth_generate(width: int, height: int, n: int, seed: int, out_dir: str | Pa
     gx, gy = np.meshgrid(xs, ys)
 
     total_experts = 13
-    manifest_lines = ["name,path,weight"]
-    votes_lines = ["service,votes,total"]
+    manifest_rows, votes_rows = [], []
     for j in range(n):
         field = np.zeros((height, width))
         for _ in range(6):
@@ -288,10 +290,10 @@ def synth_generate(width: int, height: int, n: int, seed: int, out_dir: str | Pa
         name = f"criterion_{j:02d}"
         (out_dir / f"{name}.asc").write_text(write_ascii_grid(Raster(meta, values)))
         votes = int(rng.integers(1, total_experts + 1))
-        manifest_lines.append(f"{name},{name}.asc,{votes}/{total_experts}")
-        votes_lines.append(f"{name},{votes},{total_experts}")
-    (out_dir / "stack_manifest.csv").write_text("\n".join(manifest_lines) + "\n")
-    (out_dir / "votes.csv").write_text("\n".join(votes_lines) + "\n")
+        manifest_rows.append(f"{name},{name}.asc,{votes}/{total_experts}")
+        votes_rows.append(f"{name},{votes},{total_experts}")
+    (out_dir / "stack_manifest.csv").write_text(_csv_text("name,path,weight", manifest_rows))
+    (out_dir / "votes.csv").write_text(_csv_text("service,votes,total", votes_rows))
     return out_dir / "stack_manifest.csv"
 
 
@@ -308,126 +310,85 @@ def render_pgm(raster: Raster, out_path: str | Path) -> None:
         fh.write(gray.astype(">u2").tobytes())
 
 
+def _csv_text(header: str, rows) -> str:
+    """The text of a table: the header, then each row, every line ended by a newline."""
+    return "\n".join([header, *rows]) + "\n"
+
+
 _DESIGN_HEADER = "index,r,t"
 
 
 def format_design_csv(design: ExperimentalDesign) -> str:
     """The text of design.csv; `owa-explorer sample` prints it too."""
-    lines = [_DESIGN_HEADER]
-    for i, p in enumerate(design.points):
-        lines.append(f"{i},{p.r!r},{p.t!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(_DESIGN_HEADER, (f"{i},{p.r!r},{p.t!r}" for i, p in enumerate(design.points)))
 
 
-def _read_design_csv(path: Path) -> ExperimentalDesign:
-    """Parse the design `format_design_csv` wrote; a wrong header, a row
-    that is not `index,r,t` with numbers, an index that is not the row's
-    position (maps.bin records are matched to rows by position), or no
-    rows at all raises DataError naming the file and the line; points
-    outside the strategy space raise ExperimentalDesign's, naming the file."""
-    lines = read_text(path).splitlines()
-    header = lines[0] if lines else ""
-    if header != _DESIGN_HEADER:
-        raise DataError(f"{path}:1: header {header!r}, expected {_DESIGN_HEADER!r}")
-    points = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields, got {line!r}")
-        try:
-            index, r, t = int(fields[0]), float(fields[1]), float(fields[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed row {line!r}") from None
-        if index != len(points):
-            raise DataError(f"{path}:{lineno}: index {index}, expected {len(points)}")
-        points.append(DecisionPoint(r, t))
-    if not points:
-        raise DataError(f"{path}: no design points")
+def _read_design_csv(path: Path, m: int) -> ExperimentalDesign:
+    """Parse the design of m points `format_design_csv` wrote. A row whose
+    index is not its position is refused like one that does not parse
+    (maps.bin records are matched to rows by position); ExperimentalDesign's
+    DataError and a count other than m name the file."""
+
+    def parse(position, row):
+        index = int(row["index"])
+        if index != position:
+            raise ValueError(f"index {index}, expected {position}")
+        return DecisionPoint(float(row["r"]), float(row["t"]))
+
+    points = read_csv(path, tuple(_DESIGN_HEADER.split(",")), parse)
     try:
-        return ExperimentalDesign(points=tuple(points))
+        design = ExperimentalDesign(points=tuple(points))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    if design.m != m:
+        raise DataError(f"{path}: {design.m} points for {m} maps")
+    return design
 
 
 def format_weights_csv(W: np.ndarray) -> str:
     """The text of weights.csv, one row per row of the (m, n) order weights
     W; `owa-explorer weights` prints it too."""
-    lines = ["index," + ",".join(f"w_{j + 1}" for j in range(W.shape[1]))]
-    for i, w in enumerate(W.tolist()):
-        lines.append(f"{i}," + ",".join(map(repr, w)))
-    return "\n".join(lines) + "\n"
+    header = "index," + ",".join(f"w_{j + 1}" for j in range(W.shape[1]))
+    return _csv_text(header, (f"{i}," + ",".join(map(repr, w)) for i, w in enumerate(W.tolist())))
 
 
 _MERGE_TREE_HEADER = "step,cluster_a,cluster_b,height,new_size"
 
 
 def _write_merge_tree_csv(tree, path: Path) -> None:
-    lines = [_MERGE_TREE_HEADER]
-    for step, (a, b, height, size) in enumerate(tree.merges):
-        lines.append(f"{step},{a},{b},{height!r},{size}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = (f"{step},{a},{b},{height!r},{size}" for step, (a, b, height, size) in enumerate(tree.merges))
+    path.write_text(_csv_text(_MERGE_TREE_HEADER, rows))
 
 
 def _write_tree_outputs(tree: MergeTree, curve: list[tuple[int, float]], out_dir: Path) -> None:
     """merge_tree.csv, the variance curve and the suggested k of one tree."""
     _write_merge_tree_csv(tree, out_dir / "merge_tree.csv")
-    lines = ["k,variance_ratio", *(f"{k},{ratio!r}" for k, ratio in curve)]
-    (out_dir / "variance_curve.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "variance_curve.csv").write_text(_csv_text("k,variance_ratio", (f"{k},{r!r}" for k, r in curve)))
     (out_dir / "suggested_k.txt").write_text(f"{suggest_k(curve)}\n")
 
 
 def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
     """Parse the merge tree of m maps that `_write_merge_tree_csv` wrote.
 
-    Heights are exact reprs, so the tree comes back bit-identical. Each of
-    the m-1 steps must join two distinct live clusters into one of their
-    summed size at a finite, non-negative height; anything else raises
-    DataError naming the file and the step.
+    Heights are exact reprs, so the tree comes back bit-identical. A row
+    whose step is not its position is refused like one that does not
+    parse; MergeTree's DataError names the file and the step.
     """
+
+    def parse(position, row):
+        step = int(row["step"])
+        if step != position:
+            raise ValueError(f"step {position}: row numbered {step}")
+        return int(row["cluster_a"]), int(row["cluster_b"]), float(row["height"]), int(row["new_size"])
+
     try:
-        lines = read_text(path).splitlines()
+        merges = read_csv(path, tuple(_MERGE_TREE_HEADER.split(",")), parse)
     except FileNotFoundError:
         raise DataError(f"{path}: missing; analyze re-cuts the merge tree a run writes") from None
-    header = lines[0] if lines else ""
-    if header != _MERGE_TREE_HEADER:
-        raise DataError(f"{path}: header {header!r}, expected {_MERGE_TREE_HEADER!r}")
-    rows = lines[1:]
-    if len(rows) != m - 1:
-        raise DataError(
-            f"{path}: step {min(len(rows), m - 1)}: {m} maps need {m - 1} merges, "
-            f"the file holds {len(rows)}"
-        )
-    sizes = dict.fromkeys(range(m), 1)  # live cluster id -> member count
-    merges = []
-    for step, line in enumerate(rows):
-        where = f"{path}: step {step}"
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise DataError(f"{where}: expected 5 fields, got {line!r}")
-        try:
-            s, a, b, new_size = (int(fields[i]) for i in (0, 1, 2, 4))
-            height = float(fields[3])
-        except ValueError:
-            raise DataError(f"{where}: malformed row {line!r}") from None
-        if s != step:
-            raise DataError(f"{where}: row numbered {s}")
-        if a == b:
-            raise DataError(f"{where}: merges cluster {a} with itself")
-        for c in (a, b):
-            if c not in sizes:
-                state = "was merged before" if 0 <= c < m + step else "does not exist yet"
-                raise DataError(f"{where}: cluster {c} {state}")
-        if new_size != sizes[a] + sizes[b]:
-            raise DataError(
-                f"{where}: new_size {new_size}, but clusters {a} and {b} hold "
-                f"{sizes[a]} + {sizes[b]}"
-            )
-        if not (math.isfinite(height) and height >= 0.0):
-            raise DataError(f"{where}: height {fields[3]!r} is not finite and >= 0")
-        del sizes[a], sizes[b]
-        sizes[m + step] = new_size
-        merges.append((a, b, height, new_size))
-    return MergeTree(m=m, merges=tuple(merges))
+    try:
+        return MergeTree(m=m, merges=tuple(merges))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _check_free_disk(out_dir: Path, m: int, pixel_count: int, write_distances: bool) -> None:
@@ -461,9 +422,9 @@ def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir):
     labels = cut(tree, k)
     means, stds = cluster_summaries(store, labels)
     rows = [f"{i},{p.r!r},{p.t!r},{label}" for i, (p, label) in enumerate(zip(design.points, labels.tolist()))]
-    (out_dir / "segmentation.csv").write_text("\n".join(["index,r,t,label", *rows]) + "\n")
+    (out_dir / "segmentation.csv").write_text(_csv_text("index,r,t,label", rows))
     grid = np.full(meta.size, meta.nodata_value)
-    centroids = ["label,members,centroid_r,centroid_t"]
+    centroids = []
     for c in range(len(means)):
         for name, values in (("mean", means[c]), ("std", stds[c])):
             grid[valid_mask] = values
@@ -472,7 +433,7 @@ def _cluster_outputs(store, design, tree, k, meta, valid_mask, out_dir):
         r = float(np.mean([design.points[i].r for i in members]))
         t = float(np.mean([design.points[i].t for i in members]))
         centroids.append(f"{c + 1},{members.size},{r!r},{t!r}")
-    (out_dir / "cluster_centroids.csv").write_text("\n".join(centroids) + "\n")
+    (out_dir / "cluster_centroids.csv").write_text(_csv_text("label,members,centroid_r,centroid_t", centroids))
 
 
 # The names each writer owns in its output directory; no other file there is touched.
@@ -594,15 +555,29 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
     return manifest
 
 
+def _read_mask(path: Path, store: MapStore) -> tuple[GridMeta, np.ndarray]:
+    """The frame and validity mask of a run's mask.asc, checked against the store's."""
+    # not grid.read_grid: perfbench/tracer.py wraps parse_ascii_grid in pipeline's namespace
+    raster = parse_ascii_grid(path.read_bytes(), path)
+    valid_mask = raster.values == 1.0
+    store.check_digest(mask_digest(raster.meta.ncols, raster.meta.nrows, valid_mask))
+    valid = int(valid_mask.sum())
+    if valid != store.pixel_count:
+        raise DataError(f"{store.path}: {store.pixel_count} pixels, {path} has {valid} valid cells")
+    return raster.meta, valid_mask
+
+
 def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, workers: int = 1) -> None:
     """Re-cut a finished run's Ward tree with a new k, without recomputing
     maps, distances or the linkage.
 
-    Reads merge_tree.csv, design.csv, mask.asc, maps.bin and run_manifest.json
+    Reads run_manifest.json, maps.bin, design.csv, mask.asc and merge_tree.csv
     from run_dir and checks them all before it creates any directory, then
-    stages the outputs (see _staged). The curve's range, k_max, comes from
-    the run's manifest; a k_max outside [1, m] is a DataError naming it.
-    `workers` is deprecated and has no effect.
+    stages the outputs (see _staged). The last three are each read however
+    the others fare; one DataError names each that is bad, in that order.
+    The curve's range, k_max, comes from the run's manifest; a k_max
+    outside [1, m] is a DataError naming it. `workers` is deprecated and
+    has no effect.
     """
     if workers != 1:
         warnings.warn(
@@ -621,22 +596,19 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
     with MapStore.open(run_dir / "maps.bin") as store:
         if not (1 <= k <= store.m):
             raise ConfigError(f"k must be in [1, {store.m}], got {k}")
-        design = _read_design_csv(run_dir / "design.csv")
-        if design.m != store.m:
-            raise DataError(f"{run_dir / 'design.csv'}: {design.m} points for {store.m} maps")
-        mask_path = run_dir / "mask.asc"
-        # not grid.read_grid: perfbench/tracer.py wraps parse_ascii_grid in pipeline's namespace
-        mask_raster = parse_ascii_grid(mask_path.read_bytes(), mask_path)
-        valid_mask = mask_raster.values == 1.0
-        store.check_digest(mask_digest(mask_raster.meta.ncols, mask_raster.meta.nrows, valid_mask))
-        valid = int(valid_mask.sum())
-        if valid != store.pixel_count:
-            raise DataError(f"{store.path}: {store.pixel_count} pixels, {mask_path} has {valid} valid cells")
-        tree = _read_merge_tree_csv(run_dir / "merge_tree.csv", store.m)
+        read = [
+            _attempt(_read_design_csv, run_dir / "design.csv", store.m),
+            _attempt(_read_mask, run_dir / "mask.asc", store),
+            _attempt(_read_merge_tree_csv, run_dir / "merge_tree.csv", store.m),
+        ]
+        faults = [str(exc) for exc in read if isinstance(exc, DataError)]
+        if faults:
+            raise DataError("; ".join(faults))
+        design, mask, tree = read
         try:
             curve = variance_ratio_curve(tree, k_max)
         except DataError as exc:
             raise DataError(f"{manifest_path}: {exc}") from None
         with _staged(out, _ANALYZE_OWNS) as stage:
             _write_tree_outputs(tree, curve, stage)
-            _cluster_outputs(store, design, tree, k, mask_raster.meta, valid_mask, stage)
+            _cluster_outputs(store, design, tree, k, *mask, stage)

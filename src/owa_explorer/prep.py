@@ -10,8 +10,6 @@ means fully suitable for development and 1 means unsuitable.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, UnknownClass
-from .grid import Raster, read_grid, read_text, write_ascii_grid
+from .grid import Raster, read_csv, read_grid, read_text, write_ascii_grid
 
 DEFAULT_SCORE_MAX = 5.0
 
@@ -225,38 +223,16 @@ def build_criterion(
     return Raster(luc.meta, out)
 
 
-def _read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
-    """parse(row) for each row of a CSV whose header names every column;
-    every row with a missing field, or that parse rejects, is named by
-    file:line in one DataError."""
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        absent = [c for c in columns if c not in (reader.fieldnames or ())]
-        if absent:
-            raise DataError(f"{path}:1: header lacks column(s) {', '.join(absent)}")
-        parsed, bad = [], []
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                parsed.append(parse(row))
-            except (ValueError, DataError) as exc:
-                bad.append(f"{path}:{reader.line_num}: {exc}")
-    if bad:
-        raise DataError("; ".join(bad))
-    return parsed
-
-
 def load_capacity_matrix(path: str | Path, score_max: float = DEFAULT_SCORE_MAX) -> CapacityMatrix:
     """Read a capacity matrix CSV with columns expert_id, luc_class, service, score."""
 
-    def parse(row):
+    def parse(_, row):
         score = float(row["score"])
         if not (0.0 <= score <= score_max):
             raise ValueError(f"score {row['score']!r} outside [0, {score_max}]")
         return row["expert_id"].strip(), int(row["luc_class"]), row["service"].strip(), score
 
-    rows = _read_csv(Path(path), ("expert_id", "luc_class", "service", "score"), parse)
+    rows = read_csv(Path(path), ("expert_id", "luc_class", "service", "score"), parse)
     scores: dict[tuple[int, str], list[float]] = {}
     for _, cls, svc, score in rows:
         scores.setdefault((cls, svc), []).append(score)
@@ -272,12 +248,12 @@ def load_capacity_matrix(path: str | Path, score_max: float = DEFAULT_SCORE_MAX)
 def load_expert_votes(path: str | Path) -> dict[str, ExpertVotes]:
     """Read votes per service from a CSV: service, votes, total[, override_weight]."""
 
-    def parse(row):
+    def parse(_, row):
         override = row.get("override_weight", "")
         votes = ExpertVotes(int(row["votes"]), int(row["total"]), float(override) if override else None)
         return row["service"].strip(), votes
 
-    return dict(_read_csv(Path(path), ("service", "votes", "total"), parse))
+    return dict(read_csv(Path(path), ("service", "votes", "total"), parse))
 
 
 def _parse_table(token: str) -> dict[int, float]:

@@ -77,7 +77,7 @@ class ExperimentalDesign:
 
     def __post_init__(self):
         if not self.points:
-            raise ValueError("a design needs at least one point")
+            raise DataError("a design needs at least one point")
         outside = np.flatnonzero(~_in_space(*_coordinates(self.points)))
         if outside.size:
             p = self.points[outside[0]]

@@ -170,6 +170,25 @@ def test_pairwise_digest_check(tmp_path):
         store.check_digest(b"\x00" * 32)
 
 
+@pytest.mark.parametrize(
+    "merges, message",
+    [
+        (((0, 1, 0.5, 2), (2, 2, 1.0, 2), (3, 4, 2.0, 4)), "step 1: merges cluster 2 with itself"),
+        (((0, 1, 0.5, 2), (1, 2, 1.0, 2), (3, 5, 2.0, 4)), "step 1: cluster 1 was merged before"),
+        (((0, 1, 0.5, 2), (2, 6, 1.0, 2), (3, 5, 2.0, 4)), "step 1: cluster 6 does not exist yet"),
+        (((0, 1, 0.5, 2), (2, 4, 1.0, 2), (3, 5, 2.0, 4)), "step 1: new_size 2, but clusters 2 and 4 hold 1 + 2"),
+        (((0, 1, 0.5, 2), (2, 3, 0.5, 2), (4, 5, -1.0, 4)), "step 2: height -1.0 is not finite and >= 0"),
+        (((0, 1, 0.5, 2), (2, 3, 0.5, 2)), "step 2: 4 maps need 3 merges, the tree holds 2"),
+    ],
+    ids=["self merge", "merged before", "not born yet", "wrong size", "negative height", "short"],
+)
+def test_merge_tree_names_the_step_it_breaks_at(merges, message):
+    # a tree built in memory is checked as merge_tree.csv's is
+    with pytest.raises(DataError) as err:
+        MergeTree(m=4, merges=merges)
+    assert str(err.value) == message
+
+
 def test_ward_two_points(tmp_path):
     tree = ward_linkage(np.array([[0.0, 3.5**2], [3.5**2, 0.0]]))
     assert len(tree.merges) == 1

@@ -224,6 +224,13 @@ def test_load_config_line_messages(tmp_path, text, message):
     "text, message",
     [
         ("name,path,weight\na,a.asc,1\nb,b.asc\n", ":3: expected 'name,path,weight', got 'b,b.asc'"),
+        # every row that is not name,path,weight and every bad weight, in line order
+        (
+            "name,path,weight\na,a.asc,x\nb,b.asc\nc,c.asc,1\nd d.asc 0\ne,e.asc,1,2\n",
+            ":2: weight 'x'; {path}:3: expected 'name,path,weight', got 'b,b.asc'; {path}:5: weight '0'; "
+            "{path}:6: expected 'name,path,weight', got 'e,e.asc,1,2'; criterion weights must be finite "
+            "numbers > 0 or votes/total fractions with a nonzero total",
+        ),
         ("# no rows\n\n  # at all\n", ": empty stack manifest"),
     ],
 )
@@ -232,7 +239,7 @@ def test_load_stack_manifest_line_messages(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataError) as err:
         load_stack_manifest(path)
-    assert str(err.value) == f"{path}{message}"
+    assert str(err.value) == f"{path}{message.format(path=path)}"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -632,31 +639,32 @@ def _set_field(rows, step, col, value):
     rows[1 + step] = ",".join(fields)
 
 
-# (name, edit of the merge-tree lines, the step the error names); the
-# completed run has m = 14 maps, so 13 merges and cluster ids 0..26.
+# (name, edit of the merge-tree lines, where the error points: the step of a
+# fault of the tree, the line of a row that does not parse); the completed
+# run has m = 14 maps, so 13 merges and cluster ids 0..26.
 TREE_CORRUPTIONS = [
     ("header", lambda r: r.__setitem__(0, "step,a,b,height,size"), None),
     ("empty", lambda r: r.clear(), None),
-    ("missing row", lambda r: r.pop(), 12),
-    ("extra row", lambda r: r.append(r[-1]), 13),
-    ("misnumbered", lambda r: _set_field(r, 3, 0, 4), 3),
-    ("short row", lambda r: r.__setitem__(1 + 2, "2,0,1,0.5"), 2),
-    ("non-numeric", lambda r: _set_field(r, 2, 1, "x"), 2),
-    ("self merge", lambda r: _set_field(r, 4, 2, _field(r, 4, 1)), 4),
-    ("future id", lambda r: _set_field(r, 5, 1, 14 + 5), 5),
-    ("negative id", lambda r: _set_field(r, 5, 1, -1), 5),
-    ("id used twice", lambda r: _set_field(r, 6, 1, _field(r, 0, 1)), 6),
-    ("wrong size", lambda r: _set_field(r, 7, 4, int(_field(r, 7, 4)) + 1), 7),
-    ("nan height", lambda r: _set_field(r, 8, 3, "nan"), 8),
-    ("inf height", lambda r: _set_field(r, 8, 3, "inf"), 8),
-    ("negative height", lambda r: _set_field(r, 8, 3, "-0.5"), 8),
+    ("missing row", lambda r: r.pop(), "step 12:"),
+    ("extra row", lambda r: r.append(r[-1]), "step 13:"),
+    ("misnumbered", lambda r: _set_field(r, 3, 0, 4), "step 3:"),
+    ("short row", lambda r: r.__setitem__(1 + 2, "2,0,1,0.5"), ":4:"),
+    ("non-numeric", lambda r: _set_field(r, 2, 1, "x"), ":4:"),
+    ("self merge", lambda r: _set_field(r, 4, 2, _field(r, 4, 1)), "step 4:"),
+    ("future id", lambda r: _set_field(r, 5, 1, 14 + 5), "step 5:"),
+    ("negative id", lambda r: _set_field(r, 5, 1, -1), "step 5:"),
+    ("id used twice", lambda r: _set_field(r, 6, 1, _field(r, 0, 1)), "step 6:"),
+    ("wrong size", lambda r: _set_field(r, 7, 4, int(_field(r, 7, 4)) + 1), "step 7:"),
+    ("nan height", lambda r: _set_field(r, 8, 3, "nan"), "step 8:"),
+    ("inf height", lambda r: _set_field(r, 8, 3, "inf"), "step 8:"),
+    ("negative height", lambda r: _set_field(r, 8, 3, "-0.5"), "step 8:"),
 ]
 
 
 @pytest.mark.parametrize(
-    "edit, step", [c[1:] for c in TREE_CORRUPTIONS], ids=[c[0] for c in TREE_CORRUPTIONS]
+    "edit, where", [c[1:] for c in TREE_CORRUPTIONS], ids=[c[0] for c in TREE_CORRUPTIONS]
 )
-def test_analyze_rejects_corrupt_merge_tree(completed_run, tmp_path, edit, step):
+def test_analyze_rejects_corrupt_merge_tree(completed_run, tmp_path, edit, where):
     out, _, _ = completed_run
     run = tmp_path / "run"
     shutil.copytree(out, run)
@@ -668,8 +676,8 @@ def test_analyze_rejects_corrupt_merge_tree(completed_run, tmp_path, edit, step)
     with pytest.raises(DataError) as err:
         analyze(run, k=3, out_dir=re_out)
     assert str(run / "merge_tree.csv") in str(err.value)
-    if step is not None:
-        assert f"step {step}:" in str(err.value)
+    if where is not None:
+        assert where in str(err.value)
     assert not list(re_out.iterdir())
 
 
@@ -703,6 +711,56 @@ def test_analyze_rejects_malformed_design_csv(completed_run, tmp_path, edit, lin
     where = str(run / "design.csv") + (f":{line}:" if line is not None else ":")
     assert where in str(err.value)
     assert not re_out.exists()
+
+
+def _edit_run(out, tmp_path, edits):
+    """A copy of the run in out, each (file, line number, text) of edits
+    written over that line."""
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    for name, lineno, text in edits:
+        rows = (run / name).read_text().splitlines()
+        rows[lineno - 1] = text
+        (run / name).write_text("".join(row + "\n" for row in rows))
+    return run
+
+
+def test_cli_analyze_names_every_malformed_design_row(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    run = _edit_run(out, tmp_path, [("design.csv", 4, "2,x,0.5"), ("design.csv", 9, "7,0.5")])
+    assert main(["analyze", "--run-dir", str(run), "--k", "3", "--out", str(tmp_path / "re")]) == 3
+    path = run / "design.csv"
+    assert capsys.readouterr().err == (
+        f"data error: {path}:4: could not convert string to float: 'x'; {path}:9: expected 3 fields\n"
+    )
+    assert not (tmp_path / "re").exists()
+
+
+def test_cli_analyze_names_every_malformed_merge_tree_row(completed_run, tmp_path, capsys):
+    out, _, _ = completed_run
+    run = _edit_run(out, tmp_path, [("merge_tree.csv", 3, "1,2,3"), ("merge_tree.csv", 8, "6,0,1,high,2")])
+    assert main(["analyze", "--run-dir", str(run), "--k", "3", "--out", str(tmp_path / "re")]) == 3
+    path = run / "merge_tree.csv"
+    assert capsys.readouterr().err == (
+        f"data error: {path}:3: expected 5 fields; {path}:8: could not convert string to float: 'high'\n"
+    )
+    assert not (tmp_path / "re").exists()
+
+
+def test_analyze_names_every_bad_run_file_in_order(completed_run, tmp_path):
+    # design.csv, mask.asc and merge_tree.csv are each read however the
+    # others fare, and one error names them in that order, before any staging
+    out, _, _ = completed_run
+    run = _edit_run(out, tmp_path, [("design.csv", 2, "0,x,0.5"), ("mask.asc", 1, "ncols x"),
+                                    ("merge_tree.csv", 5, "3,0,0,1.0,2")])
+    with pytest.raises(DataError) as err:
+        analyze(run, k=3, out_dir=tmp_path / "re")
+    assert str(err.value).split("; ") == [
+        f"{run / 'design.csv'}:2: could not convert string to float: 'x'",
+        f"{run / 'mask.asc'}: header key 'ncols' has non-numeric value 'x'",
+        f"{run / 'merge_tree.csv'}: step 3: merges cluster 0 with itself",
+    ]
+    assert not (tmp_path / "re").exists()
 
 
 def test_analyze_rejects_design_of_another_length(completed_run, tmp_path):

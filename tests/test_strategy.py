@@ -651,6 +651,12 @@ def test_order_weights_copy_their_input():
     assert a.flags.writeable
 
 
+def test_empty_design_is_a_data_error():
+    # a ValueError would reach the CLI as a traceback, not as exit 3
+    with pytest.raises(DataError, match="^a design needs at least one point$"):
+        ExperimentalDesign(points=())
+
+
 def test_design_names_every_point_above_the_parabola():
     points = (DecisionPoint(0.1, 0.9), DecisionPoint(0.5, 0.5), DecisionPoint(0.2, 0.65), DecisionPoint(0.2, 0.64))
     with pytest.raises(DataError, match="^design point 0 ") as err:
