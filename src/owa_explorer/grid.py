@@ -1,5 +1,6 @@
 """Raster core: ESRI ASCII grid I/O, aligned criterion stacks, validity masks,
-and the text and CSV table readers of every input file.
+the text and CSV table readers of every input file, and the one route by
+which a failed read becomes a named fault.
 
 Grids are single-band, row 0 is the northernmost row. A cell equal to the
 declared NODATA value is invalid; invalid cells are excluded from every
@@ -98,6 +99,18 @@ def decode_text(data: bytes, path: str | Path | None = None) -> str:
 def read_text(path: str | Path) -> str:
     """The text of an input file (see decode_text)."""
     return decode_text(Path(path).read_bytes(), path)
+
+
+def _attempt(read, *args):
+    """read(*args), or the fault that stops it as a DataError, returned so
+    that the caller names every bad input: a file that cannot be read
+    (missing, unreadable, a directory) is named by its path and why."""
+    try:
+        return read(*args)
+    except DataError as exc:
+        return exc
+    except OSError as exc:
+        return DataError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 def read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
@@ -548,7 +561,7 @@ class CriterionStack:
     """Aligned criterion layers with a shared validity mask.
 
     Valid cells hold values in [0, 1]; values off by at most 1e-9 are
-    clamped, anything further out is rejected.
+    clamped, and counted in clamped_cells; anything further out is rejected.
     """
 
     meta: GridMeta
@@ -556,6 +569,7 @@ class CriterionStack:
     layers: tuple[Raster, ...]
     criterion_weights: CriterionWeights
     valid_mask: np.ndarray = field(init=False)
+    clamped_cells: int = field(init=False)
 
     def __post_init__(self):
         if len(self.layers) < 2:
@@ -565,7 +579,7 @@ class CriterionStack:
                 f"got {len(self.names)} names, {len(self.layers)} layers, "
                 f"{len(self.criterion_weights)} weights"
             )
-        faults, checked = [], []
+        faults, checked, clamped = [], [], 0
         for name, layer in zip(self.names, self.layers):
             if not self.meta.aligned_with(layer.meta):
                 faults.append(f"layer {name!r} is not aligned with the stack frame")
@@ -576,6 +590,7 @@ class CriterionStack:
             if lo < -VALUE_EPS or hi > 1.0 + VALUE_EPS:
                 faults.append(f"layer {name!r} has valid values in [{lo:.17g}, {hi:.17g}], outside [0, 1]")
             elif lo < 0.0 or hi > 1.0:
+                clamped += int(np.count_nonzero(valid & ((vals < 0.0) | (vals > 1.0))))
                 clipped = np.where(valid, np.clip(vals, 0.0, 1.0), vals)
                 layer = Raster(layer.meta, clipped)
             checked.append(layer)
@@ -593,6 +608,7 @@ class CriterionStack:
         object.__setattr__(self, "layers", tuple(checked))
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "valid_mask", mask)
+        object.__setattr__(self, "clamped_cells", clamped)
 
     @property
     def n(self) -> int:

@@ -35,7 +35,9 @@ from .cluster import (
     cut,
 )
 from .errors import ConfigError, DataError
-from .grid import GridMeta, Raster, build_stack, decode_text, parse_ascii_grid, read_csv, read_text, write_ascii_grid
+from .grid import (
+    GridMeta, Raster, _attempt, build_stack, decode_text, parse_ascii_grid, read_csv, read_text, write_ascii_grid,
+)
 from .mapstore import MapStore, mask_digest, store_size
 from .owa import batch_compute, map_pass_plan, pool_map
 from .strategy import DecisionPoint, ExperimentalDesign, sample_design
@@ -140,19 +142,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     return PipelineConfig(**values)
 
 
-def _attempt(read, *args):
-    """read(*args), or the DataError it raises, returned so that the caller names every bad input."""
-    try:
-        return read(*args)
-    except DataError as exc:
-        return exc
-
-
-def _read_grid(path: Path) -> tuple[str, Raster | DataError]:
-    """The SHA-256 of a grid file's bytes, and the grid parsed from them or
-    the DataError that says why they do not parse."""
+def _read_grid(path: Path) -> tuple[str, Raster]:
+    """The SHA-256 of a grid file's bytes, and the grid parsed from them."""
     data = path.read_bytes()
-    return hashlib.sha256(data).hexdigest(), _attempt(parse_ascii_grid, data, path)
+    return hashlib.sha256(data).hexdigest(), parse_ascii_grid(data, path)
 
 
 def _parse_weight(token: str) -> float | None:
@@ -178,8 +171,9 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
     names, in line order, each row that is not `name,path,weight` and the
     token of each weight that is not a finite number > 0.
     Paths are relative to the manifest file. The grids are read and parsed
-    by pool_map over `threads`; one DataError names each grid that does not
-    parse with its first problem, in manifest order. Returns the
+    by pool_map over `threads`; one DataError names each grid that cannot
+    be read or does not parse with its first problem, in manifest order
+    (see grid._attempt). Returns the
     (name, raster) layers, their weights and the SHA-256 digests of the
     manifest and of each grid, keyed by path, taken from the very bytes
     that were parsed.
@@ -210,8 +204,8 @@ def load_stack_manifest(path: str | Path, threads: int | None = None):
     if not rows:
         raise DataError(f"{path}: empty stack manifest")
     paths = [(base / grid_path).resolve() for _, grid_path, _ in rows]
-    grids = pool_map(_read_grid, paths, threads)
-    failed = [str(grid) for _, grid in grids if isinstance(grid, DataError)]
+    grids = pool_map(lambda grid: _attempt(_read_grid, grid), paths, threads)
+    failed = [str(grid) for grid in grids if isinstance(grid, DataError)]
     if failed:
         raise DataError("; ".join(failed))
     digests.update((str(p), digest) for p, (digest, _) in zip(paths, grids))
@@ -381,10 +375,7 @@ def _read_merge_tree_csv(path: Path, m: int) -> MergeTree:
             raise ValueError(f"step {position}: row numbered {step}")
         return int(row["cluster_a"]), int(row["cluster_b"]), float(row["height"]), int(row["new_size"])
 
-    try:
-        merges = read_csv(path, tuple(_MERGE_TREE_HEADER.split(",")), parse)
-    except FileNotFoundError:
-        raise DataError(f"{path}: missing; analyze re-cuts the merge tree a run writes") from None
+    merges = read_csv(path, tuple(_MERGE_TREE_HEADER.split(",")), parse)
     try:
         return MergeTree(m=m, merges=tuple(merges))
     except DataError as exc:
@@ -496,6 +487,7 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
             stack = build_stack(layers, weights)
             del layers  # the stack holds them from here on
             meta, valid_mask, pixels = stack.meta, stack.valid_mask, int(stack.valid_mask.sum())
+            clamped = stack.clamped_cells
             threads, need = map_pass_plan(config.m, pixels, stack.n, config.memory_budget_mib << 20, _threads)
             _check_free_disk(out_dir, config.m, pixels, config.write_distances)  # both checks before the solve
             durations["load"] = time.perf_counter() - t0
@@ -545,6 +537,7 @@ def run_pipeline(config: PipelineConfig, _threads: int | None = None) -> RunMani
             finished=datetime.now(timezone.utc).isoformat(),
             durations=durations,
             metrics={
+                "clamped_cells": clamped,
                 "distance_pairs_recomputed": pairs_recomputed,
                 "map_pass_bytes": need,
                 "threads": threads,
@@ -574,7 +567,8 @@ def analyze(run_dir: str | Path, k: int, out_dir: str | Path | None = None, work
     Reads run_manifest.json, maps.bin, design.csv, mask.asc and merge_tree.csv
     from run_dir and checks them all before it creates any directory, then
     stages the outputs (see _staged). The last three are each read however
-    the others fare; one DataError names each that is bad, in that order.
+    the others fare; one DataError names each that is missing, cannot be
+    read or does not parse, in that order (see grid._attempt).
     The curve's range, k_max, comes from the run's manifest; a k_max
     outside [1, m] is a DataError naming it. `workers` is deprecated and
     has no effect.

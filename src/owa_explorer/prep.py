@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, UnknownClass
-from .grid import Raster, read_csv, read_grid, read_text, write_ascii_grid
+from .grid import Raster, _attempt, read_csv, read_grid, read_text, write_ascii_grid
 
 DEFAULT_SCORE_MAX = 5.0
 
@@ -355,47 +355,65 @@ def _read_prep_config(path: Path) -> tuple[dict[str, str], list[tuple]]:
 
 
 def _build_layers(base: Path, inputs: dict[str, str], criteria) -> list[tuple[str, Raster, float]]:
-    """(name, layer, weight) of each checked criterion, built in memory;
-    unknown services, missing votes and ready grids whose frame differs
-    from luc (or, without luc, from the first ready grid) are named in one
-    DataError. A layer that fails to build raises its error prefixed by
-    its section and the grid at fault."""
-    luc = read_grid(base / inputs["luc"]) if "luc" in inputs else None
-    matrix = None
-    if "capacity_matrix" in inputs:
-        score_max = float(inputs.get("score_max", DEFAULT_SCORE_MAX))
-        matrix = load_capacity_matrix(base / inputs["capacity_matrix"], score_max)
-    votes = load_expert_votes(base / inputs["votes"]) if "votes" in inputs else {}
+    """(name, layer, weight) of each checked criterion, built in memory.
 
-    layers, problems = [], []
+    Every input file is read before any layer is built: those of [inputs],
+    then each criterion's grid or modifier_grid, in config order. One
+    DataError names, each behind its section, every file that cannot be
+    read or does not parse (see grid._attempt), then every unknown service,
+    missing vote and ready grid whose frame differs from luc (or, without
+    luc, from the first ready grid). While none is found, a layer that
+    fails to build raises its error prefixed by its section and the grid
+    at fault."""
+    score_max = float(inputs.get("score_max", DEFAULT_SCORE_MAX))
+    readers = {  # by the key naming the file: [inputs] holds only the first three, a criterion the last two
+        "luc": read_grid,
+        "capacity_matrix": lambda path: load_capacity_matrix(path, score_max),
+        "votes": load_expert_votes,
+        "grid": read_grid,
+        "modifier_grid": read_grid,
+    }
+    read, problems = {}, []
+    for section, keys in [("inputs", inputs), *((f"criterion:{name}", keys) for name, keys, _ in criteria)]:
+        for key in filter(readers.__contains__, keys):
+            got = _attempt(readers[key], base / keys[key])
+            if isinstance(got, DataError):
+                problems.append(f"[{section}] {got}")
+            else:
+                read[section, key] = got
+    # None where the file is absent or named above
+    luc, matrix, votes = (read.get(("inputs", key)) for key in ("luc", "capacity_matrix", "votes"))
+
+    layers = []
     frame = (luc.meta, inputs["luc"]) if luc is not None else None
     for name, keys, rule in criteria:
+        section = f"criterion:{name}"
         service = keys.get("service", name)
         weight = float(keys["weight"]) if "weight" in keys else None
-        if weight is None:
+        if weight is None and votes is not None:
             key = service if service in votes or name not in votes else name
             try:
                 weight = criterion_weight_from_votes(votes[key])
             except KeyError:
-                problems.append(f"[criterion:{name}]: no weight, and {inputs['votes']} has no {key!r} row")
+                problems.append(f"[{section}]: no weight, and {inputs['votes']} has no {key!r} row")
             except DataError as exc:
-                problems.append(f"[criterion:{name}]: {exc}")
+                problems.append(f"[{section}]: {exc}")
         if "grid" in keys:
-            grid = read_grid(base / keys["grid"])
-            if frame is None:
+            grid = read.get((section, "grid"))
+            if grid is not None and frame is None:
                 frame = (grid.meta, keys["grid"])
-            elif not grid.meta.aligned_with(frame[0]):
-                problems.append(f"[criterion:{name}]: grid {keys['grid']} is not aligned with {frame[1]}")
+            elif grid is not None and not grid.meta.aligned_with(frame[0]):
+                problems.append(f"[{section}]: grid {keys['grid']} is not aligned with {frame[1]}")
             layers.append((name, grid, weight))
-        elif service not in matrix.services:
-            problems.append(f"[criterion:{name}]: service {service!r} not in {inputs['capacity_matrix']}")
-        else:
-            modifier = None if rule is None else read_grid(base / keys["modifier_grid"])
+        elif matrix is not None and service not in matrix.services:
+            problems.append(f"[{section}]: service {service!r} not in {inputs['capacity_matrix']}")
+        elif not problems:  # every input of the layer was read
+            modifier = read.get((section, "modifier_grid"))
             try:
                 layers.append((name, build_criterion(luc, matrix, service, rule, modifier), weight))
             except DataError as exc:  # a land-cover class comes from luc, the rest from the modifier
                 source = inputs["luc"] if rule is None or isinstance(exc, UnknownClass) else keys["modifier_grid"]
-                raise type(exc)(f"[criterion:{name}] {source}: {exc}") from None
+                raise type(exc)(f"[{section}] {source}: {exc}") from None
     if problems:
         raise DataError("; ".join(problems))
     return layers

@@ -503,6 +503,8 @@ def test_build_stack_clamps_float_dust(meta_2x1):
     ok = Raster(meta_2x1, np.array([0.2, 0.8]))
     stack = build_stack([("dusty", dusty), ("ok", ok)], [1.0, 1.0])
     assert stack.layers[0].values.tolist() == [1.0, 0.0]
+    assert stack.clamped_cells == 2
+    assert build_stack([("ok", ok), ("again", ok)], [1.0, 1.0]).clamped_cells == 0
 
 
 def test_build_stack_needs_two_layers(meta_2x1):

@@ -260,14 +260,27 @@ def test_load_names_every_malformed_grid_in_manifest_order(tmp_path, synth_dir, 
     assert threading.active_count() == alive
 
 
-def test_load_raises_a_missing_grid_as_os_error(tmp_path, synth_dir):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_load_names_a_missing_grid_beside_the_malformed_ones(tmp_path, threads):
+    # a grid that cannot be read, missing or a directory, is named like one
+    # that does not parse, in manifest order, and the pool sees no raise
     data = tmp_path / "data"
-    shutil.copytree(synth_dir, data)
+    synth_generate(24, 16, 4, seed=0, out_dir=data)
     (data / "criterion_02.asc").unlink()
+    (data / "criterion_03.asc").unlink()
+    (data / "criterion_03.asc").mkdir()
     grid = data / "criterion_01.asc"
     grid.write_text(grid.read_text().replace(" 0.", " 0x", 1))
-    with pytest.raises(FileNotFoundError, match="criterion_02.asc"):
-        load_stack_manifest(data / "stack_manifest.csv", 1)
+    alive = threading.active_count()
+    with pytest.raises(DataError) as err:
+        load_stack_manifest(data / "stack_manifest.csv", threads)
+    first, *rest = str(err.value).split("; ")
+    assert first.startswith(f"{data / 'criterion_01.asc'}: cell value '0x")
+    assert rest == [
+        f"{data / 'criterion_02.asc'}: {os.strerror(errno.ENOENT)}",
+        f"{data / 'criterion_03.asc'}: {os.strerror(errno.EISDIR)}",
+    ]
+    assert threading.active_count() == alive
 
 
 @pytest.mark.parametrize("key", ["workers"])
@@ -494,7 +507,8 @@ def test_run_manifest_records_metrics(completed_run, tmp_path):
     assert pixels < 1024  # one chunk, and a round of every pixel
     need = 8 * (2 * m * m + m * n + pixels * m + pixels + pixels * (m + 3 * n) + 2 * np.getbufsize())
     assert manifest.metrics == {
-        "distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "threads": 1, "valid_pixels": pixels,
+        "clamped_cells": 0, "distance_pairs_recomputed": recomputed, "map_pass_bytes": need, "threads": 1,
+        "valid_pixels": pixels,
     }
     assert RunManifest.read(out / "run_manifest.json").metrics == manifest.metrics
     again = tmp_path / "again"
@@ -763,6 +777,46 @@ def test_analyze_names_every_bad_run_file_in_order(completed_run, tmp_path):
     assert not (tmp_path / "re").exists()
 
 
+@pytest.mark.parametrize(
+    "missing, edit, faults",
+    [
+        ("design.csv", ("merge_tree.csv", 3, "1,2,3"), ["design.csv: {enoent}", "merge_tree.csv:3: expected 5 fields"]),
+        (
+            "mask.asc", ("design.csv", 4, "2,x,0.5"),
+            ["design.csv:4: could not convert string to float: 'x'", "mask.asc: {enoent}"],
+        ),
+    ],
+    ids=["no design.csv", "no mask.asc"],
+)
+def test_cli_analyze_names_a_missing_run_file_beside_a_malformed_one(
+    completed_run, tmp_path, capsys, missing, edit, faults
+):
+    # a run file that cannot be read is named like one that does not parse,
+    # in the same error and in the same order, before anything is staged
+    out, _, _ = completed_run
+    run = _edit_run(out, tmp_path, [edit])
+    (run / missing).unlink()
+    assert main(["analyze", "--run-dir", str(run), "--k", "3", "--out", str(tmp_path / "re")]) == 3
+    named = "; ".join(f"{run}{os.sep}{fault.format(enoent=os.strerror(errno.ENOENT))}" for fault in faults)
+    assert capsys.readouterr().err == f"data error: {named}\n"
+    assert not (tmp_path / "re").exists()
+
+
+def test_run_manifest_counts_clamped_cells(tmp_path):
+    # a valid cell within 1e-9 above 1 is clamped into [0, 1], and the run
+    # says so in its manifest
+    data = tmp_path / "data"
+    synth_generate(16, 12, 3, seed=0, out_dir=data)
+    grid = data / "criterion_00.asc"
+    raster = read_grid(grid)
+    values = np.array(raster.values)
+    values[np.argmax(values)] = 1 + 1e-12
+    grid.write_text(write_ascii_grid(Raster(raster.meta, values)))
+    cfg = PipelineConfig(stack_manifest=data / "stack_manifest.csv", m=4, k_max=2, out=tmp_path / "out")
+    assert run_pipeline(cfg).metrics["clamped_cells"] == 1
+    assert RunManifest.read(tmp_path / "out" / "run_manifest.json").metrics["clamped_cells"] == 1
+
+
 def test_analyze_rejects_design_of_another_length(completed_run, tmp_path):
     out, _, _ = completed_run
     run = tmp_path / "run"
@@ -852,7 +906,7 @@ def test_cli_analyze_store_header_of_another_shape_is_data_error(completed_run, 
     assert not (tmp_path / "re").exists()
 
 
-@pytest.mark.parametrize("name", ["merge_tree.csv", "run_manifest.json"])
+@pytest.mark.parametrize("name", ["design.csv", "mask.asc", "merge_tree.csv", "run_manifest.json"])
 def test_analyze_requires_run_file(completed_run, tmp_path, name):
     out, _, _ = completed_run
     run = tmp_path / "run"

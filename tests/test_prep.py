@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 import shutil
 
@@ -403,6 +405,15 @@ _MALFORMED_PREP = {
     ),
     # "\udcff" is written as the byte 0xff, which is not UTF-8 text
     "luc_not_text": ([("luc.asc", "nrows 2\n", "nrows \udcff\n")], 3, ["luc.asc: byte 0xff"]),
+    # a file that cannot be read is named like one that does not parse, in
+    # config order; an edit with no new text deletes the file, and {tmp}
+    # stands for the directory of the inputs
+    "missing_and_malformed": (
+        [("luc.asc", None, None), ("cap.csv", "e1,1,crops,4\n", "e1,1,crops,x\n"), ("ready.asc", "cellsize 1\n", "")],
+        3, [f"data error: [inputs] {{tmp}}{os.sep}luc.asc: {os.strerror(errno.ENOENT)}; ",
+            f"[inputs] {{tmp}}{os.sep}cap.csv:2: could not convert string to float: 'x'; ",
+            f"[criterion:ready] {{tmp}}{os.sep}ready.asc: missing header keys: cellsize\n"],
+    ),
 }
 
 
@@ -434,12 +445,16 @@ def test_cli_prep_rejects_malformed_input(tmp_path, capsys, case):
 
     edits, code, named = _MALFORMED_PREP[case]
     for name, old, new in edits:
+        if new is None:
+            del files[name]
+            (tmp_path / name).unlink()
+            continue
         assert old in files[name]
         files[name] = files[name].replace(old, new, 1)
     for name, text in files.items():
         (tmp_path / name).write_bytes(text.encode(errors="surrogateescape"))
     assert main(args) == code
     err = capsys.readouterr().err
-    for item in named:
-        assert item in err
+    at = [err.index(item.replace("{tmp}", str(tmp_path))) for item in named]  # ValueError if one is not named
+    assert at == sorted(at)  # in config order
     assert not out.exists()
